@@ -16,13 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .devices import Mode
 from .network import BusKind
 from .series import (evaluate_at_one, magnitude_coefficient,
                      reciprocal_coefficient)
-from .system import System, jacobian, residual
+from .system import System, jacobian, lu_factor, lu_solve, residual
 
 #: consecutive growing-mismatch orders before the series is declared divergent
 DIVERGENCE_ORDERS = 5
@@ -54,15 +53,13 @@ def _history(sys: System, n: int, Vs, Is, Us, comp_f, comp_m) -> np.ndarray:
     """Order-n polynomial history of the embedded equations (n >= 2)."""
     net = sys.net
     h = np.zeros(sys.size)
+    CIs = sys.incidence @ Is[:, :n]     # device currents summed per bus
     for b, bus in enumerate(net.buses):
         if bus.kind is BusKind.SLACK:
             continue
         acc = 0j
         for d in range(1, n):
-            acc += np.conj(Vs[b, d]) * Us[b, n - d]
-        for c, s in sys.bus_currents[b]:
-            for d in range(1, n):
-                acc += s * np.conj(Vs[b, d]) * Is[c, n - d]
+            acc += np.conj(Vs[b, d]) * (Us[b, n - d] + CIs[b, n - d])
         if bus.kind is BusKind.PV:
             h[2 * b] = acc.real
             h[2 * b + 1] = 0.5 * sum(
@@ -147,9 +144,6 @@ def _single_stage(sys: System, C, D, tol, n_max, pade) -> FfheResult:
     n = sys.n_bus
     ncur = sys.n_currents
 
-    J = jacobian(sys, C, D)
-    lu = lu_factor(J)
-
     Vs = np.zeros((n, n_max + 1), dtype=complex)
     Is = np.zeros((ncur, n_max + 1), dtype=complex)
     Us = np.zeros((n, n_max + 1), dtype=complex)
@@ -171,6 +165,10 @@ def _single_stage(sys: System, C, D, tol, n_max, pade) -> FfheResult:
     mis = float(np.max(np.abs(base_res)))
     if mis <= tol:
         return FfheResult(C, D, 0, mis, True, Vs[:, :1], Is[:, :1])
+    try:
+        lu = lu_factor(jacobian(sys, C, D))
+    except np.linalg.LinAlgError:
+        return FfheResult(C, D, 0, mis, False, Vs[:, :1], Is[:, :1])
 
     for order in range(1, n_max + 1):
         if order == 1:
@@ -223,6 +221,8 @@ def _staged_solve(sys: System, C, D, tol, n_max, pade, restarts) -> FfheResult:
         if result.converged:
             return FfheResult(result.V, result.I, total_terms, result.mismatch,
                               True, result.v_series, result.i_series)
+        if not result.terms:      # singular Jacobian at the reference
+            break
         # walk back along the homotopy path to a point the series still
         # represents well, then re-embed from there; orders past the best
         # mismatch carry no information, so truncate before evaluating

@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy import sparse
 
 
 class ParseError(ValueError):
@@ -211,28 +212,32 @@ def parse_case(text: str, name: str = "") -> Network:
                    base_mva=base, name=name)
 
 
-def build_admittance_matrix(net: Network) -> np.ndarray:
-    """Dense bus admittance matrix in p.u. (internal index order)."""
+def build_admittance_matrix(net: Network) -> sparse.csr_matrix:
+    """Sparse (CSR) bus admittance matrix in p.u. (internal index order).
+
+    Every diagonal entry is stored, an explicit zero where a bus has neither
+    branches nor shunt, so the diagonal is part of the sparsity pattern.
+    """
     n = net.n_bus
     idx = net.index_of
-    Y = np.zeros((n, n), dtype=complex)
-    for br in net.branches:
-        z = br.series_impedance
-        if z == 0:
-            raise TopologyError(
-                f"branch {br.from_bus}-{br.to_bus}: zero series impedance")
-        ys = 1.0 / z
-        bc = 1j * br.charging_b / 2.0
-        t = br.tap
-        f, to = idx[br.from_bus], idx[br.to_bus]
-        Y[f, f] += (ys + bc) / (t * np.conj(t))
-        Y[to, to] += ys + bc
-        Y[f, to] += -ys / np.conj(t)
-        Y[to, f] += -ys / t
-    for b in net.buses:
-        i = idx[b.ext_id]
-        Y[i, i] += complex(b.shunt_g, b.shunt_b)
-    return Y
+    f = np.array([idx[br.from_bus] for br in net.branches], dtype=np.intp)
+    t = np.array([idx[br.to_bus] for br in net.branches], dtype=np.intp)
+    z = np.array([br.series_impedance for br in net.branches], dtype=complex)
+    bad = np.flatnonzero(z == 0)
+    if bad.size:
+        br = net.branches[bad[0]]
+        raise TopologyError(
+            f"branch {br.from_bus}-{br.to_bus}: zero series impedance")
+    ys = 1.0 / z
+    bc = 0.5j * np.array([br.charging_b for br in net.branches])
+    tap = np.array([br.tap for br in net.branches], dtype=complex)
+    shunt = np.array([complex(b.shunt_g, b.shunt_b) for b in net.buses])
+    diag = np.arange(n)
+    rows = np.concatenate([f, t, f, t, diag])
+    cols = np.concatenate([f, t, t, f, diag])
+    vals = np.concatenate([(ys + bc) / (tap * np.conj(tap)), ys + bc,
+                           -ys / np.conj(tap), -ys / tap, shunt])
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
 def _combine(z_line: complex, z_se: complex, admittance_sum: bool) -> complex:

@@ -12,7 +12,7 @@ import numpy as np
 
 from .devices import COMPANION_MODES
 from .network import BusKind
-from .system import System, jacobian, residual
+from .system import System, jacobian, lu_factor, lu_solve, residual
 
 #: nudge applied to a device current that an iteration drove to ~zero, so
 #: magnitude-normalised control rows stay differentiable
@@ -52,15 +52,14 @@ def flat_start(sys: System):
     return V, I
 
 
-def _step(sys: System, V, I, damped: bool):
-    """One Newton update; with ``damped`` the step is halved until the
-    mismatch norm decreases.  Returns (V, I, new_mismatch) or None when the
+def _step(sys: System, V, I, r, damped: bool):
+    """One Newton update from (V, I), whose residual vector is ``r``; with
+    ``damped`` the step is halved until the mismatch norm decreases.
+    Returns (V, I, residual vector) of the accepted point, or None when the
     line search cannot make progress."""
-    r = residual(sys, V, I)
     nrm = float(np.max(np.abs(r)))
-    J = jacobian(sys, V, I)
     try:
-        dx = np.linalg.solve(J, -r)
+        dx = lu_solve(lu_factor(jacobian(sys, V, I)), -r)
     except np.linalg.LinAlgError:
         return None
     n = sys.n_bus
@@ -74,7 +73,7 @@ def _step(sys: System, V, I, damped: bool):
         ok = np.all(np.isfinite(rn))
         mn = float(np.max(np.abs(rn))) if ok else np.inf
         if ok and (not damped or mn < nrm):
-            return Vn, In, mn
+            return Vn, In, rn
         lam *= 0.5
     return None
 
@@ -99,7 +98,8 @@ def nr_solve(sys: System, V0=None, I0=None, tol: float = 1e-8,
 
     best = np.inf
     rising = 0
-    mis = float(np.max(np.abs(residual(sys, V, I))))
+    r = residual(sys, V, I)
+    mis = float(np.max(np.abs(r)))
     for it in range(max_iters):
         if not np.isfinite(mis):
             raise ConvergenceError("iteration produced non-finite mismatch")
@@ -113,11 +113,12 @@ def nr_solve(sys: System, V0=None, I0=None, tol: float = 1e-8,
         else:
             rising = 0
             best = mis
-        stepped = _step(sys, V, I, damped)
+        stepped = _step(sys, V, I, r, damped)
         if stepped is None:
             raise ConvergenceError(
                 f"stalled at iteration {it} (mismatch {mis:.3e})")
-        V, I, mis = stepped
+        V, I, r = stepped
+        mis = float(np.max(np.abs(r)))
 
     if mis <= tol:
         return NewtonResult(V, I, max_iters, mis, True)
@@ -139,13 +140,14 @@ def warm_start(sys: System, iterations: int = 3, tol: float = 1e-8,
     else:
         V = np.array(V0, dtype=complex)
         I = _nudge_zero_currents(sys, np.array(I0, dtype=complex))
+    r = residual(sys, V, I)
     for _ in range(iterations):
-        if float(np.max(np.abs(residual(sys, V, I)))) <= tol:
+        if float(np.max(np.abs(r))) <= tol:
             break
-        stepped = _step(sys, V, I, damped=True)
+        stepped = _step(sys, V, I, r, damped=True)
         if stepped is None:
             break
-        V, I, _ = stepped
+        V, I, r = stepped
     return V, I
 
 

@@ -117,12 +117,13 @@ class StudyReport:
         return self.V[ti] * np.conj(cur)
 
 
-def generator_reactive_output(sys: System, V, I, bus_idx: int) -> float:
-    """Reactive power a generator must supply at an internal bus index."""
-    inet = (sys.ybus @ V)[bus_idx]
-    inet += sum(s * I[c] for c, s in sys.bus_currents[bus_idx])
-    bus = sys.net.buses[bus_idx]
-    return float((V[bus_idx] * np.conj(inet)).imag) + bus.q_load
+def generator_reactive_output(sys: System, V, I, bus_idx) -> np.ndarray:
+    """Reactive power the generators must supply at the internal bus indices
+    ``bus_idx`` (an array of them), from one network matvec."""
+    bus_idx = np.asarray(bus_idx, dtype=np.intp)
+    inet = (sys.ybus @ V + sys.incidence @ I)[bus_idx]
+    q_load = np.array([sys.net.buses[b].q_load for b in bus_idx])
+    return (V[bus_idx] * np.conj(inet)).imag + q_load
 
 
 def _clamped_network(net: Network, clamped: dict) -> Network:
@@ -137,16 +138,16 @@ def _clamped_network(net: Network, clamped: dict) -> Network:
 
 
 def _q_violations(sys: System, V, I, limits_net: Network) -> dict:
+    pv = np.flatnonzero(sys.pv)
+    limits_idx = limits_net.index_of
     viol = {}
-    for bi, b in enumerate(sys.net.buses):
-        if b.kind is not BusKind.PV:
-            continue
-        qg = generator_reactive_output(sys, V, I, bi)
-        orig = limits_net.bus(b.ext_id)
+    for bi, qg in zip(pv, generator_reactive_output(sys, V, I, pv)):
+        ext = sys.net.buses[bi].ext_id
+        orig = limits_net.buses[limits_idx[ext]]
         if qg > orig.q_max + 1e-9:
-            viol[b.ext_id] = orig.q_max
+            viol[ext] = orig.q_max
         elif qg < orig.q_min - 1e-9:
-            viol[b.ext_id] = orig.q_min
+            viol[ext] = orig.q_min
     return viol
 
 
@@ -183,12 +184,9 @@ def _device_start(sys: System, base_V: np.ndarray, base_report: StudyReport):
             V0[be.m_idx] = base_V[be.i_idx]
             I0[be.cur_idx] = dev.current_guesses[k]
             if has_vbus:
-                try:
-                    s = base_report.branch_flow(i_ext, be.j_ext)
-                    I0[be.cur_idx] = VOLTAGE_TARGET_BOOST * \
-                        np.conj(s / base_V[be.i_idx])
-                except Exception:
-                    pass
+                s = base_report.branch_flow(i_ext, be.j_ext)
+                I0[be.cur_idx] = VOLTAGE_TARGET_BOOST * \
+                    np.conj(s / base_V[be.i_idx])
     return V0, I0
 
 
@@ -256,14 +254,15 @@ def _limited_solve(net: Network, devices, opts: StudyOptions, frozen_q,
 def _frozen_q_candidates(net: Network, devices, base_sys, base_V, base_I):
     """Frozen-Q assignment for regulating generators at device sending buses,
     plus fallbacks for voltage-target feasibility."""
-    frozen = {}
+    idx = net.index_of
+    displaced = list(dict.fromkeys(
+        i for dev in devices for (i, _j) in dev.branches
+        if net.buses[idx[i]].kind is BusKind.PV))
+    q = generator_reactive_output(base_sys, base_V, base_I,
+                                  [idx[i] for i in displaced])
+    frozen = dict(zip(displaced, q.tolist()))
     vbus_targets = set()
     for dev in devices:
-        for (i, _j) in dev.branches:
-            bus = net.bus(i)
-            if bus.kind is BusKind.PV:
-                frozen[i] = generator_reactive_output(
-                    base_sys, base_V, base_I, net.index_of[i])
         for t in dev.targets:
             if t.mode is Mode.V_BUS:
                 vbus_targets.add(t.bus if t.bus is not None

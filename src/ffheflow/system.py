@@ -7,6 +7,15 @@ matrix.  Unknown layout: bus b occupies real columns ``2b, 2b+1`` (re, im),
 device-branch current c occupies ``2*n_bus + 2c, ... + 1``.  Row layout: two
 rows per bus, then per device one power-exchange row followed by its control
 rows.
+
+The bus rows are complex-matrix expressions over index arrays that
+:func:`build_system` computes once: the injections
+``S = diag(conj V) (Y V + C I)``, with ``C`` the sparse +-1 incidence of
+device currents on buses, and their derivatives after Zimmerman ("AC Power
+Flows, Generalized OPF Costs and their Derivatives using Complex Matrix
+Notation", MATPOWER TN2, 2010).  The Jacobian is a ``scipy.sparse`` CSC
+matrix, factorised by SuperLU (:func:`lu_factor`) for Newton steps and
+series orders alike.
 """
 
 from __future__ import annotations
@@ -14,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from .devices import COMPANION_MODES, DeviceConfigError, Mode
 from .network import (BusKind, Network, TopologyError,
@@ -51,10 +62,16 @@ class DeviceEntry:
 @dataclass(frozen=True)
 class System:
     net: Network        # spliced network, device sending buses converted to PQ
-    ybus: np.ndarray
+    ybus: sparse.csr_matrix
     s_inj: np.ndarray   # complex scheduled injection per bus (PV: real part)
     devices: tuple      # DeviceEntry
-    bus_currents: tuple  # per bus: tuple of (cur_idx, sign)
+    slack: np.ndarray   # bus masks: the slack bus,
+    pv: np.ndarray      # voltage-regulating buses,
+    pq: np.ndarray      # and the rest (PQ and auxiliary buses)
+    v_set: np.ndarray   # slack: complex setpoint; PV: magnitude; else 0
+    incidence: sparse.coo_matrix  # n_bus x n_currents: +1 at i, -1 at m
+    y_rows: np.ndarray  # COO pattern of ybus, in CSR order
+    y_cols: np.ndarray
 
     @property
     def n_bus(self) -> int:
@@ -62,7 +79,7 @@ class System:
 
     @property
     def n_currents(self) -> int:
-        return sum(len(d.branches) for d in self.devices)
+        return self.incidence.shape[1]
 
     @property
     def size(self) -> int:
@@ -107,7 +124,7 @@ def build_system(base_net: Network, devices=(), *, admittance_sum: bool = False,
     s_inj = np.array([complex(b.p_gen - b.p_load, b.q_gen - b.q_load)
                       for b in net.buses])
 
-    bus_currents: list = [[] for _ in range(net.n_bus)]
+    inc_rows, inc_cols, inc_signs = [], [], []
     entries = []
     row = 2 * net.n_bus
     cur = 0
@@ -115,8 +132,9 @@ def build_system(base_net: Network, devices=(), *, admittance_sum: bool = False,
         bentries = []
         for (i, j), m in zip(topo.original_branches, topo.aux_buses):
             be = BranchEntry(i_idx=idx[i], m_idx=idx[m], cur_idx=cur, j_ext=j)
-            bus_currents[be.i_idx].append((cur, +1.0))
-            bus_currents[be.m_idx].append((cur, -1.0))
+            inc_rows += (be.i_idx, be.m_idx)
+            inc_cols += (cur, cur)
+            inc_signs += (1.0, -1.0)
             bentries.append(be)
             cur += 1
         rtargets = []
@@ -145,8 +163,22 @@ def build_system(base_net: Network, devices=(), *, admittance_sum: bool = False,
             v_se_limits=tuple(dev.v_se_limits)))
         row += 1 + len(rtargets)
 
+    slack = np.array([b.kind is BusKind.SLACK for b in net.buses])
+    pv = np.array([b.kind is BusKind.PV for b in net.buses])
+    v_set = np.zeros(net.n_bus, dtype=complex)
+    for b, bus in enumerate(net.buses):
+        if bus.kind is BusKind.SLACK:
+            v_set[b] = complex(bus.v_setpoint * np.cos(bus.angle_setpoint),
+                               bus.v_setpoint * np.sin(bus.angle_setpoint))
+        elif bus.kind is BusKind.PV:
+            v_set[b] = bus.v_setpoint
+    incidence = sparse.coo_matrix((inc_signs, (inc_rows, inc_cols)),
+                                  shape=(net.n_bus, cur))
     return System(net=net, ybus=ybus, s_inj=s_inj, devices=tuple(entries),
-                  bus_currents=tuple(tuple(c) for c in bus_currents))
+                  slack=slack, pv=pv, pq=~(slack | pv), v_set=v_set,
+                  incidence=incidence,
+                  y_rows=np.repeat(np.arange(net.n_bus), np.diff(ybus.indptr)),
+                  y_cols=ybus.indices)
 
 
 def pack_state(V: np.ndarray, I: np.ndarray) -> np.ndarray:
@@ -164,29 +196,20 @@ def unpack_state(x: np.ndarray, n_bus: int):
     return V, I
 
 
-def _device_current_sum(sys: System, I: np.ndarray, b: int) -> complex:
-    return sum(s * I[c] for c, s in sys.bus_currents[b])
 
 
 def residual(sys: System, V: np.ndarray, I: np.ndarray) -> np.ndarray:
     """Real residual vector of the original (unembedded) equations."""
-    net = sys.net
-    n = net.n_bus
-    r = np.zeros(sys.size)
-    yv = sys.ybus @ V
-    for b, bus in enumerate(net.buses):
-        if bus.kind is BusKind.SLACK:
-            r[2 * b] = V[b].real - bus.v_setpoint * np.cos(bus.angle_setpoint)
-            r[2 * b + 1] = V[b].imag - bus.v_setpoint * np.sin(bus.angle_setpoint)
-            continue
-        f = np.conj(V[b]) * yv[b] + np.conj(V[b]) * _device_current_sum(sys, I, b)
-        if bus.kind is BusKind.PV:
-            r[2 * b] = f.real - sys.s_inj[b].real
-            r[2 * b + 1] = 0.5 * (abs(V[b]) ** 2 - bus.v_setpoint ** 2)
-        else:
-            f -= np.conj(sys.s_inj[b])
-            r[2 * b] = f.real
-            r[2 * b + 1] = f.imag
+    n = sys.n_bus
+    r = np.empty(sys.size)
+    f = np.conj(V) * (sys.ybus @ V + sys.incidence @ I) - np.conj(sys.s_inj)
+    r_re, r_im = r[0:2 * n:2], r[1:2 * n:2]     # views into r
+    r_re[:] = f.real
+    r_im[:] = f.imag
+    pv, slack = sys.pv, sys.slack
+    r_im[pv] = 0.5 * (np.abs(V[pv]) ** 2 - sys.v_set[pv].real ** 2)
+    r_re[slack] = V[slack].real - sys.v_set[slack].real
+    r_im[slack] = V[slack].imag - sys.v_set[slack].imag
 
     for dev in sys.devices:
         row = dev.row_start
@@ -214,68 +237,69 @@ def residual(sys: System, V: np.ndarray, I: np.ndarray) -> np.ndarray:
     return r
 
 
-class _Assembler:
-    """Accumulates d f = a * du + b * d(conj u) terms into a real matrix."""
+def jacobian(sys: System, V: np.ndarray, I: np.ndarray) -> sparse.csc_matrix:
+    """Analytic Jacobian of :func:`residual` at (V, I), as a CSC matrix.
 
-    def __init__(self, size: int):
-        self.J = np.zeros((size, size))
+    A complex row f with d f = a du + b d(conj u) contributes
+    ``[[Re(a+b), Im(b-a)], [Im(a+b), Re(a-b)]]`` to the (re, im) rows and
+    the (re, im) columns of u.  For the bus injections
+    ``f = diag(conj V) (Y V + C I)``, a = diag(conj V) [Y  C] on the Y-bus
+    and incidence patterns, and b = diag(Y V + C I) on the diagonal.
+    """
+    n = sys.n_bus
+    inc = sys.incidence
+    cV = np.conj(V)
+    # complex-variable triplets: Y-bus pattern, then currents (column n + c)
+    t_rows = np.concatenate([sys.y_rows, inc.row])
+    t_cols = np.concatenate([sys.y_cols, n + inc.col])
+    a = cV[t_rows] * np.concatenate([sys.ybus.data, inc.data])
+    b = np.zeros_like(a)
+    diag = np.flatnonzero(t_rows == t_cols)
+    b[diag] = (sys.ybus @ V + inc @ I)[t_rows[diag]]
+    p, q = a + b, a - b
+    re = ~sys.slack[t_rows]           # real rows: every bus but the slack
+    im = sys.pq[t_rows]               # imaginary rows: PQ and auxiliary only
+    pv = np.flatnonzero(sys.pv)
+    slack = np.flatnonzero(sys.slack)
+    rows = [2 * t_rows[re], 2 * t_rows[re],
+            2 * t_rows[im] + 1, 2 * t_rows[im] + 1,
+            2 * pv + 1, 2 * pv + 1, 2 * slack, 2 * slack + 1]
+    cols = [2 * t_cols[re], 2 * t_cols[re] + 1,
+            2 * t_cols[im], 2 * t_cols[im] + 1,
+            2 * pv, 2 * pv + 1, 2 * slack, 2 * slack + 1]
+    vals = [p[re].real, -q[re].imag, p[im].imag, q[im].real,
+            V[pv].real, V[pv].imag, np.ones(slack.size), np.ones(slack.size)]
+    dev_rows, dev_cols, dev_vals = _device_entries(sys, V, I)
+    return sparse.csc_matrix(
+        (np.concatenate(vals + [dev_vals]),
+         (np.concatenate(rows + [dev_rows]),
+          np.concatenate(cols + [dev_cols]))),
+        shape=(sys.size, sys.size))
 
-    def add_complex(self, row: int, col: int, a: complex, b: complex = 0j):
-        """Both components of a complex residual at row pair (row, row+1)."""
-        J = self.J
-        J[row, col] += a.real + b.real
-        J[row, col + 1] += -a.imag + b.imag
-        J[row + 1, col] += a.imag + b.imag
-        J[row + 1, col + 1] += a.real - b.real
 
-    def add_re(self, row: int, col: int, a: complex, b: complex = 0j):
-        self.J[row, col] += a.real + b.real
-        self.J[row, col + 1] += -a.imag + b.imag
+def _device_entries(sys: System, V, I):
+    """(rows, cols, values) of the Jacobian's device rows."""
+    rows, cols, vals = [], [], []
 
-    def add_im(self, row: int, col: int, a: complex, b: complex = 0j):
-        self.J[row, col] += a.imag + b.imag
-        self.J[row, col + 1] += a.real - b.real
+    def add_re(row, col, a, b=0j):
+        rows.extend((row, row))
+        cols.extend((col, col + 1))
+        vals.extend((a.real + b.real, -a.imag + b.imag))
 
+    def add_im(row, col, a, b=0j):
+        rows.extend((row, row))
+        cols.extend((col, col + 1))
+        vals.extend((a.imag + b.imag, a.real - b.real))
 
-def jacobian(sys: System, V: np.ndarray, I: np.ndarray) -> np.ndarray:
-    """Analytic Jacobian of :func:`residual` at (V, I)."""
-    net = sys.net
-    n = net.n_bus
-    asm = _Assembler(sys.size)
-    yv = sys.ybus @ V
-    ccol = lambda c: 2 * n + 2 * c
-
-    for b, bus in enumerate(net.buses):
-        row = 2 * b
-        if bus.kind is BusKind.SLACK:
-            asm.J[row, row] = 1.0
-            asm.J[row + 1, row + 1] = 1.0
-            continue
-        cb = np.conj(V[b])
-        diag_b = yv[b] + _device_current_sum(sys, I, b)
-        cols = np.nonzero(sys.ybus[b])[0]
-        if bus.kind is BusKind.PV:
-            for k in cols:
-                asm.add_re(row, 2 * k, cb * sys.ybus[b, k])
-            asm.add_re(row, 2 * b, 0j, diag_b)
-            for c, s in sys.bus_currents[b]:
-                asm.add_re(row, ccol(c), s * cb)
-            asm.add_re(row + 1, 2 * b, 0.5 * cb, 0.5 * V[b])
-        else:
-            for k in cols:
-                asm.add_complex(row, 2 * k, cb * sys.ybus[b, k])
-            asm.add_complex(row, 2 * b, 0j, diag_b)
-            for c, s in sys.bus_currents[b]:
-                asm.add_complex(row, ccol(c), s * cb)
-
+    ccol = lambda c: 2 * sys.n_bus + 2 * c
     for dev in sys.devices:
         row = dev.row_start
         for be in dev.branches:
             cI = np.conj(I[be.cur_idx])
             dv = V[be.m_idx] - V[be.i_idx]
-            asm.add_re(row, 2 * be.m_idx, cI)
-            asm.add_re(row, 2 * be.i_idx, -cI)
-            asm.add_re(row, ccol(be.cur_idx), 0j, dv)
+            add_re(row, 2 * be.m_idx, cI)
+            add_re(row, 2 * be.i_idx, -cI)
+            add_re(row, ccol(be.cur_idx), 0j, dv)
         for t in dev.targets:
             row += 1
             be = dev.branches[t.branch]
@@ -283,34 +307,49 @@ def jacobian(sys: System, V: np.ndarray, I: np.ndarray) -> np.ndarray:
             cI = np.conj(cur)
             dv = V[be.m_idx] - V[be.i_idx]
             if t.mode is Mode.P_FLOW:
-                asm.add_re(row, 2 * be.i_idx, cI)
-                asm.add_re(row, ccol(be.cur_idx), 0j, V[be.i_idx])
+                add_re(row, 2 * be.i_idx, cI)
+                add_re(row, ccol(be.cur_idx), 0j, V[be.i_idx])
             elif t.mode is Mode.Q_FLOW:
-                asm.add_im(row, 2 * be.i_idx, cI)
-                asm.add_im(row, ccol(be.cur_idx), 0j, V[be.i_idx])
+                add_im(row, 2 * be.i_idx, cI)
+                add_im(row, ccol(be.cur_idx), 0j, V[be.i_idx])
             elif t.mode is Mode.Q_INJ:
-                asm.add_im(row, 2 * be.m_idx, cI)
-                asm.add_im(row, 2 * be.i_idx, -cI)
-                asm.add_im(row, ccol(be.cur_idx), 0j, dv)
+                add_im(row, 2 * be.m_idx, cI)
+                add_im(row, 2 * be.i_idx, -cI)
+                add_im(row, ccol(be.cur_idx), 0j, dv)
             elif t.mode is Mode.V_BUS:
                 vb = V[t.bus_idx]
-                asm.add_re(row, 2 * t.bus_idx, 0.5 * np.conj(vb), 0.5 * vb)
+                add_re(row, 2 * t.bus_idx, 0.5 * np.conj(vb), 0.5 * vb)
             elif t.mode is Mode.V_SE:
                 mag = abs(cur)
                 q = (dv * cI).imag
-                asm.add_im(row, 2 * be.m_idx, cI / mag)
-                asm.add_im(row, 2 * be.i_idx, -cI / mag)
-                asm.add_im(row, ccol(be.cur_idx), 0j, dv / mag)
-                asm.add_re(row, ccol(be.cur_idx),
-                           -q * cI / (2 * mag ** 3),
-                           -q * cur / (2 * mag ** 3))
+                add_im(row, 2 * be.m_idx, cI / mag)
+                add_im(row, 2 * be.i_idx, -cI / mag)
+                add_im(row, ccol(be.cur_idx), 0j, dv / mag)
+                add_re(row, ccol(be.cur_idx),
+                       -q * cI / (2 * mag ** 3), -q * cur / (2 * mag ** 3))
             else:  # X_EQ
                 mag2 = abs(cur) ** 2
                 q = (dv * cI).imag
-                asm.add_im(row, 2 * be.m_idx, cI / mag2)
-                asm.add_im(row, 2 * be.i_idx, -cI / mag2)
-                asm.add_im(row, ccol(be.cur_idx), 0j, dv / mag2)
-                asm.add_re(row, ccol(be.cur_idx),
-                           -q * cI / mag2 ** 2,
-                           -q * cur / mag2 ** 2)
-    return asm.J
+                add_im(row, 2 * be.m_idx, cI / mag2)
+                add_im(row, 2 * be.i_idx, -cI / mag2)
+                add_im(row, ccol(be.cur_idx), 0j, dv / mag2)
+                add_re(row, ccol(be.cur_idx),
+                       -q * cI / mag2 ** 2, -q * cur / mag2 ** 2)
+    return (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
+            np.array(vals, dtype=float))
+
+
+def lu_factor(J: sparse.csc_matrix):
+    """SuperLU factorisation of a Jacobian from :func:`jacobian`.
+
+    Raises ``np.linalg.LinAlgError`` when the matrix is exactly singular.
+    """
+    try:
+        return splu(J)
+    except RuntimeError as exc:
+        raise np.linalg.LinAlgError(str(exc)) from None
+
+
+def lu_solve(lu, rhs: np.ndarray) -> np.ndarray:
+    """Solve with a factorisation from :func:`lu_factor`."""
+    return lu.solve(rhs)

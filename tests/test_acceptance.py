@@ -438,7 +438,7 @@ def test_criterion_08_jacobian_vs_finite_difference():
                              + 1j * rng.normal(size=V.size)))
         if I.size:
             I[:] = 0.3 - 0.15j
-        J = jacobian(sysk, V, I)
+        J = jacobian(sysk, V, I).toarray()
         x0 = pack_state(V, I)
         h = 1e-7
         for col in range(sysk.size):

@@ -56,7 +56,7 @@ class TestFirstCoefficients:
         C = np.array([1.02 + 0.01j, 0.97 - 0.03j])
         res = ffhe_solve(sys, C, np.zeros(0, complex), n_max=1, tol=1e-30)
         from ffheflow.system import jacobian
-        J = jacobian(sys, C, np.zeros(0, complex))
+        J = jacobian(sys, C, np.zeros(0, complex)).toarray()
         dx = np.linalg.solve(J, -residual(sys, C, np.zeros(0, complex)))
         dv = dx[0:4:2] + 1j * dx[1:4:2]
         assert np.allclose(res.v_series[:, 1], dv, atol=1e-12)
@@ -100,6 +100,15 @@ class TestConvergence:
         V0, I0 = flat_start(sys)
         res = ffhe_solve(sys, V0, I0, n_max=40)
         assert not res.converged
+
+    @pytest.mark.parametrize("restarts", [0, 3])
+    def test_singular_reference_reported_unconverged(self, restarts):
+        # at V = 0 every PQ row of the Jacobian vanishes
+        sys = build_system(slack_pq_net())
+        res = ffhe_solve(sys, np.zeros(2, complex), np.zeros(0, complex),
+                         restarts=restarts)
+        assert not res.converged
+        assert res.terms == 0
 
     def test_staged_restart_recovers(self, case118):
         # heavy single-stage truncation fails; restarts walk along the

@@ -97,7 +97,7 @@ class TestJacobian:
         V, I = flat_start(sys)
         V = V * (1 + 0.02 * (rng.normal(size=V.size)
                              + 1j * rng.normal(size=V.size)))
-        J = jacobian(sys, V, I)
+        J = jacobian(sys, V, I).toarray()
         assert np.max(np.abs(J - fd_jacobian(sys, V, I))) < 1e-5
 
     @pytest.mark.parametrize("mode,sp", [
@@ -111,13 +111,13 @@ class TestJacobian:
         V = V * (1 + 0.01 * (rng.normal(size=V.size)
                              + 1j * rng.normal(size=V.size)))
         I[:] = 0.4 - 0.1j
-        J = jacobian(sys, V, I)
+        J = jacobian(sys, V, I).toarray()
         assert np.max(np.abs(J - fd_jacobian(sys, V, I))) < 1e-5
 
     def test_slack_rows_identity(self, case118):
         sys = build_system(case118)
         V, I = flat_start(sys)
-        J = jacobian(sys, V, I)
+        J = jacobian(sys, V, I).toarray()
         b = sys.net.index_of[69]          # the bundled case's slack
         assert sys.net.buses[b].kind is BusKind.SLACK
         row = np.zeros(sys.size)
@@ -187,5 +187,5 @@ def test_random_device_jacobians_match_fd():
         V = V * (1 + 0.01 * (rng.normal(size=V.size)
                              + 1j * rng.normal(size=V.size)))
         I[:] = 0.3 + 0.2j
-        J = jacobian(sys, V, I)
+        J = jacobian(sys, V, I).toarray()
         assert np.max(np.abs(J - fd_jacobian(sys, V, I))) < 1e-5
