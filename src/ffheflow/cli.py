@@ -1,8 +1,8 @@
 """Batch command-line front end.
 
 One study per invocation (``--case`` plus optional ``--devices``), or a
-``--batch`` file fanning independent studies across worker threads.  Exit
-codes: 0 converged, 2 diverged, 1 bad input.
+``--batch`` file of independent studies, run one after another in the
+order listed.  Exit codes: 0 converged, 2 diverged, 1 bad input.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ import argparse
 import cmath
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="evaluate the series with Padé acceleration")
     p.add_argument("--report", choices=("text", "json"), default="text")
     p.add_argument("--batch", type=Path,
-                   help="JSON list of studies run on worker threads")
+                   help="JSON list of studies, run in order")
     return p
 
 
@@ -171,24 +170,24 @@ def _run_batch(batch_path: Path, args) -> int:
             pade=bool(entry.get("pade", args.pade)))
         return _run_one(case, devices, opts)
 
+    # one after another: a study is GIL-bound Python and numpy calls, so
+    # worker threads only contend for the interpreter lock
     worst = EXIT_OK
-    with ThreadPoolExecutor() as pool:
-        futures = [pool.submit(one, e) for e in entries]
-        for entry, fut in zip(entries, futures):
-            label = entry.get("label", entry.get("case", "?"))
-            try:
-                rep = fut.result()
-            except (KeyError, TypeError, ValueError, OSError, ParseError,
-                    TopologyError, DeviceConfigError) as exc:
-                print(f"[{label}] input error: {exc}", file=sys.stderr)
-                worst = max(worst, EXIT_INPUT)
-                continue
-            except (ConvergenceError, StudyError) as exc:
-                print(f"[{label}] diverged: {exc}", file=sys.stderr)
-                worst = max(worst, EXIT_DIVERGED)
-                continue
-            print(f"=== {label}")
-            _emit(rep, args.report)
+    for entry in entries:
+        label = entry.get("label", entry.get("case", "?"))
+        try:
+            rep = one(entry)
+        except (KeyError, TypeError, ValueError, OSError, ParseError,
+                TopologyError, DeviceConfigError) as exc:
+            print(f"[{label}] input error: {exc}", file=sys.stderr)
+            worst = max(worst, EXIT_INPUT)
+            continue
+        except (ConvergenceError, StudyError) as exc:
+            print(f"[{label}] diverged: {exc}", file=sys.stderr)
+            worst = max(worst, EXIT_DIVERGED)
+            continue
+        print(f"=== {label}")
+        _emit(rep, args.report)
     return worst
 
 
