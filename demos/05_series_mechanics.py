@@ -31,9 +31,9 @@ def main():
     print(f"with Pade evaluation: {pade.terms} terms "
           f"-> mismatch {pade.mismatch:.2e}")
 
-    Vw, Iw = warm_start(sys_, iterations=3)
+    Vw, Iw, steps = warm_start(sys_, iterations=3)
     warm = ffhe_solve(sys_, Vw, Iw, tol=1e-10, n_max=60)
-    print(f"after 3 Newton iterations: {warm.terms} terms "
+    print(f"after {steps} Newton iterations: {warm.terms} terms "
           f"-> mismatch {warm.mismatch:.2e}")
 
     nr = nr_solve(sys_, tol=1e-12)

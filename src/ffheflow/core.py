@@ -189,7 +189,10 @@ def _single_stage(sys: System, C, D, tol, n_max, pade) -> FfheResult:
                       for b in range(n)])
         I = np.array([evaluate_at_one(Is[c, :order + 1], pade)
                       for c in range(ncur)])
-        mis = float(np.max(np.abs(residual(sys, V, I))))
+        if np.isfinite(V).all() and np.isfinite(I).all():
+            mis = float(np.max(np.abs(residual(sys, V, I))))
+        else:       # a Pade approximant with a pole at a = 1
+            mis = np.inf
         if mis <= tol:
             return FfheResult(V, I, order, mis, True,
                               Vs[:, :order + 1], Is[:, :order + 1], order)

@@ -128,10 +128,13 @@ def nr_solve(sys: System, V0=None, I0=None, tol: float = 1e-8,
 
 def warm_start(sys: System, iterations: int = 3, tol: float = 1e-8,
                V0=None, I0=None):
-    """Run a few (damped) Newton iterations to produce a series reference.
+    """Run up to ``iterations`` (damped) Newton iterations to produce a
+    series reference.
 
-    Returns ``(V, I)``; convergence is not required (nor expected) here, but
-    at least one iteration must be requested.
+    Returns ``(V, I, steps)``, where ``steps`` counts the Newton steps taken:
+    fewer than requested when the mismatch already meets ``tol`` or the line
+    search stalls.  Convergence is not required (nor expected) here, but at
+    least one iteration must be requested.
     """
     if iterations < 1:
         raise ValueError("warm start needs at least one iteration")
@@ -141,14 +144,14 @@ def warm_start(sys: System, iterations: int = 3, tol: float = 1e-8,
         V = np.array(V0, dtype=complex)
         I = _nudge_zero_currents(sys, np.array(I0, dtype=complex))
     r = residual(sys, V, I)
-    for _ in range(iterations):
-        if float(np.max(np.abs(r))) <= tol:
-            break
+    steps = 0
+    while steps < iterations and float(np.max(np.abs(r))) > tol:
         stepped = _step(sys, V, I, r, damped=True)
         if stepped is None:
             break
         V, I, r = stepped
-    return V, I
+        steps += 1
+    return V, I, steps
 
 
 def _nudge_zero_currents(sys: System, I: np.ndarray) -> np.ndarray:

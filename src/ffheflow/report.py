@@ -12,12 +12,17 @@ limits enforced by outer loops:
   configured ceiling has its control target replaced by an
   injected-voltage-magnitude target pinned at the ceiling.
 
-Device studies are warm-started from the device-free solution of the same
-case: original buses keep their solved voltages, each auxiliary bus starts
-from a transparent-device state (sending-bus voltage, original line
-current), except that a zero reactive-flow target starts from the
-line-blocking state (receiving-bus voltage, zero current), which is the
-branch of the solution manifold such a target is meant to select.
+Device studies are warm-started from the device-free Newton solution of the
+same case.  That pre-solve is shared: it is memoised per (case, Newton
+options), keyed on the content of the :class:`Network` and of the options
+it uses, so every device study of a case after the first reuses it; its
+voltage and current arrays are read-only.  A device-free study always
+solves afresh and returns its own report.  In the warm start, original
+buses keep their solved voltages, each auxiliary bus starts from a
+transparent-device state (sending-bus voltage, original line current),
+except that a zero reactive-flow target starts from the line-blocking
+state (receiving-bus voltage, zero current), which is the branch of the
+solution manifold such a target is meant to select.
 
 When a generator shares its bus with a device sending end it can no longer
 regulate the voltage there; it is converted to constant-Q at its solved
@@ -30,6 +35,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -49,7 +55,7 @@ class StudyError(RuntimeError):
     """The study could not be completed (divergence, limit cycling, ...)."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class StudyOptions:
     method: str = "nr-warm-ffhe"
     tol: float = 1e-8
@@ -203,9 +209,8 @@ def _solve_method(sys: System, method: str, V0, I0, opts: StudyOptions):
 
     warm_n = 0
     if method == "nr-warm-ffhe":
-        V0, I0 = warm_start(sys, iterations=opts.warm_iters, tol=opts.tol,
-                            V0=V0, I0=I0)
-        warm_n = opts.warm_iters
+        V0, I0, warm_n = warm_start(sys, iterations=opts.warm_iters,
+                                    tol=opts.tol, V0=V0, I0=I0)
     elif V0 is None or I0 is None:
         from .newton import flat_start
         V0, I0 = flat_start(sys)
@@ -301,8 +306,9 @@ def run_study(net: Network, devices=(), options: StudyOptions | None = None):
 
     # device-free pre-solve of the same case supplies the warm start and the
     # frozen reactive outputs of displaced regulating generators
-    base_opts = replace(opts, method="nr")
-    base = run_study(net, (), base_opts)
+    base = _base_solution(net, StudyOptions(
+        method="nr", tol=opts.tol, enforce_q_limits=opts.enforce_q_limits,
+        max_limit_passes=opts.max_limit_passes))
 
     def start(sysi):
         return _device_start(sysi, base.V, base)
@@ -333,6 +339,18 @@ def run_study(net: Network, devices=(), options: StudyOptions | None = None):
         _attach_comparison(report, net, active_devices, opts, frozen,
                            start, net)
     return report
+
+
+@lru_cache(maxsize=8)
+def _base_solution(net: Network, opts: StudyOptions) -> StudyReport:
+    """Device-free study of ``net`` shared by the device studies of the same
+    case; ``opts`` holds only the options a Newton pre-solve uses.  Its
+    ``V`` and ``I`` are read-only, so a stray in-place write raises instead
+    of corrupting later studies."""
+    base = run_study(net, (), opts)
+    base.V.setflags(write=False)
+    base.I.setflags(write=False)
+    return base
 
 
 def _relaxed_solve(net, devices, opts, frozen, start):
@@ -378,13 +396,13 @@ def _attach_comparison(report: StudyReport, net, devices, opts, frozen,
         runtime_s=t_nr)
 
     t0 = time.perf_counter()
-    Vw, Iw = warm_start(sys_, iterations=opts.warm_iters, tol=opts.tol,
-                        V0=V0, I0=I0)
+    Vw, Iw, warm_n = warm_start(sys_, iterations=opts.warm_iters,
+                                tol=opts.tol, V0=V0, I0=I0)
     warm_res = ffhe_solve(sys_, Vw, Iw, tol=opts.tol, n_max=opts.max_terms,
                           pade=opts.pade, restarts=opts.restarts)
     t_warm = time.perf_counter() - t0
     report.stats["nr-warm-ffhe"] = MethodStats(
-        iterations=opts.warm_iters, terms=warm_res.terms,
+        iterations=warm_n, terms=warm_res.terms,
         mismatch=warm_res.mismatch, runtime_s=t_warm)
 
     t0 = time.perf_counter()

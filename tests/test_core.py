@@ -82,7 +82,7 @@ class TestConvergence:
         sys = build_system(case118)
         V0, I0 = flat_start(sys)
         flat = ffhe_solve(sys, V0, I0, tol=1e-10, n_max=60)
-        Vw, Iw = warm_start(sys, iterations=3)
+        Vw, Iw, _ = warm_start(sys, iterations=3)
         warm = ffhe_solve(sys, Vw, Iw, tol=1e-10, n_max=60)
         assert warm.converged and flat.converged
         assert warm.terms < flat.terms
@@ -119,6 +119,23 @@ class TestConvergence:
         assert not short.converged
         staged = ffhe_solve(sys, V0, I0, tol=1e-10, n_max=4, restarts=10)
         assert staged.converged
+
+    @pytest.mark.filterwarnings("error")
+    def test_pade_pole_at_one_stops_without_warning(self, case118,
+                                                    monkeypatch):
+        # 101-102/vse0.1 under method="ffhe", pade=True meets an approximant
+        # with a pole at a = 1 at its tenth restart stage; stand one in from
+        # the first order, so the non-finite state never reaches residual()
+        from ffheflow import core
+        monkeypatch.setattr(core, "evaluate_at_one",
+                            lambda coeffs, pade=False: complex(np.inf))
+        dev = SsscDevice("s", (101, 102), ControlTarget(Mode.V_SE, 0.1))
+        sys = build_system(case118, (dev,))
+        V0, I0 = flat_start(sys)
+        res = ffhe_solve(sys, V0, I0, pade=True)
+        assert not res.converged
+        assert res.terms == 1
+        assert res.mismatch == np.inf
 
     def test_already_converged_reference(self, case118):
         sys = build_system(case118)
@@ -163,7 +180,7 @@ class TestEmbeddedResidualProperty:
         sys = build_system(case118, (dev,))
         # a couple of Newton steps keep the expansion point inside the
         # series' disc of convergence, so the tail at a = 0.05 is negligible
-        x0 = warm_start(sys, iterations=2)
+        x0 = warm_start(sys, iterations=2)[:2]
         assert embedded_residual_gap(sys, x0, 0.05) < 1e-10
 
     def test_random_small_systems(self):
@@ -171,5 +188,5 @@ class TestEmbeddedResidualProperty:
         for _ in range(8):
             net, dev = random_sssc_study(rng)
             sys = build_system(net, (dev,))
-            x0 = warm_start(sys, iterations=2)
+            x0 = warm_start(sys, iterations=2)[:2]
             assert embedded_residual_gap(sys, x0, 0.05) < 1e-10

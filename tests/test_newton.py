@@ -154,8 +154,18 @@ class TestNewton:
         sys = build_system(case118)
         V0, I0 = flat_start(sys)
         m0 = np.max(np.abs(residual(sys, V0, I0)))
-        V, I = warm_start(sys, iterations=3)
+        V, I, steps = warm_start(sys, iterations=3)
         assert np.max(np.abs(residual(sys, V, I))) < m0 * 1e-2
+        assert steps == 3
+
+    def test_warm_start_counts_steps_taken(self, case118):
+        # a start that already meets the tolerance takes no step
+        sys = build_system(case118)
+        nr = nr_solve(sys, tol=1e-10)
+        V, I, steps = warm_start(sys, iterations=3, tol=1e-8,
+                                 V0=nr.V, I0=nr.I)
+        assert steps == 0
+        np.testing.assert_array_equal(V, nr.V)
 
     def test_warm_start_needs_one_iteration(self, case118):
         with pytest.raises(ValueError):

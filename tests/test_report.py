@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from ffheflow import load_bundled_case
 from ffheflow.devices import ControlTarget, IpfcDevice, Mode, SsscDevice
-from ffheflow.report import (StudyError, StudyOptions, error_improvement_pct,
-                             run_study, runtime_improvement_pct)
+from ffheflow.report import (StudyError, StudyOptions, _base_solution,
+                             error_improvement_pct, run_study,
+                             runtime_improvement_pct)
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +143,67 @@ class TestDeviceStudy:
         assert rep.comparison["voltage_gap"] < 1e-6
         assert np.isfinite(rep.comparison["delta_e_pct"])
         assert np.isfinite(rep.comparison["delta_t_pct"])
+
+
+class TestBaseSolutionMemo:
+    """Device studies share the device-free pre-solve of their case."""
+
+    DEV = SsscDevice("s", (49, 50), ControlTarget(Mode.P_FLOW, 0.75))
+    NR = StudyOptions(method="nr")
+
+    @pytest.fixture(autouse=True)
+    def cold_memo(self):
+        _base_solution.cache_clear()
+
+    def test_warm_memo_gives_identical_study(self, case118):
+        cold = run_study(case118, (self.DEV,), self.NR)
+        assert _base_solution.cache_info().misses == 1
+        warm = run_study(case118, (self.DEV,), self.NR)
+        assert _base_solution.cache_info().hits == 1
+        assert cold.frozen_q and cold.clamped_generators
+        assert np.array_equal(cold.V, warm.V)
+        assert np.array_equal(cold.I, warm.I)
+        assert cold.frozen_q == warm.frozen_q
+        assert cold.clamped_generators == warm.clamped_generators
+
+    def test_reparsed_case_hits(self, case118):
+        copy = load_bundled_case()
+        assert copy is not case118
+        run_study(case118, (self.DEV,), self.NR)
+        run_study(copy, (self.DEV,), self.NR)
+        assert _base_solution.cache_info().hits == 1
+
+    def test_series_options_share_the_newton_presolve(self, case118):
+        run_study(case118, (self.DEV,), self.NR)
+        run_study(case118, (self.DEV,),
+                  StudyOptions(method="nr-warm-ffhe", warm_iters=2))
+        assert _base_solution.cache_info().hits == 1
+
+    @pytest.mark.parametrize("change", [{"tol": 1e-9},
+                                        {"enforce_q_limits": False}])
+    def test_other_newton_options_miss(self, case118, change):
+        run_study(case118, (self.DEV,), self.NR)
+        run_study(case118, (self.DEV,), StudyOptions(method="nr", **change))
+        info = _base_solution.cache_info()
+        assert (info.hits, info.misses) == (0, 2)
+
+    def test_cached_arrays_are_read_only(self, case118):
+        run_study(case118, (self.DEV,), self.NR)
+        base = _base_solution(case118, self.NR)
+        assert _base_solution.cache_info().hits == 1
+        for arr in (base.V, base.I):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            base.V[0] = 0.0
+
+    def test_device_free_study_is_fresh(self, case118):
+        base = _base_solution(case118, self.NR)
+        rep = run_study(case118, (), self.NR)
+        assert rep is not base
+        assert rep.V.flags.writeable
+        assert not np.shares_memory(rep.V, base.V)
+        assert np.array_equal(rep.V, base.V)
+        assert _base_solution.cache_info().hits == 0
 
 
 class TestMetrics:
