@@ -7,8 +7,12 @@ linear system per series order, all sharing the constant coefficient matrix
 J = dR/dx evaluated at x0 — the same Jacobian the Newton solver uses.  Order
 1 reproduces a Newton step; higher orders add the polynomial history of the
 quadratic (and, for magnitude-normalised device rows, rational) terms.
+Each order's history is a set of Cauchy products over the order axis,
+formed for all buses at once from forward and reversed coefficient slices.
 The solution is read off at a = 1 from the partial sums, or with ``pade``
-from the degree-reduced Pade approximant of ``series.pade_at_one``.
+from the degree-reduced Pade approximant of ``series.pade_at_one``, by one
+``series.evaluate_at_one`` call over the ``(n_bus, k)`` voltage
+coefficients and one over the ``(n_currents, k)`` current coefficients.
 """
 
 from __future__ import annotations
@@ -18,10 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .devices import Mode
-from .network import BusKind
 from .series import (evaluate_at_one, magnitude_coefficient,
                      reciprocal_coefficient)
-from .system import System, jacobian, lu_factor, lu_solve, residual
+from .system import (System, companion_currents, jacobian, lu_factor,
+                     lu_solve, residual)
 
 #: consecutive growing-mismatch orders before the series is declared divergent
 DIVERGENCE_ORDERS = 5
@@ -39,84 +43,63 @@ class FfheResult:
     best_order: int = 0        # truncation order with the smallest mismatch
 
 
-def _companion_currents(sys: System):
-    """Current indices whose rows need reciprocal/magnitude companions."""
-    out = {}
-    for dev in sys.devices:
-        for t in dev.targets:
-            if t.mode in (Mode.V_SE, Mode.X_EQ):
-                out.setdefault(dev.branches[t.branch].cur_idx, None)
-    return list(out)
-
-
 def _history(sys: System, n: int, Vs, Is, Us, comp_f, comp_m) -> np.ndarray:
-    """Order-n polynomial history of the embedded equations (n >= 2)."""
-    net = sys.net
+    """Order-n polynomial history of the embedded equations (n >= 2).
+
+    Every term is a Cauchy product ``sum(a[d] * b[n - d], d=1..n-1)``,
+    formed as the dot of the forward slice ``a[1:n]`` with the reversed
+    slice ``b[n-1:0:-1]``; the bus rows do so for all buses at once.
+    """
+    n_bus = sys.n_bus
     h = np.zeros(sys.size)
-    CIs = sys.incidence @ Is[:, :n]     # device currents summed per bus
-    for b, bus in enumerate(net.buses):
-        if bus.kind is BusKind.SLACK:
-            continue
-        acc = 0j
-        for d in range(1, n):
-            acc += np.conj(Vs[b, d]) * (Us[b, n - d] + CIs[b, n - d])
-        if bus.kind is BusKind.PV:
-            h[2 * b] = acc.real
-            h[2 * b + 1] = 0.5 * sum(
-                (Vs[b, d] * np.conj(Vs[b, n - d])).real for d in range(1, n))
-        else:
-            h[2 * b] = acc.real
-            h[2 * b + 1] = acc.imag
+    fwd, rev = slice(1, n), slice(n - 1, 0, -1)
+    acc = np.einsum("bd,bd->b", np.conj(Vs[:, fwd]),
+                    Us[:, rev] + sys.incidence @ Is[:, rev])
+    h_re, h_im = h[0:2 * n_bus:2], h[1:2 * n_bus:2]     # views into h
+    h_re[:] = acc.real
+    h_im[:] = acc.imag
+    pv = sys.pv
+    h_im[pv] = 0.5 * np.einsum("bd,bd->b", Vs[pv, fwd],
+                               np.conj(Vs[pv, rev])).real
+    h_re[sys.slack] = 0.0
+    h_im[sys.slack] = 0.0
 
     for dev in sys.devices:
         row = dev.row_start
-        acc = 0.0
-        for be in dev.branches:
-            dv = Vs[be.m_idx] - Vs[be.i_idx]
-            acc += sum((dv[d] * np.conj(Is[be.cur_idx, n - d])).real
-                       for d in range(1, n))
-        h[row] = acc
+        dvs = [Vs[be.m_idx, :n] - Vs[be.i_idx, :n] for be in dev.branches]
+        h[row] = sum((dv[fwd] @ np.conj(Is[be.cur_idx, rev])).real
+                     for dv, be in zip(dvs, dev.branches))
         for t in dev.targets:
             row += 1
             be = dev.branches[t.branch]
             c = be.cur_idx
-            dv = Vs[be.m_idx] - Vs[be.i_idx]
+            dv = dvs[t.branch]
+            cI = np.conj(Is[c, rev])
             if t.mode is Mode.P_FLOW:
-                h[row] = sum((Vs[be.i_idx, d] * np.conj(Is[c, n - d])).real
-                             for d in range(1, n))
+                h[row] = (Vs[be.i_idx, fwd] @ cI).real
             elif t.mode is Mode.Q_FLOW:
-                h[row] = sum((Vs[be.i_idx, d] * np.conj(Is[c, n - d])).imag
-                             for d in range(1, n))
+                h[row] = (Vs[be.i_idx, fwd] @ cI).imag
             elif t.mode is Mode.Q_INJ:
-                h[row] = sum((dv[d] * np.conj(Is[c, n - d])).imag
-                             for d in range(1, n))
+                h[row] = (dv[fwd] @ cI).imag
             elif t.mode is Mode.V_BUS:
-                h[row] = 0.5 * sum(
-                    (Vs[t.bus_idx, d] * np.conj(Vs[t.bus_idx, n - d])).real
-                    for d in range(1, n))
+                vb = Vs[t.bus_idx]
+                h[row] = 0.5 * (vb[fwd] @ np.conj(vb[rev])).real
             else:
                 F = comp_f[c]
-                D = Is[c, 0]
-                hist_f = -sum(F[d] * Is[c, n - d] for d in range(1, n)) / D
+                hist_f = -(F[fwd] @ Is[c, rev]) / Is[c, 0]
                 if t.mode is Mode.X_EQ:
                     # injected voltage times reciprocal current
-                    acc = sum(dv[a] * F[n - a] for a in range(1, n))
-                    acc += dv[0] * hist_f
-                    h[row] = acc.imag
+                    h[row] = (dv[fwd] @ F[rev] + dv[0] * hist_f).imag
                 else:
                     # injected voltage times |I|/I via both companions
                     M = comp_m[c]
                     m0 = M[0]
-                    hist_m = (sum(Is[c, d] * np.conj(Is[c, n - d])
-                                  for d in range(1, n)).real
-                              - sum(M[d] * M[n - d]
-                                    for d in range(1, n))) / (2.0 * m0)
-                    t_hist = m0 * sum(dv[a] * F[n - a] for a in range(1, n))
-                    for b_ in range(1, n):
-                        g = sum(dv[l] * F[n - b_ - l] for l in range(n - b_ + 1))
-                        t_hist += M[b_] * g
-                    acc = t_hist + dv[0] * F[0] * hist_m + dv[0] * m0 * hist_f
-                    h[row] = acc.imag
+                    hist_m = ((Is[c, fwd] @ cI).real
+                              - M[fwd] @ M[rev]) / (2.0 * m0)
+                    t_hist = m0 * (dv[fwd] @ F[rev]) \
+                        + M[fwd] @ np.convolve(dv, F[:n])[rev]
+                    h[row] = (t_hist + dv[0] * F[0] * hist_m
+                              + dv[0] * m0 * hist_f).imag
     return h
 
 
@@ -151,7 +134,7 @@ def _single_stage(sys: System, C, D, tol, n_max, pade) -> FfheResult:
     Is[:, 0] = D
     Us[:, 0] = sys.ybus @ C
 
-    comp = _companion_currents(sys)
+    comp = companion_currents(sys)
     comp_f = {c: np.zeros(n_max + 1, dtype=complex) for c in comp}
     comp_m = {c: np.zeros(n_max + 1) for c in comp}
     for c in comp:
@@ -185,10 +168,8 @@ def _single_stage(sys: System, C, D, tol, n_max, pade) -> FfheResult:
             comp_m[c][order] = magnitude_coefficient(
                 comp_m[c], Is[c], order)
 
-        V = np.array([evaluate_at_one(Vs[b, :order + 1], pade)
-                      for b in range(n)])
-        I = np.array([evaluate_at_one(Is[c, :order + 1], pade)
-                      for c in range(ncur)])
+        V = evaluate_at_one(Vs[:, :order + 1], pade)
+        I = evaluate_at_one(Is[:, :order + 1], pade)
         if np.isfinite(V).all() and np.isfinite(I).all():
             mis = float(np.max(np.abs(residual(sys, V, I))))
         else:       # a Pade approximant with a pole at a = 1

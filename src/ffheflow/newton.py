@@ -10,9 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .devices import COMPANION_MODES
 from .network import BusKind
-from .system import System, jacobian, lu_factor, lu_solve, residual
+from .system import (System, companion_currents, jacobian, lu_factor,
+                     lu_solve, residual)
 
 #: nudge applied to a device current that an iteration drove to ~zero, so
 #: magnitude-normalised control rows stay differentiable
@@ -156,12 +156,7 @@ def warm_start(sys: System, iterations: int = 3, tol: float = 1e-8,
 
 def _nudge_zero_currents(sys: System, I: np.ndarray) -> np.ndarray:
     """Keep currents used by magnitude-normalised rows away from zero."""
-    needs = set()
-    for dev in sys.devices:
-        for t in dev.targets:
-            if t.mode in COMPANION_MODES:
-                needs.add(dev.branches[t.branch].cur_idx)
-    for c in needs:
+    for c in companion_currents(sys):
         if abs(I[c]) < CURRENT_NUDGE:
             I[c] = CURRENT_NUDGE if I[c] == 0 else \
                 I[c] / abs(I[c]) * CURRENT_NUDGE

@@ -77,13 +77,22 @@ def magnitude_coefficient(m, i_series, n: int) -> float:
 def evaluate_at_one(coeffs, pade: bool = False):
     """Value of the series at alpha = 1: partial sum, or the degree-reduced
     diagonal Pade approximant of ``pade_at_one`` when ``pade`` is set and
-    there are at least four coefficients."""
-    c = np.asarray(coeffs)
-    if c.size == 0:
+    there are at least four coefficients.
+
+    ``coeffs`` may be an array of shape ``(..., k)`` holding one series of
+    k coefficients per leading index (one per bus, say); the result then
+    has shape ``(...)``, and a 1-D series gives a scalar.
+    """
+    c = np.atleast_1d(coeffs)
+    if c.shape[-1] == 0:
         raise ValueError("empty series")
-    if not pade or c.size < 4:
-        return c.sum()
-    return pade_at_one(c)
+    if not pade or c.shape[-1] < 4:
+        return c.sum(axis=-1)
+    if c.ndim == 1:
+        return pade_at_one(c)
+    rows = c.reshape(-1, c.shape[-1])
+    return np.array([pade_at_one(r) for r in rows],
+                    dtype=complex).reshape(c.shape[:-1])
 
 
 def pade_at_one(coeffs) -> complex:

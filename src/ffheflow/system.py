@@ -181,6 +181,15 @@ def build_system(base_net: Network, devices=(), *, admittance_sum: bool = False,
                   y_cols=ybus.indices)
 
 
+def companion_currents(sys: System) -> list:
+    """Current indices whose control rows (``COMPANION_MODES``) need the
+    reciprocal and magnitude companion series, in order of first use."""
+    return list(dict.fromkeys(
+        dev.branches[t.branch].cur_idx
+        for dev in sys.devices for t in dev.targets
+        if t.mode in COMPANION_MODES))
+
+
 def pack_state(V: np.ndarray, I: np.ndarray) -> np.ndarray:
     x = np.empty(2 * (V.size + I.size))
     x[0:2 * V.size:2] = V.real

@@ -1,10 +1,13 @@
-"""Per-bus reference residual and Jacobian, kept as a test oracle.
+"""Per-bus reference residual, Jacobian and series history, kept as a test
+oracle.
 
-These are the scalar kernels the vectorised ``ffheflow.system.residual`` and
-``ffheflow.system.jacobian`` replaced: one Python loop over buses, with a
-dense Jacobian accumulated entry by entry.  They read only the spliced
-network, the Y-bus and the device entries of a :class:`System`, so they
-check the vectorised kernels independently of the index arrays those use.
+These are the scalar kernels the vectorised ``ffheflow.system.residual``,
+``ffheflow.system.jacobian`` and ``ffheflow.core._history`` replaced: one
+Python loop over buses (and, for the history, over orders), with a dense
+Jacobian accumulated entry by entry.  They read only the spliced network,
+the Y-bus, the device-current incidence and the device entries of a
+:class:`System`, so they check the vectorised kernels independently of the
+index arrays and slices those use.
 """
 
 from __future__ import annotations
@@ -178,3 +181,74 @@ def jacobian(sys, V, I) -> np.ndarray:
                            -q * cI / mag2 ** 2,
                            -q * cur / mag2 ** 2)
     return asm.J
+
+
+def history(sys: System, n: int, Vs, Is, Us, comp_f, comp_m) -> np.ndarray:
+    """Order-n polynomial history of the embedded equations (n >= 2)."""
+    net = sys.net
+    h = np.zeros(sys.size)
+    CIs = sys.incidence @ Is[:, :n]     # device currents summed per bus
+    for b, bus in enumerate(net.buses):
+        if bus.kind is BusKind.SLACK:
+            continue
+        acc = 0j
+        for d in range(1, n):
+            acc += np.conj(Vs[b, d]) * (Us[b, n - d] + CIs[b, n - d])
+        if bus.kind is BusKind.PV:
+            h[2 * b] = acc.real
+            h[2 * b + 1] = 0.5 * sum(
+                (Vs[b, d] * np.conj(Vs[b, n - d])).real for d in range(1, n))
+        else:
+            h[2 * b] = acc.real
+            h[2 * b + 1] = acc.imag
+
+    for dev in sys.devices:
+        row = dev.row_start
+        acc = 0.0
+        for be in dev.branches:
+            dv = Vs[be.m_idx] - Vs[be.i_idx]
+            acc += sum((dv[d] * np.conj(Is[be.cur_idx, n - d])).real
+                       for d in range(1, n))
+        h[row] = acc
+        for t in dev.targets:
+            row += 1
+            be = dev.branches[t.branch]
+            c = be.cur_idx
+            dv = Vs[be.m_idx] - Vs[be.i_idx]
+            if t.mode is Mode.P_FLOW:
+                h[row] = sum((Vs[be.i_idx, d] * np.conj(Is[c, n - d])).real
+                             for d in range(1, n))
+            elif t.mode is Mode.Q_FLOW:
+                h[row] = sum((Vs[be.i_idx, d] * np.conj(Is[c, n - d])).imag
+                             for d in range(1, n))
+            elif t.mode is Mode.Q_INJ:
+                h[row] = sum((dv[d] * np.conj(Is[c, n - d])).imag
+                             for d in range(1, n))
+            elif t.mode is Mode.V_BUS:
+                h[row] = 0.5 * sum(
+                    (Vs[t.bus_idx, d] * np.conj(Vs[t.bus_idx, n - d])).real
+                    for d in range(1, n))
+            else:
+                F = comp_f[c]
+                D = Is[c, 0]
+                hist_f = -sum(F[d] * Is[c, n - d] for d in range(1, n)) / D
+                if t.mode is Mode.X_EQ:
+                    # injected voltage times reciprocal current
+                    acc = sum(dv[a] * F[n - a] for a in range(1, n))
+                    acc += dv[0] * hist_f
+                    h[row] = acc.imag
+                else:
+                    # injected voltage times |I|/I via both companions
+                    M = comp_m[c]
+                    m0 = M[0]
+                    hist_m = (sum(Is[c, d] * np.conj(Is[c, n - d])
+                                  for d in range(1, n)).real
+                              - sum(M[d] * M[n - d]
+                                    for d in range(1, n))) / (2.0 * m0)
+                    t_hist = m0 * sum(dv[a] * F[n - a] for a in range(1, n))
+                    for b_ in range(1, n):
+                        g = sum(dv[l] * F[n - b_ - l] for l in range(n - b_ + 1))
+                        t_hist += M[b_] * g
+                    acc = t_hist + dv[0] * F[0] * hist_m + dv[0] * m0 * hist_f
+                    h[row] = acc.imag
+    return h

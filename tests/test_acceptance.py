@@ -471,3 +471,21 @@ def test_criterion_09_warm_start_efficiency(study):
     check("criterion 9: warm start reduces series terms",
           warm.terms < cold.terms,
           f"warm {warm.terms} vs cold {cold.terms} terms")
+
+
+def test_criterion_09_one_step_warm_start_runs_the_series(study, case118):
+    """Companion to criterion 9, which holds only because a three-step warm
+    start leaves the series nothing to do: after a single warm Newton step
+    the series itself finishes every scenario, with at least two orders,
+    and lands within 1e-6 of the direct Newton solution."""
+    opts = StudyOptions(method="nr-warm-ffhe", warm_iters=1)
+    failures = []
+    for label in ALL_LABELS:
+        rep = run_study(case118, make_devices(label), opts)
+        terms = rep.stats["nr-warm-ffhe"].terms
+        gap = float(np.max(np.abs(rep.V - study(label, "nr").V)))
+        if terms < 2 or gap > 1e-6:
+            failures.append(f"{label}: {terms} terms, voltage gap {gap:.2e}")
+    check("criterion 9: one-step warm start, series runs >= 2 orders",
+          not failures, "; ".join(failures) or
+          f"{len(ALL_LABELS)} scenarios")

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from conftest import random_sssc_study
-from ffheflow.core import _companion_currents, _single_stage, ffhe_solve
+from ffheflow.core import _single_stage, ffhe_solve
 from ffheflow.devices import ControlTarget, Mode, SsscDevice
 from ffheflow.network import Branch, Bus, BusKind, Network
 from ffheflow.newton import flat_start, nr_solve, warm_start
-from ffheflow.system import build_system, residual
+from ffheflow.system import build_system, companion_currents, residual
 
 
 def slack_pq_net(vsp=1.06, p=0.2, q=0.05, r=0.02, x=0.1):
@@ -65,7 +65,7 @@ class TestFirstCoefficients:
         d1 = SsscDevice("a", (49, 50), ControlTarget(Mode.P_FLOW, 0.75))
         d2 = SsscDevice("b", (101, 102), ControlTarget(Mode.V_SE, 0.1))
         sys = build_system(case118, (d1, d2))
-        assert _companion_currents(sys) == [1]
+        assert companion_currents(sys) == [1]
 
 
 class TestConvergence:

@@ -1,4 +1,5 @@
-"""Vectorised residual and sparse Jacobian against the per-bus oracle."""
+"""Vectorised residual, sparse Jacobian and series history against the
+per-bus oracle."""
 
 import numpy as np
 import pytest
@@ -6,13 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_network
+from ffheflow.core import _history
 from ffheflow.devices import ControlTarget, IpfcDevice, Mode, SsscDevice
 from ffheflow.network import BusKind
 from ffheflow.newton import flat_start
-from ffheflow.system import build_system, jacobian, lu_factor, lu_solve, \
-    residual
+from ffheflow.series import magnitude_coefficient, reciprocal_coefficient
+from ffheflow.system import build_system, companion_currents, jacobian, \
+    lu_factor, lu_solve, residual
+from scalar_kernels import history as oracle_history
 from scalar_kernels import jacobian as oracle_jacobian
 from scalar_kernels import residual as oracle_residual
+from test_acceptance import ALL_LABELS, make_devices
 
 TOL = 1e-12
 
@@ -113,3 +118,59 @@ def test_singular_jacobian_raises_linalg_error():
     V = np.zeros(sys.n_bus, dtype=complex)    # every PQ row vanishes
     with pytest.raises(np.linalg.LinAlgError):
         lu_factor(jacobian(sys, V, np.zeros(0, complex)))
+
+
+# ------------------------------------------------------------ series history
+
+HISTORY_ORDERS = range(2, 13)
+
+
+def _series_state(rng, sys, n):
+    """Random coefficients through order n, with nonzero leading terms near
+    a perturbed flat start, ``Us = Y Vs``, and the reciprocal and magnitude
+    companions from their recurrences.  Order n is filled too: the order-n
+    history must not read it."""
+    V0, I0 = _perturbed_state(rng, sys)
+    decay = rng.uniform(0.2, 0.6) ** np.arange(n + 1)
+
+    def draw(rows):
+        return 0.3 * decay * (rng.normal(size=(rows, n + 1))
+                              + 1j * rng.normal(size=(rows, n + 1)))
+
+    Vs, Is = draw(sys.n_bus), draw(sys.n_currents)
+    Vs[:, 0], Is[:, 0] = V0, I0
+    Us = np.asarray(sys.ybus @ Vs)
+    comp_f, comp_m = {}, {}
+    for c in companion_currents(sys):
+        f = np.zeros(n + 1, dtype=complex)
+        m = np.zeros(n + 1)
+        f[0], m[0] = 1.0 / Is[c, 0], abs(Is[c, 0])
+        for k in range(1, n + 1):
+            f[k] = reciprocal_coefficient(f, Is[c], k)
+            m[k] = magnitude_coefficient(m, Is[c], k)
+        comp_f[c], comp_m[c] = f, m
+    return Vs, Is, Us, comp_f, comp_m
+
+
+def _assert_history_matches_oracle(rng, sys):
+    for n in HISTORY_ORDERS:
+        state = _series_state(rng, sys, n)
+        h = _history(sys, n, *state)
+        ref = oracle_history(sys, n, *state)
+        assert np.max(np.abs(h - ref)) <= TOL * np.max(np.abs(ref)), n
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_random_network_history_matches_oracle(mode, seed):
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, n_bus=int(rng.integers(3, 8)))
+    sys = build_system(net, _random_devices(rng, net, mode))
+    _assert_history_matches_oracle(rng, sys)
+
+
+@pytest.mark.parametrize("label", [lb for lb in ALL_LABELS if lb != "base"])
+def test_case118_history_matches_oracle(case118, label):
+    sys = build_system(case118, make_devices(label))
+    _assert_history_matches_oracle(np.random.default_rng(3), sys)
