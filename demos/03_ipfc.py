@@ -8,13 +8,13 @@ machine precision.
 Run:  python3 demos/03_ipfc.py
 """
 
-from ffheflow import ControlTarget, IpfcDevice, Mode, load_bundled_case
+from ffheflow import ControlTarget, Mode, SeriesDevice, load_bundled_case
 from ffheflow.report import StudyOptions, run_study
 
 
 def main():
     net = load_bundled_case()
-    dev = IpfcDevice(
+    dev = SeriesDevice(
         "ipfc", ((49, 50), (49, 51)),
         (ControlTarget(Mode.P_FLOW, 0.75, branch=0),
          ControlTarget(Mode.P_FLOW, 0.75, branch=1),

@@ -3,7 +3,7 @@
 from importlib import resources
 
 from .core import FfheResult, ffhe_solve
-from .devices import (ControlTarget, IpfcDevice, Mode, SsscDevice,
+from .devices import (ControlTarget, Mode, SeriesDevice, SsscDevice,
                       branch_outputs, load_devices)
 from .network import (Branch, Bus, BusKind, Network, ParseError,
                       TopologyError, build_admittance_matrix,

@@ -22,10 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .devices import Mode
+from .newton import _nudge_zero_currents
 from .series import (evaluate_at_one, magnitude_coefficient,
                      reciprocal_coefficient)
 from .system import (System, companion_currents, jacobian, lu_factor,
-                     lu_solve, residual)
+                     lu_solve, residual, unpack_state)
 
 #: consecutive growing-mismatch orders before the series is declared divergent
 DIVERGENCE_ORDERS = 5
@@ -158,9 +159,7 @@ def _single_stage(sys: System, C, D, tol, n_max, pade) -> FfheResult:
             rhs = -base_res
         else:
             rhs = -_history(sys, order, Vs, Is, Us, comp_f, comp_m)
-        x = lu_solve(lu, rhs)
-        Vs[:, order] = x[0:2 * n:2] + 1j * x[1:2 * n:2]
-        Is[:, order] = x[2 * n::2] + 1j * x[2 * n + 1::2]
+        Vs[:, order], Is[:, order] = unpack_state(lu_solve(lu, rhs), n)
         Us[:, order] = sys.ybus @ Vs[:, order]
         for c in comp:
             comp_f[c][order] = reciprocal_coefficient(
@@ -193,8 +192,6 @@ def _single_stage(sys: System, C, D, tol, n_max, pade) -> FfheResult:
 
 
 def _staged_solve(sys: System, C, D, tol, n_max, pade, restarts) -> FfheResult:
-    from .newton import _nudge_zero_currents
-
     V, I = np.asarray(C, dtype=complex), np.asarray(D, dtype=complex)
     total_terms = 0
     result = None

@@ -1,9 +1,10 @@
 """Series FACTS device descriptions, outputs and limit handling.
 
-An SSSC occupies one branch and controls one quantity; an IPFC spans two or
-more branches sharing the sending bus and controls ``2*n_branches - 1``
-quantities, the remaining degree of freedom being fixed by the zero net
-real-power exchange across its converters.
+One type, :class:`SeriesDevice`, describes both devices.  It spans n >= 1
+branches sharing the sending bus and controls ``2n - 1`` quantities, the
+remaining degree of freedom being fixed by the zero net real-power exchange
+across its converters.  n = 1 is the SSSC (one branch, one quantity), built
+by :func:`SsscDevice`; n >= 2 is the IPFC.
 """
 
 from __future__ import annotations
@@ -46,48 +47,13 @@ class ControlTarget:
 
 
 @dataclass(frozen=True)
-class SsscDevice:
+class SeriesDevice:
+    """Series converters on n >= 1 branches (n = 1: an SSSC).  ``z_se``,
+    ``v_se_max`` and ``current_guess`` hold one entry per branch and
+    default to 0.01 + 0.01j, no limit and 0.1."""
+
     device_id: str
-    branch: tuple              # (i, j) external ids, device at the i end
-    target: ControlTarget
-    z_se: complex = 0.01 + 0.01j
-    v_se_max: float | None = None
-    current_guess: complex = 0.1 + 0.0j
-
-    def __post_init__(self):
-        if self.target.branch != 0:
-            raise DeviceConfigError("SSSC has a single branch")
-        if self.target.mode in COMPANION_MODES and \
-                abs(self.current_guess) <= EPS_ZERO:
-            raise DeviceConfigError(
-                f"{self.device_id}: mode {self.target.mode.value} needs a "
-                "nonzero current guess")
-
-    @property
-    def branches(self):
-        return (self.branch,)
-
-    @property
-    def targets(self):
-        return (self.target,)
-
-    @property
-    def z_se_list(self):
-        return (self.z_se,)
-
-    @property
-    def current_guesses(self):
-        return (self.current_guess,)
-
-    @property
-    def v_se_limits(self):
-        return (self.v_se_max,)
-
-
-@dataclass(frozen=True)
-class IpfcDevice:
-    device_id: str
-    branches: tuple            # ((i, j1), (i, j2), ...), shared sending bus
+    branches: tuple            # ((i, j1), (i, j2), ...), device at the i end
     targets: tuple             # exactly 2*n_branches - 1 control targets
     z_se: tuple = ()
     v_se_max: tuple = ()
@@ -95,19 +61,24 @@ class IpfcDevice:
 
     def __post_init__(self):
         n = len(self.branches)
-        if n < 2:
-            raise DeviceConfigError("an IPFC needs at least two branches")
         if len({b[0] for b in self.branches}) != 1:
-            raise DeviceConfigError("IPFC branches must share the sending bus")
+            raise DeviceConfigError(
+                "a device needs branches that share the sending bus")
         if len(self.targets) != 2 * n - 1:
             raise DeviceConfigError(
-                f"IPFC with {n} branches must control {2 * n - 1} quantities")
+                f"device with {n} branches must control {2 * n - 1} "
+                "quantities")
         if not self.z_se:
             object.__setattr__(self, "z_se", (0.01 + 0.01j,) * n)
         if not self.v_se_max:
             object.__setattr__(self, "v_se_max", (None,) * n)
         if not self.current_guess:
             object.__setattr__(self, "current_guess", (0.1 + 0.0j,) * n)
+        if not len(self.z_se) == len(self.v_se_max) == \
+                len(self.current_guess) == n:
+            raise DeviceConfigError(
+                f"{self.device_id}: z_se, v_se_max and current_guess need "
+                "one entry per branch")
         seen = set()
         per_branch: dict = {}
         for t in self.targets:
@@ -120,7 +91,7 @@ class IpfcDevice:
             per_branch[t.branch] = per_branch.get(t.branch, 0) + 1
         if max(per_branch.values()) > 2:
             raise DeviceConfigError(
-                "more than two targets on one IPFC branch is ill posed")
+                "more than two targets on one device branch is ill posed")
         for t in self.targets:
             if t.mode in COMPANION_MODES and \
                     abs(self.current_guess[t.branch]) <= EPS_ZERO:
@@ -129,16 +100,17 @@ class IpfcDevice:
                     "current guess")
 
     @property
-    def z_se_list(self):
-        return self.z_se
+    def branch(self):
+        """The first branch's (i, j) ends; an SSSC's only branch."""
+        return self.branches[0]
 
-    @property
-    def current_guesses(self):
-        return self.current_guess
 
-    @property
-    def v_se_limits(self):
-        return self.v_se_max
+def SsscDevice(device_id: str, branch, target: ControlTarget,
+               z_se: complex = 0.01 + 0.01j, v_se_max: float | None = None,
+               current_guess: complex = 0.1 + 0.0j) -> SeriesDevice:
+    """One-branch :class:`SeriesDevice` (an SSSC) with a single target."""
+    return SeriesDevice(device_id, (tuple(branch),), (target,), (z_se,),
+                        (v_se_max,), (current_guess,))
 
 
 @dataclass(frozen=True)
@@ -193,38 +165,31 @@ def relax_violations(devices, solution_outputs, tol: float = 1e-9):
     for dev in devices:
         outs = solution_outputs[dev.device_id]
         dev_new = dev
-        for b, (out, vmax) in enumerate(zip(outs, dev.v_se_limits)):
+        for b, (out, vmax) in enumerate(zip(outs, dev.v_se_max)):
             if vmax is None or abs(out.v_se) <= vmax + tol:
                 continue
-            pinned = ControlTarget(Mode.V_SE, float(vmax), branch=b)
-            if isinstance(dev_new, SsscDevice):
-                if dev_new.target.mode is Mode.V_SE:
-                    continue
-                dev_new = replace(dev_new, target=pinned)
+            targets = list(dev_new.targets)
+            for k, t in enumerate(targets):
+                if t.branch == b and t.mode is not Mode.V_SE:
+                    targets[k] = ControlTarget(Mode.V_SE, float(vmax), branch=b)
+                    break
             else:
-                targets = list(dev_new.targets)
-                for k, t in enumerate(targets):
-                    if t.branch == b and t.mode is not Mode.V_SE:
-                        targets[k] = pinned
-                        break
-                else:
-                    continue
-                dev_new = replace(dev_new, targets=tuple(targets))
+                continue
+            dev_new = replace(dev_new, targets=tuple(targets))
             relaxed.append((dev.device_id, b))
         new_devices.append(dev_new)
     return new_devices, relaxed
 
 
-def _target_from_record(rec, idx, branch_key="branch") -> ControlTarget:
+def _target_from_record(rec, idx) -> ControlTarget:
+    if not isinstance(rec, dict):
+        raise DeviceConfigError(f"device {idx}: target is not a JSON object")
     try:
         mode = Mode(rec["mode"])
     except (KeyError, ValueError):
         raise DeviceConfigError(f"device {idx}: bad or missing mode") from None
-    if "setpoint" not in rec:
-        raise DeviceConfigError(f"device {idx}: missing setpoint")
-    branch = int(rec.get(branch_key, 0)) if branch_key else 0
     return ControlTarget(mode=mode, setpoint=float(rec["setpoint"]),
-                         branch=branch, bus=rec.get("bus"))
+                         branch=int(rec.get("branch", 0)), bus=rec.get("bus"))
 
 
 def _as_complex(val, default):
@@ -233,6 +198,35 @@ def _as_complex(val, default):
     if isinstance(val, (list, tuple)):
         return complex(val[0], val[1])
     return complex(val)
+
+
+def _device_from_record(rec: dict, idx: int) -> SeriesDevice:
+    kind = rec.get("type")
+    if kind == "sssc":
+        # "branch" names the line ends; the single target is on branch 0
+        branches, targets = [rec["branch"]], [{**rec, "branch": 0}]
+        z_se, v_se_max, guesses = ([rec.get(key)] for key in
+                                   ("z_se", "v_se_max", "current_guess"))
+    elif kind == "ipfc":
+        branches, targets = rec["branches"], rec["targets"]
+        n = len(branches)
+        if n < 2:
+            raise DeviceConfigError(
+                f"device {idx}: an IPFC needs at least two branches")
+        z_se = rec.get("z_se")
+        if not (isinstance(z_se, list) and z_se and isinstance(z_se[0], list)):
+            z_se = [z_se] * n       # one impedance for every branch
+        v_se_max = rec.get("v_se_max", [None] * n)
+        guesses = rec.get("current_guess", [None] * n)
+    else:
+        raise DeviceConfigError(f"device {idx}: unknown type {kind!r}")
+    return SeriesDevice(
+        device_id=rec.get("id", f"{kind}{idx}"),
+        branches=tuple(tuple(int(b) for b in br) for br in branches),
+        targets=tuple(_target_from_record(t, idx) for t in targets),
+        z_se=tuple(_as_complex(z, 0.01 + 0.01j) for z in z_se),
+        v_se_max=tuple(None if v is None else float(v) for v in v_se_max),
+        current_guess=tuple(_as_complex(g, 0.1 + 0j) for g in guesses))
 
 
 def load_devices(text: str):
@@ -247,6 +241,9 @@ def load_devices(text: str):
           "targets": [{"branch": 0, "mode": "p_flow", "setpoint": 0.75},
                       {"branch": 1, "mode": "p_flow", "setpoint": 0.75},
                       {"branch": 1, "mode": "q_flow", "setpoint": 0.03}]}]
+
+    Each record becomes a :class:`SeriesDevice`; a malformed one raises
+    :class:`DeviceConfigError`.
     """
     try:
         records = json.loads(text)
@@ -256,41 +253,14 @@ def load_devices(text: str):
         raise DeviceConfigError("device config must be a JSON list")
     devices = []
     for idx, rec in enumerate(records):
-        kind = rec.get("type")
-        dev_id = rec.get("id", f"{kind}{idx}")
-        if kind == "sssc":
-            devices.append(SsscDevice(
-                device_id=dev_id,
-                branch=tuple(int(b) for b in rec["branch"]),
-                target=_target_from_record(rec, idx, branch_key=None),
-                z_se=_as_complex(rec.get("z_se"), 0.01 + 0.01j),
-                v_se_max=rec.get("v_se_max"),
-                current_guess=_as_complex(rec.get("current_guess"), 0.1 + 0j),
-            ))
-        elif kind == "ipfc":
-            branches = tuple(tuple(int(b) for b in br)
-                             for br in rec["branches"])
-            n = len(branches)
-            z_list = _zse_list(rec.get("z_se"), n)
-            devices.append(IpfcDevice(
-                device_id=dev_id,
-                branches=branches,
-                targets=tuple(_target_from_record(t, idx)
-                              for t in rec["targets"]),
-                z_se=z_list,
-                v_se_max=tuple(rec.get("v_se_max", [None] * n)),
-                current_guess=tuple(
-                    _as_complex(g, 0.1 + 0j)
-                    for g in rec.get("current_guess", [None] * n)),
-            ))
-        else:
-            raise DeviceConfigError(f"device {idx}: unknown type {kind!r}")
+        if not isinstance(rec, dict):
+            raise DeviceConfigError(f"device {idx}: not a JSON object")
+        try:
+            devices.append(_device_from_record(rec, idx))
+        except DeviceConfigError:
+            raise
+        except KeyError as exc:
+            raise DeviceConfigError(f"device {idx}: missing {exc}") from None
+        except (TypeError, ValueError, IndexError) as exc:
+            raise DeviceConfigError(f"device {idx}: {exc}") from None
     return devices
-
-
-def _zse_list(z, n):
-    if z is None:
-        return (0.01 + 0.01j,) * n
-    if isinstance(z, list) and z and isinstance(z[0], list):
-        return tuple(complex(zz[0], zz[1]) for zz in z)
-    return (_as_complex(z, 0.01 + 0.01j),) * n

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
@@ -68,7 +68,6 @@ class DeviceTopology:
     sending_bus: int                    # external id of bus i
     original_branches: tuple            # (i, j) pairs removed from the Y-bus
     aux_buses: tuple                    # external ids of the new buses (m[, t])
-    coupling_impedances: tuple          # complex, one per branch
 
 
 @dataclass(frozen=True)
@@ -240,27 +239,14 @@ def build_admittance_matrix(net: Network) -> sparse.csr_matrix:
     return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
-def _combine(z_line: complex, z_se: complex, admittance_sum: bool) -> complex:
-    """Series element combination: impedance-series by default.
-
-    The alternative adds the coupling element in the admittance domain,
-    which models the two elements in parallel instead; kept selectable for
-    comparison.
-    """
-    if not admittance_sum or z_se == 0:
-        return z_line + z_se
-    return 1.0 / (1.0 / z_line + 1.0 / z_se)
-
-
-def insert_series_device(net: Network, device_id: str, branch_ends, z_se,
-                         admittance_sum: bool = False):
+def insert_series_device(net: Network, device_id: str, branch_ends, z_se):
     """Splice a series device into one or more branches of ``net``.
 
     ``branch_ends`` is a list of (i, j) external-id pairs sharing the sending
     bus i; ``z_se`` one coupling impedance per branch.  Each branch i-j is
     taken out of the admittance matrix and replaced by an auxiliary bus m and
-    a branch m-j whose impedance combines the line with the coupling
-    transformer.  Line charging stays at the original electrical ends: the
+    a branch m-j whose impedance is the line's in series with the coupling
+    transformer's.  Line charging stays at the original electrical ends: the
     i-side half becomes a shunt at bus i, the j-side half stays on the new
     branch.
 
@@ -287,7 +273,7 @@ def insert_series_device(net: Network, device_id: str, branch_ends, z_se,
         if br is None:
             raise TopologyError(f"device stacking on branch {i}-{j}")
         branches[bidx] = None
-        z_new = _combine(br.series_impedance, z_c, admittance_sum)
+        z_new = br.series_impedance + z_c
         aux = next_id
         next_id += 1
         aux_ids.append(aux)
@@ -315,6 +301,5 @@ def insert_series_device(net: Network, device_id: str, branch_ends, z_se,
         device_id=device_id,
         sending_bus=sending,
         original_branches=tuple(branch_ends),
-        aux_buses=tuple(aux_ids),
-        coupling_impedances=tuple(z_se))
+        aux_buses=tuple(aux_ids))
     return new_net, topo

@@ -10,9 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import BusKind
 from .system import (System, companion_currents, jacobian, lu_factor,
-                     lu_solve, residual)
+                     lu_solve, residual, unpack_state)
 
 #: nudge applied to a device current that an iteration drove to ~zero, so
 #: magnitude-normalised control rows stay differentiable
@@ -37,18 +36,9 @@ class NewtonResult:
 
 def flat_start(sys: System):
     """Standard cold start: setpoint magnitude at zero angle where known."""
-    V = np.ones(sys.n_bus, dtype=complex)
-    for b, bus in enumerate(sys.net.buses):
-        if bus.kind is BusKind.SLACK:
-            V[b] = bus.v_setpoint * np.exp(1j * bus.angle_setpoint)
-        elif bus.kind is BusKind.PV:
-            V[b] = bus.v_setpoint
-    I = np.empty(sys.n_currents, dtype=complex)
-    pos = 0
-    for dev in sys.devices:
-        for g in dev.current_guesses:
-            I[pos] = g
-            pos += 1
+    V = np.where(sys.slack | sys.pv, sys.v_set, 1)
+    I = np.array([g for dev in sys.devices for g in dev.current_guesses],
+                 dtype=complex)
     return V, I
 
 
@@ -62,9 +52,7 @@ def _step(sys: System, V, I, r, damped: bool):
         dx = lu_solve(lu_factor(jacobian(sys, V, I)), -r)
     except np.linalg.LinAlgError:
         return None
-    n = sys.n_bus
-    dV = dx[0:2 * n:2] + 1j * dx[1:2 * n:2]
-    dI = dx[2 * n::2] + 1j * dx[2 * n + 1::2]
+    dV, dI = unpack_state(dx, sys.n_bus)
     lam = 1.0
     for _ in range(MAX_BACKTRACKS if damped else 1):
         Vn = V + lam * dV

@@ -39,10 +39,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import FfheResult, ffhe_solve
+from .core import ffhe_solve
 from .devices import Mode, branch_outputs, relax_violations
 from .network import BusKind, Network
-from .newton import ConvergenceError, nr_solve, warm_start
+from .newton import ConvergenceError, flat_start, nr_solve, warm_start
 from .system import System, build_system, residual
 
 METHODS = ("ffhe", "nr", "nr-warm-ffhe", "compare")
@@ -81,6 +81,7 @@ class MethodStats:
     terms: int = 0             # series terms summed over restarts
     mismatch: float = np.nan
     runtime_s: float = 0.0
+    converged: bool = True     # False only for a series that did not converge
 
 
 @dataclass
@@ -143,13 +144,13 @@ def _clamped_network(net: Network, clamped: dict) -> Network:
                    base_mva=net.base_mva, name=net.name)
 
 
-def _q_violations(sys: System, V, I, limits_net: Network) -> dict:
+def _q_violations(sys: System, V, I, net: Network) -> dict:
     pv = np.flatnonzero(sys.pv)
-    limits_idx = limits_net.index_of
+    idx = net.index_of
     viol = {}
     for bi, qg in zip(pv, generator_reactive_output(sys, V, I, pv)):
         ext = sys.net.buses[bi].ext_id
-        orig = limits_net.buses[limits_idx[ext]]
+        orig = net.buses[idx[ext]]
         if qg > orig.q_max + 1e-9:
             viol[ext] = orig.q_max
         elif qg < orig.q_min - 1e-9:
@@ -197,8 +198,10 @@ def _device_start(sys: System, base_V: np.ndarray, base_report: StudyReport):
 
 
 def _solve_method(sys: System, method: str, V0, I0, opts: StudyOptions):
-    """One converged solve with the requested method.  Returns
-    (V, I, MethodStats)."""
+    """One solve with the requested method.  Returns (V, I, MethodStats).
+
+    Newton raises :class:`ConvergenceError` when it fails; a series that
+    does not converge is returned with ``MethodStats.converged`` False."""
     t0 = time.perf_counter()
     if method == "nr":
         res = nr_solve(sys, V0, I0, tol=opts.tol)
@@ -212,23 +215,20 @@ def _solve_method(sys: System, method: str, V0, I0, opts: StudyOptions):
         V0, I0, warm_n = warm_start(sys, iterations=opts.warm_iters,
                                     tol=opts.tol, V0=V0, I0=I0)
     elif V0 is None or I0 is None:
-        from .newton import flat_start
         V0, I0 = flat_start(sys)
     res = ffhe_solve(sys, V0, I0, tol=opts.tol, n_max=opts.max_terms,
                      pade=opts.pade, restarts=opts.restarts)
-    if not res.converged:
-        raise ConvergenceError(
-            f"series did not converge ({res.terms} terms, "
-            f"mismatch {res.mismatch:.3e})")
     stats = MethodStats(iterations=warm_n, terms=res.terms,
                         mismatch=res.mismatch,
-                        runtime_s=time.perf_counter() - t0)
+                        runtime_s=time.perf_counter() - t0,
+                        converged=res.converged)
     return res.V, res.I, stats
 
 
 def _limited_solve(net: Network, devices, opts: StudyOptions, frozen_q,
-                   start, limits_net: Network):
-    """Solve with the generator reactive-limit outer loop.
+                   start):
+    """Solve with the generator reactive-limit outer loop; the limits are
+    those of ``net``.
 
     ``start`` maps a freshly built system to (V0, I0) or (None, None).
     Returns (sys, V, I, stats, clamped).
@@ -244,9 +244,13 @@ def _limited_solve(net: Network, devices, opts: StudyOptions, frozen_q,
             V0, I0 = start(sysi)
         V, I, stats = _solve_method(sysi, opts.method if opts.method != "compare"
                                     else "nr", V0, I0, opts)
+        if not stats.converged:
+            raise ConvergenceError(
+                f"series did not converge ({stats.terms} terms, "
+                f"mismatch {stats.mismatch:.3e})")
         if not opts.enforce_q_limits:
             return sysi, V, I, stats, clamped
-        viol = _q_violations(sysi, V, I, limits_net)
+        viol = _q_violations(sysi, V, I, net)
         if not viol:
             return sysi, V, I, stats, clamped
         clamped.update(viol)
@@ -292,7 +296,7 @@ def run_study(net: Network, devices=(), options: StudyOptions | None = None):
 
     if not devices:
         sys_, V, I, stats, clamped = _limited_solve(
-            net, (), opts, None, lambda s: (None, None), net)
+            net, (), opts, None, lambda s: (None, None))
         report = StudyReport(
             converged=True, method=opts.method, system=sys_, V=V, I=I,
             mismatch=float(np.max(np.abs(residual(sys_, V, I)))),
@@ -301,7 +305,7 @@ def run_study(net: Network, devices=(), options: StudyOptions | None = None):
             stats={opts.method: stats})
         if opts.method == "compare":
             _attach_comparison(report, net, (), opts, None,
-                               lambda s: (None, None), net)
+                               lambda s: (None, None))
         return report
 
     # device-free pre-solve of the same case supplies the warm start and the
@@ -336,8 +340,7 @@ def run_study(net: Network, devices=(), options: StudyOptions | None = None):
         frozen_q=frozen,
         stats={opts.method: stats})
     if opts.method == "compare":
-        _attach_comparison(report, net, active_devices, opts, frozen,
-                           start, net)
+        _attach_comparison(report, net, active_devices, opts, frozen, start)
     return report
 
 
@@ -360,7 +363,7 @@ def _relaxed_solve(net, devices, opts, frozen, start):
     relaxed_all = []
     for _ in range(opts.max_relax_passes):
         sys_, V, I, stats, clamped = _limited_solve(
-            net, tuple(active), opts, frozen, start, net)
+            net, tuple(active), opts, frozen, start)
         outputs = _collect_outputs(sys_, V, I)
         active, newly = relax_violations(active, outputs)
         if not newly:
@@ -381,49 +384,26 @@ def _collect_outputs(sys: System, V, I) -> dict:
 
 
 def _attach_comparison(report: StudyReport, net, devices, opts, frozen,
-                       start, limits_net):
-    """Run the flat-series, warm-series and Newton variants on the final
-    limited configuration and attach agreement/efficiency metrics."""
+                       start):
+    """Run the Newton, warm-series and flat-series variants on the final
+    limited configuration and attach agreement/efficiency metrics.  A flat
+    series that does not converge is left out of ``report.stats``."""
     clamped_net = _clamped_network(net, report.clamped_generators)
     sys_ = build_system(clamped_net, devices, frozen_q=frozen)
     V0, I0 = start(sys_)
-
-    t0 = time.perf_counter()
-    nr_res = nr_solve(sys_, V0, I0, tol=opts.tol)
-    t_nr = time.perf_counter() - t0
-    report.stats["nr"] = MethodStats(
-        iterations=nr_res.iterations, mismatch=nr_res.mismatch,
-        runtime_s=t_nr)
-
-    t0 = time.perf_counter()
-    Vw, Iw, warm_n = warm_start(sys_, iterations=opts.warm_iters,
-                                tol=opts.tol, V0=V0, I0=I0)
-    warm_res = ffhe_solve(sys_, Vw, Iw, tol=opts.tol, n_max=opts.max_terms,
-                          pade=opts.pade, restarts=opts.restarts)
-    t_warm = time.perf_counter() - t0
-    report.stats["nr-warm-ffhe"] = MethodStats(
-        iterations=warm_n, terms=warm_res.terms,
-        mismatch=warm_res.mismatch, runtime_s=t_warm)
-
-    t0 = time.perf_counter()
-    if V0 is None or I0 is None:
-        from .newton import flat_start
-        V0, I0 = flat_start(sys_)
-    flat_res = ffhe_solve(sys_, V0, I0, tol=opts.tol,
-                          n_max=opts.max_terms, pade=opts.pade,
-                          restarts=opts.restarts)
-    t_flat = time.perf_counter() - t0
-    if flat_res.converged:
-        report.stats["ffhe"] = MethodStats(
-            terms=flat_res.terms, mismatch=flat_res.mismatch,
-            runtime_s=t_flat)
+    V_nr, _, nr = _solve_method(sys_, "nr", V0, I0, opts)
+    V_warm, _, warm = _solve_method(sys_, "nr-warm-ffhe", V0, I0, opts)
+    _, _, flat = _solve_method(sys_, "ffhe", V0, I0, opts)
+    report.stats["nr"] = nr
+    report.stats["nr-warm-ffhe"] = warm
+    if flat.converged:
+        report.stats["ffhe"] = flat
 
     report.comparison = {
-        "voltage_gap": float(np.max(np.abs(warm_res.V - nr_res.V)))
-        if warm_res.converged else np.inf,
-        "delta_e_pct": error_improvement_pct(warm_res.mismatch,
-                                             nr_res.mismatch),
-        "delta_t_pct": runtime_improvement_pct(t_nr, t_warm),
+        "voltage_gap": float(np.max(np.abs(V_warm - V_nr)))
+        if warm.converged else np.inf,
+        "delta_e_pct": error_improvement_pct(warm.mismatch, nr.mismatch),
+        "delta_t_pct": runtime_improvement_pct(nr.runtime_s, warm.runtime_s),
     }
 
 

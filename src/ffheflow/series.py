@@ -29,14 +29,6 @@ class SingularSeriesError(ZeroDivisionError):
     """Leading coefficient too small for a reciprocal/magnitude recurrence."""
 
 
-def convolve(a, b, n: int) -> complex:
-    """Cauchy-product coefficient ``sum(a[d] * b[n-d], d=0..n)``."""
-    if len(a) <= n or len(b) <= n:
-        raise SeriesOrderError(
-            f"order {n} requested, have {len(a) - 1} and {len(b) - 1}")
-    return sum(a[d] * b[n - d] for d in range(n + 1))
-
-
 def reciprocal_coefficient(f, i_series, n: int) -> complex:
     """Order-n coefficient of the reciprocal of ``i_series``.
 

@@ -56,7 +56,6 @@ class DeviceEntry:
     targets: tuple      # ResolvedTarget, one per control row
     row_start: int      # first residual row (the power-exchange row)
     current_guesses: tuple
-    v_se_limits: tuple
 
 
 @dataclass(frozen=True)
@@ -86,23 +85,21 @@ class System:
         return 2 * (self.n_bus + self.n_currents)
 
 
-def build_system(base_net: Network, devices=(), *, admittance_sum: bool = False,
-                 frozen_q: dict | None = None,
-                 demote_sending: bool = True) -> System:
+def build_system(base_net: Network, devices=(), *,
+                 frozen_q: dict | None = None) -> System:
     """Splice ``devices`` into ``base_net`` and assemble the solve structure.
 
-    With ``demote_sending`` (the default) a PV sending bus loses its voltage
-    regulation to the device and becomes a fixed-injection bus; its reactive
-    output is taken from ``frozen_q`` (ext id -> p.u.) when given, else from
-    the gen table.  A slack sending bus is an error.
+    A PV sending bus loses its voltage regulation to the device and becomes
+    a fixed-injection bus; its reactive output is taken from ``frozen_q``
+    (ext id -> p.u.) when given, else from the gen table.  A slack sending
+    bus is an error.
     """
     frozen_q = frozen_q or {}
     net = base_net
     topos = []
     for dev in devices:
         net, topo = insert_series_device(
-            net, dev.device_id, dev.branches, dev.z_se_list,
-            admittance_sum=admittance_sum)
+            net, dev.device_id, dev.branches, dev.z_se)
         topos.append(topo)
 
     buses = list(net.buses)
@@ -112,7 +109,7 @@ def build_system(base_net: Network, devices=(), *, admittance_sum: bool = False,
         if b.kind is BusKind.SLACK:
             raise TopologyError(
                 f"device {topo.device_id}: sending bus {b.ext_id} is the slack")
-        if b.kind is BusKind.PV and demote_sending:
+        if b.kind is BusKind.PV:
             buses[si] = replace(
                 b, kind=BusKind.PQ,
                 q_gen=frozen_q.get(b.ext_id, b.q_gen))
@@ -159,8 +156,7 @@ def build_system(base_net: Network, devices=(), *, admittance_sum: bool = False,
             branches=tuple(bentries),
             targets=tuple(rtargets),
             row_start=row,
-            current_guesses=tuple(dev.current_guesses),
-            v_se_limits=tuple(dev.v_se_limits)))
+            current_guesses=tuple(dev.current_guess)))
         row += 1 + len(rtargets)
 
     slack = np.array([b.kind is BusKind.SLACK for b in net.buses])

@@ -104,7 +104,7 @@ def _natural_setpoint(net, dev, base_V, mode, rng):
     i, j = dev.branch
     vi = base_V[net.index_of[i]]
     br = net.branches[net.find_branch(i, j)]
-    z = br.series_impedance + dev.z_se
+    z = br.series_impedance + dev.z_se[0]
     cur = (vi - base_V[net.index_of[j]]) / z
     if abs(cur) < 0.05:
         return None

@@ -1,5 +1,5 @@
-"""Per-bus reference residual, Jacobian and series history, kept as a test
-oracle.
+"""Per-bus reference residual, Jacobian and series history, and the scalar
+Cauchy product, kept as test oracles.
 
 These are the scalar kernels the vectorised ``ffheflow.system.residual``,
 ``ffheflow.system.jacobian`` and ``ffheflow.core._history`` replaced: one
@@ -16,6 +16,15 @@ import numpy as np
 
 from ffheflow.devices import Mode
 from ffheflow.network import BusKind
+from ffheflow.series import SeriesOrderError
+
+
+def convolve(a, b, n: int) -> complex:
+    """Cauchy-product coefficient ``sum(a[d] * b[n-d], d=0..n)``."""
+    if len(a) <= n or len(b) <= n:
+        raise SeriesOrderError(
+            f"order {n} requested, have {len(a) - 1} and {len(b) - 1}")
+    return sum(a[d] * b[n - d] for d in range(n + 1))
 
 
 def _bus_currents(sys):

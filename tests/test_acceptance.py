@@ -23,13 +23,13 @@ import pytest
 
 from conftest import random_network, random_sssc_study
 from ffheflow.core import _single_stage
-from ffheflow.devices import ControlTarget, IpfcDevice, Mode, SsscDevice
+from ffheflow.devices import ControlTarget, Mode, SeriesDevice, SsscDevice
 from ffheflow.newton import flat_start, nr_solve
 from ffheflow.report import StudyError, StudyOptions, run_study
-from ffheflow.series import convolve, magnitude_coefficient, \
-    reciprocal_coefficient
+from ffheflow.series import magnitude_coefficient, reciprocal_coefficient
 from ffheflow.system import build_system, jacobian, pack_state, residual, \
     unpack_state
+from scalar_kernels import convolve
 
 # ----------------------------------------------------------------- scenarios
 
@@ -106,9 +106,9 @@ def make_devices(label):
         ends, mode, sp = SSSC_CASES[label]
         return (SsscDevice("s", ends, ControlTarget(mode, sp)),)
     branches, targets = IPFC_CASES[label]
-    return (IpfcDevice("i", branches,
-                       tuple(ControlTarget(m, sp, branch=b)
-                             for m, sp, b in targets)),)
+    return (SeriesDevice("i", branches,
+                         tuple(ControlTarget(m, sp, branch=b)
+                               for m, sp, b in targets)),)
 
 
 ALL_LABELS = ["base"] + list(SSSC_CASES) + list(IPFC_CASES) + ["relax"]
@@ -368,7 +368,7 @@ def test_criterion_06_embedded_residual_property():
         # magnitude-normalised rows use, which grow fastest) and keep the
         # geometric tail far below the tolerance
         rows = [res.v_series, res.i_series]
-        if dev.target.mode in (Mode.V_SE, Mode.X_EQ):
+        if dev.targets[0].mode in (Mode.V_SE, Mode.X_EQ):
             i_ser = res.i_series[0]
             f = np.zeros(i_ser.size, dtype=complex)
             m = np.zeros(i_ser.size)

@@ -85,6 +85,16 @@ class TestSingleRun:
         assert main(["--case", str(case_path),
                      "--devices", str(bad)]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("text", [
+        "[1]", '[{"type": "sssc", "mode": "p_flow", "setpoint": 0.75}]'])
+    def test_malformed_device_record(self, case_path, tmp_path, capsys,
+                                     text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["--case", str(case_path),
+                     "--devices", str(bad)]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: device 0:")
+
     def test_divergent_study(self, case_path, tmp_path, capsys):
         dev = tmp_path / "dev.json"
         dev.write_text(json.dumps([{
@@ -113,6 +123,19 @@ class TestBatch:
             {"label": "missing", "case": str(tmp_path / "nope.m")}]))
         assert main(["--batch", str(batch)]) == EXIT_INPUT
         assert "=== ok" in capsys.readouterr().out
+
+    def test_batch_bad_devices_entry_does_not_stop_the_batch(
+            self, case_path, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("[1]")
+        batch = tmp_path / "batch.json"
+        batch.write_text(json.dumps([
+            {"label": "bad", "case": str(case_path), "devices": str(bad)},
+            {"label": "ok", "case": str(case_path), "method": "nr"}]))
+        assert main(["--batch", str(batch)]) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert "[bad] input error" in err
+        assert "=== ok" in out
 
     def test_batch_not_json(self, tmp_path, capsys):
         bad = tmp_path / "batch.json"

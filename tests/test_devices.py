@@ -6,7 +6,7 @@ import math
 import pytest
 
 from ffheflow.devices import (BranchOutputs, ControlTarget, DeviceConfigError,
-                              IpfcDevice, Mode, SsscDevice, branch_outputs,
+                              Mode, SeriesDevice, SsscDevice, branch_outputs,
                               load_devices, relax_violations)
 
 
@@ -15,11 +15,11 @@ class TestSsscValidation:
         d = SsscDevice("s", (49, 50), ControlTarget(Mode.P_FLOW, 0.75))
         assert d.branches == ((49, 50),)
         assert d.targets[0].setpoint == 0.75
-        assert d.z_se_list == (0.01 + 0.01j,)
-        assert d.v_se_limits == (None,)
+        assert d.z_se == (0.01 + 0.01j,)
+        assert d.v_se_max == (None,)
 
     def test_nonzero_target_branch_rejected(self):
-        with pytest.raises(DeviceConfigError, match="single branch"):
+        with pytest.raises(DeviceConfigError, match="out of range"):
             SsscDevice("s", (1, 2), ControlTarget(Mode.P_FLOW, 0.1, branch=1))
 
     def test_companion_mode_needs_current_guess(self):
@@ -35,28 +35,31 @@ class TestIpfcValidation:
                 ControlTarget(Mode.Q_FLOW, 0.03, branch=1))[:n]
 
     def test_minimal(self):
-        d = IpfcDevice("i", ((49, 50), (49, 51)), self._targets())
+        d = SeriesDevice("i", ((49, 50), (49, 51)), self._targets())
         assert d.z_se == (0.01 + 0.01j,) * 2
         assert d.current_guess == (0.1 + 0j,) * 2
 
     def test_single_branch_rejected(self):
+        # one branch is an SSSC in Python; an "ipfc" record needs two
         with pytest.raises(DeviceConfigError, match="at least two"):
-            IpfcDevice("i", ((49, 50),), self._targets(1))
+            load_devices(json.dumps([{
+                "type": "ipfc", "branches": [[49, 50]],
+                "targets": [{"mode": "p_flow", "setpoint": 0.75}]}]))
 
     def test_distinct_sending_rejected(self):
         with pytest.raises(DeviceConfigError, match="share the sending bus"):
-            IpfcDevice("i", ((49, 50), (48, 51)), self._targets())
+            SeriesDevice("i", ((49, 50), (48, 51)), self._targets())
 
     def test_wrong_target_count(self):
         with pytest.raises(DeviceConfigError, match="must control 3"):
-            IpfcDevice("i", ((49, 50), (49, 51)), self._targets(2))
+            SeriesDevice("i", ((49, 50), (49, 51)), self._targets(2))
 
     def test_duplicate_target(self):
         ts = (ControlTarget(Mode.P_FLOW, 0.7, branch=0),
               ControlTarget(Mode.P_FLOW, 0.8, branch=0),
               ControlTarget(Mode.P_FLOW, 0.7, branch=0))
         with pytest.raises(DeviceConfigError):
-            IpfcDevice("i", ((49, 50), (49, 51)), ts)
+            SeriesDevice("i", ((49, 50), (49, 51)), ts)
 
     def test_three_targets_on_one_branch(self):
         ts = (ControlTarget(Mode.P_FLOW, 0.7, branch=0),
@@ -65,14 +68,14 @@ class TestIpfcValidation:
               ControlTarget(Mode.P_FLOW, 0.7, branch=1),
               ControlTarget(Mode.Q_FLOW, 0.1, branch=1))
         with pytest.raises(DeviceConfigError, match="ill posed"):
-            IpfcDevice("i", ((49, 50), (49, 51), (49, 54)), ts)
+            SeriesDevice("i", ((49, 50), (49, 51), (49, 54)), ts)
 
     def test_target_branch_out_of_range(self):
         ts = (ControlTarget(Mode.P_FLOW, 0.7, branch=0),
               ControlTarget(Mode.P_FLOW, 0.7, branch=2),
               ControlTarget(Mode.Q_FLOW, 0.1, branch=1))
         with pytest.raises(DeviceConfigError, match="out of range"):
-            IpfcDevice("i", ((49, 50), (49, 51)), ts)
+            SeriesDevice("i", ((49, 50), (49, 51)), ts)
 
 
 class TestBranchOutputs:
@@ -109,8 +112,8 @@ class TestRelaxation:
                        v_se_max=0.3)
         new, relaxed = relax_violations([d], {"s": self._outputs(0.45)})
         assert relaxed == [("s", 0)]
-        assert new[0].target.mode is Mode.V_SE
-        assert new[0].target.setpoint == 0.3
+        assert new[0].targets[0].mode is Mode.V_SE
+        assert new[0].targets[0].setpoint == 0.3
 
     def test_within_limit_untouched(self):
         d = SsscDevice("s", (101, 102), ControlTarget(Mode.P_FLOW, 0.9),
@@ -129,14 +132,14 @@ class TestRelaxation:
                        v_se_max=0.3)
         new, relaxed = relax_violations([d], {"s": self._outputs(0.31)})
         assert relaxed == []
-        assert new[0].target.setpoint == 0.3
+        assert new[0].targets[0].setpoint == 0.3
 
     def test_ipfc_relaxes_single_branch(self):
-        d = IpfcDevice("i", ((49, 50), (49, 51)),
-                       (ControlTarget(Mode.P_FLOW, 0.75, branch=0),
-                        ControlTarget(Mode.P_FLOW, 0.75, branch=1),
-                        ControlTarget(Mode.Q_FLOW, 0.03, branch=1)),
-                       v_se_max=(0.1, 0.1))
+        d = SeriesDevice("i", ((49, 50), (49, 51)),
+                         (ControlTarget(Mode.P_FLOW, 0.75, branch=0),
+                          ControlTarget(Mode.P_FLOW, 0.75, branch=1),
+                          ControlTarget(Mode.Q_FLOW, 0.03, branch=1)),
+                         v_se_max=(0.1, 0.1))
         outs = {"i": self._outputs(0.2) + self._outputs(0.05)}
         new, relaxed = relax_violations([d], outs)
         assert relaxed == [("i", 0)]
@@ -150,12 +153,9 @@ class TestLoadDevices:
         devs = load_devices(json.dumps([{
             "type": "sssc", "branch": [49, 50], "mode": "p_flow",
             "setpoint": 0.75, "z_se": [0.01, 0.02], "v_se_max": 0.3}]))
-        (d,) = devs
-        assert isinstance(d, SsscDevice)
-        assert d.branch == (49, 50)
-        assert d.target.mode is Mode.P_FLOW
-        assert d.z_se == 0.01 + 0.02j
-        assert d.v_se_max == 0.3
+        assert devs == [SsscDevice("sssc0", (49, 50),
+                                   ControlTarget(Mode.P_FLOW, 0.75),
+                                   z_se=0.01 + 0.02j, v_se_max=0.3)]
 
     def test_sssc_branch_key_is_line_not_target(self):
         # "branch" on an SSSC record names the line ends; the control target
@@ -163,7 +163,7 @@ class TestLoadDevices:
         devs = load_devices(json.dumps([{
             "type": "sssc", "branch": [101, 102], "mode": "x_eq",
             "setpoint": 0.1}]))
-        assert devs[0].target.branch == 0
+        assert devs[0].targets[0].branch == 0
 
     def test_ipfc_record(self):
         devs = load_devices(json.dumps([{
@@ -172,11 +172,11 @@ class TestLoadDevices:
                 {"branch": 0, "mode": "p_flow", "setpoint": 0.75},
                 {"branch": 1, "mode": "p_flow", "setpoint": 0.75},
                 {"branch": 1, "mode": "q_flow", "setpoint": 0.03}]}]))
-        (d,) = devs
-        assert isinstance(d, IpfcDevice)
-        assert d.branches == ((49, 50), (49, 51))
-        assert [t.mode for t in d.targets] == \
-            [Mode.P_FLOW, Mode.P_FLOW, Mode.Q_FLOW]
+        assert devs == [SeriesDevice(
+            "ipfc0", ((49, 50), (49, 51)),
+            (ControlTarget(Mode.P_FLOW, 0.75, branch=0),
+             ControlTarget(Mode.P_FLOW, 0.75, branch=1),
+             ControlTarget(Mode.Q_FLOW, 0.03, branch=1)))]
 
     def test_bad_json(self):
         with pytest.raises(DeviceConfigError, match="JSON"):
@@ -199,3 +199,29 @@ class TestLoadDevices:
         with pytest.raises(DeviceConfigError, match="setpoint"):
             load_devices('[{"type": "sssc", "branch": [1, 2], '
                          '"mode": "p_flow"}]')
+
+    @pytest.mark.parametrize("text, match", [
+        ("[1]", "not a JSON object"),
+        ('[{"type": "sssc", "mode": "p_flow", "setpoint": 0.75}]',
+         "missing 'branch'"),
+        ('[{"type": "ipfc", "targets": []}]', "missing 'branches'"),
+        ('[{"type": "ipfc", "branches": [[49, 50], [49, 51]]}]',
+         "missing 'targets'"),
+        ('[{"type": "ipfc", "branches": [[49, 50], [49, 51]], '
+         '"targets": [1, 2, 3]}]', "target is not a JSON object"),
+        ('[{"type": "sssc", "branch": [1, 2], "mode": "p_flow", '
+         '"setpoint": "high"}]', "device 0"),
+        ('[{"type": "sssc", "branch": [1, 2], "mode": "p_flow", '
+         '"setpoint": 0.5, "v_se_max": "rated"}]', "device 0"),
+        ('[{"type": "sssc", "branch": [1, 2], "mode": "p_flow", '
+         '"setpoint": [0.5]}]', "device 0"),
+        ('[{"type": "ipfc", "branches": [[49, 50], [49, 51]], '
+         '"v_se_max": [0.3], "targets": ['
+         '{"branch": 0, "mode": "p_flow", "setpoint": 0.7}, '
+         '{"branch": 1, "mode": "p_flow", "setpoint": 0.7}, '
+         '{"branch": 1, "mode": "q_flow", "setpoint": 0.0}]}]',
+         "one entry per branch"),
+    ])
+    def test_malformed_record(self, text, match):
+        with pytest.raises(DeviceConfigError, match=match):
+            load_devices(text)

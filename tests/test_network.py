@@ -169,16 +169,6 @@ class TestInsertDevice:
         br = new.branches[new.find_branch(4, 2)]
         assert br.tap == pytest.approx(1.0 / np.conj(orig.tap))
 
-    def test_admittance_sum_combination(self, mini):
-        z_c = 0.02 + 0.05j
-        new, _ = insert_series_device(mini, "d", [(1, 2)], [z_c],
-                                      admittance_sum=True)
-        orig = mini.branches[mini.find_branch(1, 2)]
-        zl = orig.series_impedance
-        expected = 1.0 / (1.0 / zl + 1.0 / z_c)
-        assert new.branches[new.find_branch(4, 2)].series_impedance == \
-            pytest.approx(expected)
-
     def test_mismatched_sending_bus(self, mini):
         with pytest.raises(TopologyError, match="share the sending bus"):
             insert_series_device(mini, "d", [(1, 2), (2, 3)], [0j, 0j])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ffheflow import load_bundled_case
-from ffheflow.devices import ControlTarget, IpfcDevice, Mode, SsscDevice
+from ffheflow.devices import ControlTarget, Mode, SeriesDevice, SsscDevice
 from ffheflow.report import (StudyError, StudyOptions, _base_solution,
                              error_improvement_pct, run_study,
                              runtime_improvement_pct)
@@ -112,7 +112,7 @@ class TestDeviceStudy:
         assert out.s_line.real < 0.9    # target given up
 
     def test_ipfc_power_exchange_balance(self, case118):
-        dev = IpfcDevice(
+        dev = SeriesDevice(
             "i", ((49, 50), (49, 51)),
             (ControlTarget(Mode.P_FLOW, 0.75, branch=0),
              ControlTarget(Mode.P_FLOW, 0.75, branch=1),
@@ -143,6 +143,14 @@ class TestDeviceStudy:
         assert rep.comparison["voltage_gap"] < 1e-6
         assert np.isfinite(rep.comparison["delta_e_pct"])
         assert np.isfinite(rep.comparison["delta_t_pct"])
+
+    def test_compare_leaves_out_a_failed_flat_series(self, case118):
+        # the flat-start series raises on this scenario under method="ffhe"
+        dev = SsscDevice("s", (101, 102), ControlTarget(Mode.V_SE, 0.1))
+        rep = run_study(case118, (dev,), StudyOptions(method="compare"))
+        assert "ffhe" not in rep.stats
+        assert rep.stats["nr-warm-ffhe"].converged
+        assert rep.comparison["voltage_gap"] < 1e-6
 
 
 class TestBaseSolutionMemo:

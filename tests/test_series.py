@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ffheflow.series import (EPS_ZERO, SeriesOrderError, SingularSeriesError,
-                             convolve, evaluate_at_one, magnitude_coefficient,
+                             evaluate_at_one, magnitude_coefficient,
                              pade_at_one, reciprocal_coefficient)
+from scalar_kernels import convolve
 
 
 def build_companions(i_series):

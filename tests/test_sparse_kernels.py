@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import random_network
 from ffheflow.core import _history
-from ffheflow.devices import ControlTarget, IpfcDevice, Mode, SsscDevice
+from ffheflow.devices import ControlTarget, Mode, SeriesDevice, SsscDevice
 from ffheflow.network import BusKind
 from ffheflow.newton import flat_start
 from ffheflow.series import magnitude_coefficient, reciprocal_coefficient
@@ -53,7 +53,7 @@ def _random_devices(rng, net, mode):
                                  branch=1),
                    ControlTarget(others[m2], _setpoint(rng, others[m2]),
                                  branch=int(rng.integers(2))))
-        devices.append(IpfcDevice("ipfc", branches, targets))
+        devices.append(SeriesDevice("ipfc", branches, targets))
         pairs = [p for p in pairs if p not in branches]
     if pairs:
         ends = pairs[int(rng.integers(len(pairs)))]
@@ -94,10 +94,10 @@ def test_case118_sssc_and_ipfc_match_oracle(case118, mode):
     sp = 1.0 if mode is Mode.V_BUS else 0.1
     devices = (
         SsscDevice("s", (101, 102), ControlTarget(mode, sp)),
-        IpfcDevice("i", ((49, 50), (49, 51)),
-                   (ControlTarget(mode, sp, branch=0),
-                    ControlTarget(Mode.P_FLOW, 0.7, branch=1),
-                    ControlTarget(Mode.Q_FLOW, 0.1, branch=1))))
+        SeriesDevice("i", ((49, 50), (49, 51)),
+                     (ControlTarget(mode, sp, branch=0),
+                      ControlTarget(Mode.P_FLOW, 0.7, branch=1),
+                      ControlTarget(Mode.Q_FLOW, 0.1, branch=1))))
     sys = build_system(case118, devices)
     _assert_matches_oracle(sys, *_perturbed_state(np.random.default_rng(1),
                                                   sys))
