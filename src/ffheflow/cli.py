@@ -48,10 +48,16 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _options(args) -> StudyOptions:
-    return StudyOptions(method=args.method, tol=args.tol,
-                        max_terms=args.max_terms,
-                        warm_iters=args.warm_iters, pade=args.pade)
+def _options(args, entry=None) -> StudyOptions:
+    """Study options from the command line, each overridden by the same key
+    of a ``--batch`` entry when given."""
+    entry = entry or {}
+    return StudyOptions(
+        method=entry.get("method", args.method),
+        tol=float(entry.get("tol", args.tol)),
+        max_terms=int(entry.get("max_terms", args.max_terms)),
+        warm_iters=int(entry.get("warm_iters", args.warm_iters)),
+        pade=bool(entry.get("pade", args.pade)))
 
 
 def _run_one(case_path: Path, devices_path, opts: StudyOptions) -> StudyReport:
@@ -77,8 +83,9 @@ def report_dict(rep: StudyReport) -> dict:
         for dev_id, outs in rep.device_outputs.items()
     }
     stats = {
-        name: {"iterations": st.iterations, "terms": st.terms,
-               "mismatch": st.mismatch, "runtime_s": st.runtime_s}
+        name: {"converged": st.converged, "iterations": st.iterations,
+               "terms": st.terms, "mismatch": st.mismatch,
+               "runtime_s": st.runtime_s}
         for name, st in rep.stats.items()
     }
     return {
@@ -133,7 +140,8 @@ def format_text(rep: StudyReport) -> str:
     for name, st in rep.stats.items():
         lines.append(f"method {name}: {st.iterations} Newton iterations, "
                      f"{st.terms} series terms, mismatch {st.mismatch:.3e}, "
-                     f"{st.runtime_s:.4f} s")
+                     f"{st.runtime_s:.4f} s"
+                     + ("" if st.converged else ", NOT CONVERGED"))
     if rep.comparison:
         lines.append(
             f"series-vs-Newton voltage gap {rep.comparison['voltage_gap']:.3e} "
@@ -159,24 +167,19 @@ def _run_batch(batch_path: Path, args) -> int:
         print("error: batch file must hold a JSON list", file=sys.stderr)
         return EXIT_INPUT
 
-    def one(entry):
-        case = Path(entry["case"])
-        devices = entry.get("devices")
-        opts = StudyOptions(
-            method=entry.get("method", args.method),
-            tol=float(entry.get("tol", args.tol)),
-            max_terms=int(entry.get("max_terms", args.max_terms)),
-            warm_iters=int(entry.get("warm_iters", args.warm_iters)),
-            pade=bool(entry.get("pade", args.pade)))
-        return _run_one(case, devices, opts)
-
     # one after another: a study is GIL-bound Python and numpy calls, so
     # worker threads only contend for the interpreter lock
     worst = EXIT_OK
-    for entry in entries:
+    for k, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            print(f"[#{k}] input error: batch entry is not a JSON object",
+                  file=sys.stderr)
+            worst = max(worst, EXIT_INPUT)
+            continue
         label = entry.get("label", entry.get("case", "?"))
         try:
-            rep = one(entry)
+            rep = _run_one(Path(entry["case"]), entry.get("devices"),
+                           _options(args, entry))
         except (KeyError, TypeError, ValueError, OSError, ParseError,
                 TopologyError, DeviceConfigError) as exc:
             print(f"[{label}] input error: {exc}", file=sys.stderr)

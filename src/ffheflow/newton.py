@@ -42,11 +42,11 @@ def flat_start(sys: System):
     return V, I
 
 
-def _step(sys: System, V, I, r, damped: bool):
-    """One Newton update from (V, I), whose residual vector is ``r``; with
-    ``damped`` the step is halved until the mismatch norm decreases.
-    Returns (V, I, residual vector) of the accepted point, or None when the
-    line search cannot make progress."""
+def _step(sys: System, V, I, r):
+    """One damped Newton update from (V, I), whose residual vector is ``r``:
+    the step is halved until the mismatch norm decreases.  Returns (V, I,
+    residual vector) of the accepted point, or None when the line search
+    cannot make progress."""
     nrm = float(np.max(np.abs(r)))
     try:
         dx = lu_solve(lu_factor(jacobian(sys, V, I)), -r)
@@ -54,38 +54,29 @@ def _step(sys: System, V, I, r, damped: bool):
         return None
     dV, dI = unpack_state(dx, sys.n_bus)
     lam = 1.0
-    for _ in range(MAX_BACKTRACKS if damped else 1):
+    for _ in range(MAX_BACKTRACKS):
         Vn = V + lam * dV
         In = _nudge_zero_currents(sys, I + lam * dI)
         rn = residual(sys, Vn, In)
-        ok = np.all(np.isfinite(rn))
-        mn = float(np.max(np.abs(rn))) if ok else np.inf
-        if ok and (not damped or mn < nrm):
+        mn = float(np.max(np.abs(rn))) if np.all(np.isfinite(rn)) else np.inf
+        if mn < nrm:
             return Vn, In, rn
         lam *= 0.5
     return None
 
 
 def nr_solve(sys: System, V0=None, I0=None, tol: float = 1e-8,
-             max_iters: int = 40, damped: bool = True) -> NewtonResult:
-    """Newton iteration from (V0, I0), default flat start.
+             max_iters: int = 40) -> NewtonResult:
+    """Damped Newton iteration from (V0, I0), default flat start.
 
-    With ``damped`` (default) each step is backtracked until the mismatch
-    norm decreases; divergence is declared when the line search stalls.
-    Without damping, divergence is declared after three consecutive
-    mismatch increases or a non-finite state.
+    Each step is backtracked until the mismatch norm decreases; divergence
+    is declared when the line search stalls.
     """
     if V0 is None or I0 is None:
-        Vf, If = flat_start(sys)
-        V = Vf if V0 is None else np.array(V0, dtype=complex)
-        I = If if I0 is None else np.array(I0, dtype=complex)
-    else:
-        V = np.array(V0, dtype=complex)
-        I = np.array(I0, dtype=complex)
-    I = _nudge_zero_currents(sys, I.copy())
+        V0, I0 = flat_start(sys)
+    V = np.array(V0, dtype=complex)
+    I = _nudge_zero_currents(sys, np.array(I0, dtype=complex))
 
-    best = np.inf
-    rising = 0
     r = residual(sys, V, I)
     mis = float(np.max(np.abs(r)))
     for it in range(max_iters):
@@ -93,15 +84,7 @@ def nr_solve(sys: System, V0=None, I0=None, tol: float = 1e-8,
             raise ConvergenceError("iteration produced non-finite mismatch")
         if mis <= tol:
             return NewtonResult(V, I, it, mis, True)
-        if mis > best:
-            rising += 1
-            if rising >= 3 and not damped:
-                raise ConvergenceError(
-                    f"diverging after {it} iterations (mismatch {mis:.3e})")
-        else:
-            rising = 0
-            best = mis
-        stepped = _step(sys, V, I, r, damped)
+        stepped = _step(sys, V, I, r)
         if stepped is None:
             raise ConvergenceError(
                 f"stalled at iteration {it} (mismatch {mis:.3e})")
@@ -116,7 +99,7 @@ def nr_solve(sys: System, V0=None, I0=None, tol: float = 1e-8,
 
 def warm_start(sys: System, iterations: int = 3, tol: float = 1e-8,
                V0=None, I0=None):
-    """Run up to ``iterations`` (damped) Newton iterations to produce a
+    """Run up to ``iterations`` damped Newton iterations to produce a
     series reference.
 
     Returns ``(V, I, steps)``, where ``steps`` counts the Newton steps taken:
@@ -134,7 +117,7 @@ def warm_start(sys: System, iterations: int = 3, tol: float = 1e-8,
     r = residual(sys, V, I)
     steps = 0
     while steps < iterations and float(np.max(np.abs(r))) > tol:
-        stepped = _step(sys, V, I, r, damped=True)
+        stepped = _step(sys, V, I, r)
         if stepped is None:
             break
         V, I, r = stepped

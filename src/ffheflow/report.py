@@ -6,11 +6,16 @@ limits enforced by outer loops:
 
 * generator limits — after each converged solve the reactive output of every
   voltage-regulating generator is checked against its capability; violators
-  are converted to constant-Q buses pinned at the violated limit and the
-  study is re-solved until no new violation appears;
+  are pinned at the violated limit and the study is re-solved until no new
+  violation appears;
 * device limits — a branch whose injected-voltage magnitude exceeds its
   configured ceiling has its control target replaced by an
   injected-voltage-magnitude target pinned at the ceiling.
+
+Studies with and without devices run one path.  Each pass builds its system
+from the case, the devices and one map of constant-Q pins, which holds the
+clamped generators and the displaced regulators alike.  A device-free study
+has one candidate set of pins, none, and starts flat.
 
 Device studies are warm-started from the device-free Newton solution of the
 same case.  That pre-solve is shared: it is memoised per (case, Newton
@@ -25,17 +30,17 @@ state (receiving-bus voltage, zero current), which is the branch of the
 solution manifold such a target is meant to select.
 
 When a generator shares its bus with a device sending end it can no longer
-regulate the voltage there; it is converted to constant-Q at its solved
-device-free output.  If a voltage-magnitude target on that same bus makes
-the frozen value infeasible, the generator is re-pinned at the reactive
-limit that admits a solution.
+regulate the voltage there; it is pinned at its solved device-free output.
+If a voltage-magnitude target on that same bus makes the frozen value
+infeasible, the generator is re-pinned at the reactive limit that admits a
+solution.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -50,6 +55,13 @@ METHODS = ("ffhe", "nr", "nr-warm-ffhe", "compare")
 #: mismatch floor used when comparing error magnitudes on a log scale
 LOG_FLOOR = 1e-16
 
+#: caps on the generator-limit and injected-voltage relaxation passes
+MAX_LIMIT_PASSES = 12
+MAX_RELAX_PASSES = 5
+
+#: staged re-embeddings allowed to a series solve
+SERIES_RESTARTS = 10
+
 
 class StudyError(RuntimeError):
     """The study could not be completed (divergence, limit cycling, ...)."""
@@ -63,9 +75,6 @@ class StudyOptions:
     warm_iters: int = 3
     pade: bool = False
     enforce_q_limits: bool = True
-    max_limit_passes: int = 12
-    max_relax_passes: int = 5
-    restarts: int = 10
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -133,17 +142,6 @@ def generator_reactive_output(sys: System, V, I, bus_idx) -> np.ndarray:
     return (V[bus_idx] * np.conj(inet)).imag + q_load
 
 
-def _clamped_network(net: Network, clamped: dict) -> Network:
-    if not clamped:
-        return net
-    buses = tuple(
-        replace(b, kind=BusKind.PQ, q_gen=clamped[b.ext_id])
-        if b.ext_id in clamped else b
-        for b in net.buses)
-    return Network(buses=buses, branches=net.branches,
-                   base_mva=net.base_mva, name=net.name)
-
-
 def _q_violations(sys: System, V, I, net: Network) -> dict:
     pv = np.flatnonzero(sys.pv)
     idx = net.index_of
@@ -164,7 +162,7 @@ def _q_violations(sys: System, V, I, net: Network) -> dict:
 VOLTAGE_TARGET_BOOST = 1.5
 
 
-def _device_start(sys: System, base_V: np.ndarray, base_report: StudyReport):
+def _device_start(sys: System, base: StudyReport):
     """Warm start for a device study from the device-free solution.
 
     Auxiliary buses start transparent (sending-bus voltage) with the
@@ -175,7 +173,7 @@ def _device_start(sys: System, base_V: np.ndarray, base_report: StudyReport):
     the original line current.
     """
     V0 = np.empty(sys.n_bus, dtype=complex)
-    V0[:len(base_V)] = base_V
+    V0[:len(base.V)] = base.V
     I0 = np.zeros(sys.n_currents, dtype=complex)
     idx = sys.net.index_of
     for dev in sys.devices:
@@ -186,14 +184,14 @@ def _device_start(sys: System, base_V: np.ndarray, base_report: StudyReport):
         for k, be in enumerate(dev.branches):
             i_ext = sys.net.buses[be.i_idx].ext_id
             if blocking:
-                V0[be.m_idx] = base_V[idx[be.j_ext]]
+                V0[be.m_idx] = base.V[idx[be.j_ext]]
                 continue
-            V0[be.m_idx] = base_V[be.i_idx]
+            V0[be.m_idx] = base.V[be.i_idx]
             I0[be.cur_idx] = dev.current_guesses[k]
             if has_vbus:
-                s = base_report.branch_flow(i_ext, be.j_ext)
+                s = base.branch_flow(i_ext, be.j_ext)
                 I0[be.cur_idx] = VOLTAGE_TARGET_BOOST * \
-                    np.conj(s / base_V[be.i_idx])
+                    np.conj(s / base.V[be.i_idx])
     return V0, I0
 
 
@@ -214,10 +212,8 @@ def _solve_method(sys: System, method: str, V0, I0, opts: StudyOptions):
     if method == "nr-warm-ffhe":
         V0, I0, warm_n = warm_start(sys, iterations=opts.warm_iters,
                                     tol=opts.tol, V0=V0, I0=I0)
-    elif V0 is None or I0 is None:
-        V0, I0 = flat_start(sys)
     res = ffhe_solve(sys, V0, I0, tol=opts.tol, n_max=opts.max_terms,
-                     pade=opts.pade, restarts=opts.restarts)
+                     pade=opts.pade, restarts=SERIES_RESTARTS)
     stats = MethodStats(iterations=warm_n, terms=res.terms,
                         mismatch=res.mismatch,
                         runtime_s=time.perf_counter() - t0,
@@ -230,18 +226,16 @@ def _limited_solve(net: Network, devices, opts: StudyOptions, frozen_q,
     """Solve with the generator reactive-limit outer loop; the limits are
     those of ``net``.
 
-    ``start`` maps a freshly built system to (V0, I0) or (None, None).
-    Returns (sys, V, I, stats, clamped).
+    ``frozen_q`` holds the displaced regulators' constant-Q pins; a
+    generator found outside its limits is pinned at that limit from the next
+    pass on.  ``start`` maps the first pass's system to (V0, I0).  Returns
+    (sys, V, I, stats, clamped).
     """
     clamped: dict = {}
     prev = None
-    for _ in range(opts.max_limit_passes):
-        sysi = build_system(_clamped_network(net, clamped), devices,
-                            frozen_q=frozen_q)
-        if prev is not None:
-            V0, I0 = prev
-        else:
-            V0, I0 = start(sysi)
+    for _ in range(MAX_LIMIT_PASSES):
+        sysi = build_system(net, devices, frozen_q={**frozen_q, **clamped})
+        V0, I0 = prev if prev is not None else start(sysi)
         V, I, stats = _solve_method(sysi, opts.method if opts.method != "compare"
                                     else "nr", V0, I0, opts)
         if not stats.converged:
@@ -257,17 +251,17 @@ def _limited_solve(net: Network, devices, opts: StudyOptions, frozen_q,
         prev = (V, I)
     raise StudyError(
         f"generator limit enforcement did not settle in "
-        f"{opts.max_limit_passes} passes (clamped: {sorted(clamped)})")
+        f"{MAX_LIMIT_PASSES} passes (clamped: {sorted(clamped)})")
 
 
-def _frozen_q_candidates(net: Network, devices, base_sys, base_V, base_I):
+def _frozen_q_candidates(net: Network, devices, base: StudyReport):
     """Frozen-Q assignment for regulating generators at device sending buses,
     plus fallbacks for voltage-target feasibility."""
     idx = net.index_of
     displaced = list(dict.fromkeys(
         i for dev in devices for (i, _j) in dev.branches
         if net.buses[idx[i]].kind is BusKind.PV))
-    q = generator_reactive_output(base_sys, base_V, base_I,
+    q = generator_reactive_output(base.system, base.V, base.I,
                                   [idx[i] for i in displaced])
     frozen = dict(zip(displaced, q.tolist()))
     vbus_targets = set()
@@ -294,53 +288,38 @@ def run_study(net: Network, devices=(), options: StudyOptions | None = None):
     t_start = time.perf_counter()
     devices = tuple(devices)
 
-    if not devices:
-        sys_, V, I, stats, clamped = _limited_solve(
-            net, (), opts, None, lambda s: (None, None))
-        report = StudyReport(
-            converged=True, method=opts.method, system=sys_, V=V, I=I,
-            mismatch=float(np.max(np.abs(residual(sys_, V, I)))),
-            runtime_s=time.perf_counter() - t_start,
-            clamped_generators=clamped,
-            stats={opts.method: stats})
-        if opts.method == "compare":
-            _attach_comparison(report, net, (), opts, None,
-                               lambda s: (None, None))
-        return report
-
-    # device-free pre-solve of the same case supplies the warm start and the
-    # frozen reactive outputs of displaced regulating generators
-    base = _base_solution(net, StudyOptions(
-        method="nr", tol=opts.tol, enforce_q_limits=opts.enforce_q_limits,
-        max_limit_passes=opts.max_limit_passes))
-
-    def start(sysi):
-        return _device_start(sysi, base.V, base)
+    if devices:
+        # device-free pre-solve of the same case supplies the warm start and
+        # the frozen reactive outputs of displaced regulating generators
+        base = _base_solution(net, StudyOptions(
+            method="nr", tol=opts.tol, enforce_q_limits=opts.enforce_q_limits))
+        candidates = _frozen_q_candidates(net, devices, base)
+        start = partial(_device_start, base=base)
+    else:
+        candidates, start = [{}], flat_start
 
     last_err = None
-    for frozen in _frozen_q_candidates(net, devices, base.system,
-                                       base.V, base.I):
+    for frozen in candidates:
         try:
             result = _relaxed_solve(net, devices, opts, frozen, start)
             break
         except (ConvergenceError, StudyError) as exc:
             last_err = exc
     else:
-        raise StudyError(f"device study did not converge: {last_err}")
+        raise StudyError(f"study did not converge: {last_err}")
 
-    sys_, V, I, stats, clamped, active_devices, relaxed = result
-    outputs = _collect_outputs(sys_, V, I)
+    sys_, V, I, stats, clamped, outputs, relaxed = result
     report = StudyReport(
         converged=True, method=opts.method, system=sys_, V=V, I=I,
         mismatch=float(np.max(np.abs(residual(sys_, V, I)))),
         runtime_s=time.perf_counter() - t_start,
         clamped_generators=clamped,
-        relaxed_branches=tuple(relaxed),
+        relaxed_branches=relaxed,
         device_outputs=outputs,
         frozen_q=frozen,
         stats={opts.method: stats})
     if opts.method == "compare":
-        _attach_comparison(report, net, active_devices, opts, frozen, start)
+        _attach_comparison(report, start, opts)
     return report
 
 
@@ -358,20 +337,20 @@ def _base_solution(net: Network, opts: StudyOptions) -> StudyReport:
 
 def _relaxed_solve(net, devices, opts, frozen, start):
     """Generator-limit solve wrapped in the injected-voltage relaxation
-    loop."""
+    loop.  Returns (sys, V, I, stats, clamped, device outputs, relaxed)."""
     active = list(devices)
     relaxed_all = []
-    for _ in range(opts.max_relax_passes):
+    for _ in range(MAX_RELAX_PASSES):
         sys_, V, I, stats, clamped = _limited_solve(
             net, tuple(active), opts, frozen, start)
         outputs = _collect_outputs(sys_, V, I)
         active, newly = relax_violations(active, outputs)
         if not newly:
-            return sys_, V, I, stats, clamped, tuple(active), tuple(relaxed_all)
+            return sys_, V, I, stats, clamped, outputs, tuple(relaxed_all)
         relaxed_all.extend(newly)
     raise StudyError(
         f"injected-voltage limit relaxation cycled for "
-        f"{opts.max_relax_passes} passes ({relaxed_all})")
+        f"{MAX_RELAX_PASSES} passes ({relaxed_all})")
 
 
 def _collect_outputs(sys: System, V, I) -> dict:
@@ -383,13 +362,12 @@ def _collect_outputs(sys: System, V, I) -> dict:
     return outs
 
 
-def _attach_comparison(report: StudyReport, net, devices, opts, frozen,
-                       start):
-    """Run the Newton, warm-series and flat-series variants on the final
-    limited configuration and attach agreement/efficiency metrics.  A flat
-    series that does not converge is left out of ``report.stats``."""
-    clamped_net = _clamped_network(net, report.clamped_generators)
-    sys_ = build_system(clamped_net, devices, frozen_q=frozen)
+def _attach_comparison(report: StudyReport, start, opts: StudyOptions):
+    """Run the Newton, warm-series and flat-series variants on the study's
+    final system from the study's start and attach agreement/efficiency
+    metrics.  A flat series that does not converge is left out of
+    ``report.stats``."""
+    sys_ = report.system
     V0, I0 = start(sys_)
     V_nr, _, nr = _solve_method(sys_, "nr", V0, I0, opts)
     V_warm, _, warm = _solve_method(sys_, "nr-warm-ffhe", V0, I0, opts)

@@ -89,31 +89,33 @@ def build_system(base_net: Network, devices=(), *,
                  frozen_q: dict | None = None) -> System:
     """Splice ``devices`` into ``base_net`` and assemble the solve structure.
 
+    ``frozen_q`` (ext id -> p.u.) holds the constant-Q buses: every PV bus
+    listed there becomes a fixed-injection bus with that reactive output.
     A PV sending bus loses its voltage regulation to the device and becomes
-    a fixed-injection bus; its reactive output is taken from ``frozen_q``
-    (ext id -> p.u.) when given, else from the gen table.  A slack sending
-    bus is an error.
+    a fixed-injection bus too, at its gen-table output unless listed.  A
+    slack sending bus or a repeated device id is an error.
     """
     frozen_q = frozen_q or {}
     net = base_net
     topos = []
     for dev in devices:
+        if any(topo.device_id == dev.device_id for topo in topos):
+            raise DeviceConfigError(f"device id {dev.device_id!r} is repeated")
         net, topo = insert_series_device(
             net, dev.device_id, dev.branches, dev.z_se)
         topos.append(topo)
 
-    buses = list(net.buses)
     for topo in topos:
-        si = net.index_of[topo.sending_bus]
-        b = buses[si]
+        b = net.bus(topo.sending_bus)
         if b.kind is BusKind.SLACK:
             raise TopologyError(
                 f"device {topo.device_id}: sending bus {b.ext_id} is the slack")
-        if b.kind is BusKind.PV:
-            buses[si] = replace(
-                b, kind=BusKind.PQ,
-                q_gen=frozen_q.get(b.ext_id, b.q_gen))
-    net = Network(buses=tuple(buses), branches=net.branches,
+    constant_q = {topo.sending_bus for topo in topos}.union(frozen_q)
+    buses = tuple(
+        replace(b, kind=BusKind.PQ, q_gen=frozen_q.get(b.ext_id, b.q_gen))
+        if b.kind is BusKind.PV and b.ext_id in constant_q else b
+        for b in net.buses)
+    net = Network(buses=buses, branches=net.branches,
                   base_mva=net.base_mva, name=net.name)
 
     ybus = build_admittance_matrix(net)

@@ -24,6 +24,7 @@ import pytest
 from conftest import random_network, random_sssc_study
 from ffheflow.core import _single_stage
 from ffheflow.devices import ControlTarget, Mode, SeriesDevice, SsscDevice
+from ffheflow.network import BusKind
 from ffheflow.newton import flat_start, nr_solve
 from ffheflow.report import StudyError, StudyOptions, run_study
 from ffheflow.series import magnitude_coefficient, reciprocal_coefficient
@@ -175,6 +176,44 @@ def setpoint_error(rep, dev_id="s"):
 
 
 # ---------------------------------------------------------------- criterion 1
+
+#: outer-loop outcome of each scenario under Newton: clamped generators,
+#: displaced regulators held at constant Q, relaxed device branches
+BASE_CLAMPED = {19, 32, 34, 92, 103, 105}
+OUTER_LOOPS = {
+    "base": (BASE_CLAMPED, set(), ()),
+    "49-50/p0.75": (BASE_CLAMPED, {49}, ()),
+    "49-50/q0": (BASE_CLAMPED | {56}, {49}, ()),
+    "49-50/qse0.3": (BASE_CLAMPED | {56}, {49}, ()),
+    "49-50/v1.0": (BASE_CLAMPED | {56}, {49}, ()),
+    "49-50/vse0.2": (BASE_CLAMPED, {49}, ()),
+    "49-50/x-0.2": (BASE_CLAMPED, {49}, ()),
+    "101-102/p0.9": (BASE_CLAMPED | {100}, set(), ()),
+    "101-102/q0": (BASE_CLAMPED, set(), ()),
+    "101-102/qse0.3": (BASE_CLAMPED, set(), ()),
+    "101-102/v0.9": (BASE_CLAMPED | {100}, set(), ()),
+    "101-102/vse0.1": (BASE_CLAMPED, set(), ()),
+    "101-102/x0.1": (BASE_CLAMPED, set(), ()),
+    "49/c1": (BASE_CLAMPED, {49}, ()),
+    "49/c2": (BASE_CLAMPED, {49}, ()),
+    "100/c1": (BASE_CLAMPED, {100}, ()),
+    "100/c2": (BASE_CLAMPED, {100}, ()),
+    "relax": (BASE_CLAMPED, set(), (("s", 0),)),
+}
+
+
+@pytest.mark.parametrize("label", ALL_LABELS)
+def test_outer_loop_outcome(study, label):
+    rep = study(label, "nr")
+    clamped, frozen, relaxed = OUTER_LOOPS[label]
+    assert set(rep.clamped_generators) == clamped
+    assert set(rep.frozen_q) == frozen
+    assert rep.relaxed_branches == relaxed
+    # every pinned bus is solved as a fixed-injection bus at its pin
+    for ext, q in {**rep.frozen_q, **rep.clamped_generators}.items():
+        bus = rep.system.net.bus(ext)
+        assert (bus.kind, bus.q_gen) == (BusKind.PQ, q)
+
 
 def test_criterion_01_base_case(study):
     """Device-free 118-bus solution matches the reference operating point."""

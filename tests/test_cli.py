@@ -3,10 +3,14 @@
 import json
 from importlib import resources
 
+import numpy as np
 import pytest
 
+from ffheflow import load_bundled_case
 from ffheflow.cli import (EXIT_DIVERGED, EXIT_INPUT, EXIT_OK, build_parser,
-                          main)
+                          format_text, main, report_dict)
+from ffheflow.report import MethodStats, StudyReport
+from ffheflow.system import build_system
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +99,17 @@ class TestSingleRun:
                      "--devices", str(bad)]) == EXIT_INPUT
         assert capsys.readouterr().err.startswith("error: device 0:")
 
+    def test_repeated_device_id(self, case_path, tmp_path, capsys):
+        devs = tmp_path / "devs.json"
+        devs.write_text(json.dumps([
+            {"type": "sssc", "id": "s", "branch": [101, 102],
+             "mode": "p_flow", "setpoint": 0.9, "v_se_max": 0.3},
+            {"type": "sssc", "id": "s", "branch": [49, 50],
+             "mode": "p_flow", "setpoint": 0.75}]))
+        assert main(["--case", str(case_path), "--devices", str(devs),
+                     "--method", "nr"]) == EXIT_INPUT
+        assert "repeated" in capsys.readouterr().err
+
     def test_divergent_study(self, case_path, tmp_path, capsys):
         dev = tmp_path / "dev.json"
         dev.write_text(json.dumps([{
@@ -137,6 +152,18 @@ class TestBatch:
         assert "[bad] input error" in err
         assert "=== ok" in out
 
+    @pytest.mark.parametrize("bad", [1, "x.m", None, [1]],
+                             ids=["int", "string", "null", "list"])
+    def test_batch_entry_not_an_object(self, case_path, tmp_path, capsys,
+                                       bad):
+        batch = tmp_path / "batch.json"
+        batch.write_text(json.dumps([
+            bad, {"label": "ok", "case": str(case_path), "method": "nr"}]))
+        assert main(["--batch", str(batch)]) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert "[#0] input error" in err
+        assert "=== ok" in out
+
     def test_batch_not_json(self, tmp_path, capsys):
         bad = tmp_path / "batch.json"
         bad.write_text("nope")
@@ -146,3 +173,32 @@ class TestBatch:
         bad = tmp_path / "batch.json"
         bad.write_text("{}")
         assert main(["--batch", str(bad)]) == EXIT_INPUT
+
+
+class TestMethodConvergence:
+    """Each method's ``MethodStats.converged`` reaches both report formats."""
+
+    @pytest.fixture()
+    def report(self):
+        net = load_bundled_case()
+        sys_ = build_system(net)
+        V = np.ones(net.n_bus, dtype=complex)
+        return StudyReport(
+            converged=True, method="compare", system=sys_, V=V,
+            I=np.zeros(0, dtype=complex), mismatch=1e-9, runtime_s=0.1,
+            stats={"nr": MethodStats(iterations=4, mismatch=1e-9),
+                   "nr-warm-ffhe": MethodStats(iterations=3, terms=60,
+                                               mismatch=0.5,
+                                               converged=False)})
+
+    def test_json_stats(self, report):
+        stats = report_dict(report)["stats"]
+        assert stats["nr"]["converged"] is True
+        assert stats["nr-warm-ffhe"]["converged"] is False
+
+    def test_text_marks_the_unconverged_method(self, report):
+        lines = {line.split(":")[0]: line
+                 for line in format_text(report).splitlines()
+                 if line.startswith("method ")}
+        assert lines["method nr-warm-ffhe"].endswith("NOT CONVERGED")
+        assert "NOT CONVERGED" not in lines["method nr"]

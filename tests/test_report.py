@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from ffheflow import load_bundled_case
-from ffheflow.devices import ControlTarget, Mode, SeriesDevice, SsscDevice
+from ffheflow.devices import (ControlTarget, DeviceConfigError, Mode,
+                              SeriesDevice, SsscDevice)
+from ffheflow.network import BusKind
 from ffheflow.report import (StudyError, StudyOptions, _base_solution,
                              error_improvement_pct, run_study,
                              runtime_improvement_pct)
+from ffheflow.system import build_system
+from test_newton import two_bus
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +89,35 @@ class TestBaseStudy:
         warm = run_study(case118, (), StudyOptions(method="nr-warm-ffhe"))
         assert np.max(np.abs(warm.V - base_nr.V)) < 1e-6
 
+    def test_divergence_raises_study_error(self):
+        with pytest.raises(StudyError, match="^study did not converge: "):
+            run_study(two_bus(p_load=50.0), (), StudyOptions(method="nr"))
+
+
+class TestConstantQ:
+    """``build_system``'s one rule: a PV bus listed in ``frozen_q`` becomes a
+    fixed-injection bus at that reactive output."""
+
+    def test_listed_pv_bus_becomes_pq(self, case118):
+        ext, q = 19, -0.08
+        assert case118.bus(ext).kind is BusKind.PV
+        sys_ = build_system(case118, (), frozen_q={ext: q})
+        bus = sys_.net.bus(ext)
+        assert bus.kind is BusKind.PQ
+        assert bus.q_gen == q
+        assert not sys_.pv[case118.index_of[ext]]
+        assert sys_.s_inj[case118.index_of[ext]].imag == \
+            pytest.approx(q - bus.q_load)
+        # every other bus keeps its kind
+        plain = build_system(case118)
+        assert sys_.pv.sum() == plain.pv.sum() - 1
+
+    def test_unlisted_pv_sending_bus_keeps_its_gen_table_q(self, case118):
+        dev = SsscDevice("s", (49, 50), ControlTarget(Mode.P_FLOW, 0.75))
+        bus = build_system(case118, (dev,)).net.bus(49)
+        assert bus.kind is BusKind.PQ
+        assert bus.q_gen == case118.bus(49).q_gen
+
 
 class TestDeviceStudy:
     def test_sssc_setpoint_attained(self, case118):
@@ -122,6 +155,15 @@ class TestDeviceStudy:
         assert o0.s_se.real + o1.s_se.real == pytest.approx(0.0, abs=1e-9)
         assert o0.s_line.real == pytest.approx(0.75, abs=1e-8)
         assert o1.s_line.imag == pytest.approx(0.03, abs=1e-8)
+
+    def test_repeated_device_id_rejected(self, case118):
+        # with one id for both, the second device's outputs would hide the
+        # first one's injected-voltage limit violation
+        devs = (SsscDevice("s", (101, 102), ControlTarget(Mode.P_FLOW, 0.9),
+                           v_se_max=0.3),
+                SsscDevice("s", (49, 50), ControlTarget(Mode.P_FLOW, 0.75)))
+        with pytest.raises(DeviceConfigError, match="'s' is repeated"):
+            run_study(case118, devs, StudyOptions(method="nr"))
 
     def test_infeasible_raises_study_error(self, case118):
         dev = SsscDevice("s", (101, 102), ControlTarget(Mode.P_FLOW, 50.0))
