@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -72,6 +73,9 @@ class DeviceTopology:
 
 @dataclass(frozen=True)
 class Network:
+    """A case, compared and hashed by content.  Being frozen, it computes
+    its hash and :attr:`index_of` once, on first use."""
+
     buses: tuple
     branches: tuple
     base_mva: float
@@ -83,12 +87,20 @@ class Network:
             raise TopologyError(
                 f"expected exactly one slack bus, found {len(slacks)}")
 
+    def __hash__(self) -> int:
+        return self._content_hash
+
+    @cached_property
+    def _content_hash(self) -> int:
+        return hash((self.buses, self.branches, self.base_mva, self.name))
+
     @property
     def n_bus(self) -> int:
         return len(self.buses)
 
-    @property
+    @cached_property
     def index_of(self) -> dict:
+        """External bus id -> internal index.  Shared; do not modify."""
         return {b.ext_id: i for i, b in enumerate(self.buses)}
 
     def bus(self, ext_id: int) -> Bus:
@@ -246,9 +258,11 @@ def insert_series_device(net: Network, device_id: str, branch_ends, z_se):
     bus i; ``z_se`` one coupling impedance per branch.  Each branch i-j is
     taken out of the admittance matrix and replaced by an auxiliary bus m and
     a branch m-j whose impedance is the line's in series with the coupling
-    transformer's.  Line charging stays at the original electrical ends: the
-    i-side half becomes a shunt at bus i, the j-side half stays on the new
-    branch.
+    transformer's.  An off-nominal tap stays on its side: a branch listed
+    j->i with tap t becomes m->j with tap 1/t and impedance z |t|^2, which
+    presents the same admittances between i and j.  Line charging stays at
+    the original electrical ends as shunts at buses i and j, the tap side's
+    half scaled by 1/|t|^2.
 
     Returns ``(new_net, DeviceTopology)``.
     """
@@ -273,21 +287,21 @@ def insert_series_device(net: Network, device_id: str, branch_ends, z_se):
         if br is None:
             raise TopologyError(f"device stacking on branch {i}-{j}")
         branches[bidx] = None
-        z_new = br.series_impedance + z_c
+        tap, z_line = br.tap, br.series_impedance
+        half_b = {i: br.charging_b / 2.0, j: br.charging_b / 2.0}
+        if tap != 1.0:
+            half_b[br.from_bus] /= abs(tap) ** 2
+            if br.from_bus != i:       # listed j->i: the tap is on the j side
+                tap, z_line = 1.0 / tap, z_line * abs(tap) ** 2
+        z_new = z_line + z_c
         aux = next_id
         next_id += 1
         aux_ids.append(aux)
         buses.append(Bus(ext_id=aux, kind=BusKind.AUXILIARY))
         # half-charging of the removed branch goes back to its physical ends
-        ii = net.index_of[i]
-        jj = net.index_of[j]
-        tap = br.tap
-        if br.from_bus != i:           # branch listed j->i; move tap side
-            tap = 1.0 / np.conj(tap) if tap != 1.0 else tap
-        buses[ii] = replace(buses[ii],
-                            shunt_b=buses[ii].shunt_b + br.charging_b / 2.0)
-        buses[jj] = replace(buses[jj],
-                            shunt_b=buses[jj].shunt_b + br.charging_b / 2.0)
+        for end in (i, j):
+            k = net.index_of[end]
+            buses[k] = replace(buses[k], shunt_b=buses[k].shunt_b + half_b[end])
         branches.append(Branch(
             from_bus=aux, to_bus=j,
             resistance=z_new.real, reactance=z_new.imag,

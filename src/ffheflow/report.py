@@ -110,12 +110,12 @@ class StudyReport:
     comparison: dict = field(default_factory=dict)
 
     def voltage(self, ext_id: int) -> complex:
-        return self.V[self.system.net.index_of[ext_id]]
+        return self.V[self.system.structure.net.index_of[ext_id]]
 
     def branch_flow(self, i: int, j: int) -> complex:
         """Sending-end complex power on branch i-j (device branches via the
         device current)."""
-        net = self.system.net
+        net = self.system.structure.net
         for dev in self.system.devices:
             for be in dev.branches:
                 if (net.buses[be.i_idx].ext_id, be.j_ext) == (i, j):
@@ -138,7 +138,7 @@ def generator_reactive_output(sys: System, V, I, bus_idx) -> np.ndarray:
     ``bus_idx`` (an array of them), from one network matvec."""
     bus_idx = np.asarray(bus_idx, dtype=np.intp)
     inet = (sys.ybus @ V + sys.incidence @ I)[bus_idx]
-    q_load = np.array([sys.net.buses[b].q_load for b in bus_idx])
+    q_load = np.array([sys.structure.net.buses[b].q_load for b in bus_idx])
     return (V[bus_idx] * np.conj(inet)).imag + q_load
 
 
@@ -147,7 +147,7 @@ def _q_violations(sys: System, V, I, net: Network) -> dict:
     idx = net.index_of
     viol = {}
     for bi, qg in zip(pv, generator_reactive_output(sys, V, I, pv)):
-        ext = sys.net.buses[bi].ext_id
+        ext = sys.structure.net.buses[bi].ext_id
         orig = net.buses[idx[ext]]
         if qg > orig.q_max + 1e-9:
             viol[ext] = orig.q_max
@@ -175,16 +175,16 @@ def _device_start(sys: System, base: StudyReport):
     V0 = np.empty(sys.n_bus, dtype=complex)
     V0[:len(base.V)] = base.V
     I0 = np.zeros(sys.n_currents, dtype=complex)
-    idx = sys.net.index_of
+    net = sys.structure.net
     for dev in sys.devices:
         blocking = (len(dev.branches) == 1 and len(dev.targets) == 1
                     and dev.targets[0].mode is Mode.Q_FLOW
                     and dev.targets[0].setpoint == 0.0)
         has_vbus = any(t.mode is Mode.V_BUS for t in dev.targets)
         for k, be in enumerate(dev.branches):
-            i_ext = sys.net.buses[be.i_idx].ext_id
+            i_ext = net.buses[be.i_idx].ext_id
             if blocking:
-                V0[be.m_idx] = base.V[idx[be.j_ext]]
+                V0[be.m_idx] = base.V[net.index_of[be.j_ext]]
                 continue
             V0[be.m_idx] = base.V[be.i_idx]
             I0[be.cur_idx] = dev.current_guesses[k]

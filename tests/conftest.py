@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ffheflow import load_bundled_case
+from ffheflow import load_bundled_case, report, system
 from ffheflow.devices import ControlTarget, Mode, SsscDevice, branch_outputs
 from ffheflow.network import Branch, Bus, BusKind, Network
 from ffheflow.newton import nr_solve
@@ -15,6 +15,14 @@ from ffheflow.system import build_system
 @pytest.fixture(scope="session")
 def case118():
     return load_bundled_case()
+
+
+@pytest.fixture(autouse=True)
+def fresh_memos():
+    """Start every test with empty study memos (the device-free pre-solve
+    and the per-placement structure), so no test sees what another left."""
+    report._base_solution.cache_clear()
+    system._structure.cache_clear()
 
 
 def random_network(rng: np.random.Generator, n_bus: int | None = None,

@@ -103,6 +103,13 @@ class TestNetworkInvariants:
         for b in mini.buses:
             assert mini.buses[mini.index_of[b.ext_id]] is b
 
+    def test_index_and_hash_kept_equality_by_content(self, mini):
+        assert mini.index_of is mini.index_of
+        copy = parse_case(MINI_CASE, name="mini")
+        assert copy is not mini
+        assert copy == mini and hash(copy) == hash(mini)
+        assert Network(mini.buses, mini.branches[:1], mini.base_mva) != mini
+
 
 class TestAdmittance:
     def test_row_sums_without_shunts(self):
@@ -161,13 +168,30 @@ class TestInsertDevice:
             mini.bus(2).shunt_b + orig.charging_b / 2)
         assert new.branches[new.find_branch(4, 2)].charging_b == 0.0
 
-    def test_reversed_listing_flips_tap(self, mini):
-        # device on 3 -> 2 rides the branch listed 2 -> 3 with an off-nominal
-        # tap on the 2 side; the spliced branch must present the inverse
-        new, _ = insert_series_device(mini, "d", [(3, 2)], [0.0j])
-        orig = mini.branches[mini.find_branch(2, 3)]
-        br = new.branches[new.find_branch(4, 2)]
-        assert br.tap == pytest.approx(1.0 / np.conj(orig.tap))
+    @pytest.mark.parametrize("charging", [0.0, 0.04])
+    @pytest.mark.parametrize(
+        "tap", [1.0, 0.95, 0.95 * np.exp(1j * np.deg2rad(5.7))],
+        ids=["nominal", "ratio", "shifted"])
+    @pytest.mark.parametrize("listing", [(2, 3), (3, 2)], ids=["i-j", "j-i"])
+    def test_transparent_splice(self, listing, tap, charging):
+        # a device with zero coupling impedance at V_m = V_i, passing the
+        # current that enters the spliced branch at m, leaves every bus
+        # current as it was without the device, whichever end the tap is on
+        net = Network(
+            buses=(Bus(1, BusKind.SLACK), Bus(2, BusKind.PQ),
+                   Bus(3, BusKind.PQ)),
+            branches=(Branch(1, 2, 0.01, 0.1, 0.02),
+                      Branch(*listing, 0.02, 0.08, charging, tap)),
+            base_mva=100.0)
+        rng = np.random.default_rng(5)
+        V = (1 + 0.05 * rng.standard_normal(3)) \
+            * np.exp(0.1j * rng.standard_normal(3))
+        new, topo = insert_series_device(net, "d", [(2, 3)], [0j])
+        m = new.index_of[topo.aux_buses[0]]
+        inj = build_admittance_matrix(new) @ np.append(V, V[1])
+        inj[new.index_of[2]] += inj[m]
+        gap = inj[:3] - build_admittance_matrix(net) @ V
+        assert np.max(np.abs(gap)) <= 1e-12
 
     def test_mismatched_sending_bus(self, mini):
         with pytest.raises(TopologyError, match="share the sending bus"):

@@ -1,0 +1,198 @@
+"""The memoised per-placement structure and the fixed-pattern Jacobian."""
+
+import numpy as np
+import pytest
+from scipy import sparse
+
+from ffheflow.devices import ControlTarget, Mode, SeriesDevice, SsscDevice
+from ffheflow.report import StudyOptions, run_study
+from ffheflow.system import _structure, build_system, jacobian
+
+P_FLOW = ControlTarget(Mode.P_FLOW, 0.75)
+
+
+def _sssc(target=P_FLOW, branch=(49, 50), z_se=0.01 + 0.01j):
+    return SsscDevice("s", branch, target, z_se=z_se)
+
+
+def _random_state(rng, sys):
+    V = (1 + 0.05 * rng.normal(size=sys.n_bus)) \
+        * np.exp(0.1j * rng.normal(size=sys.n_bus))
+    I = rng.uniform(0.1, 1.0, size=sys.n_currents) \
+        * np.exp(1j * rng.uniform(-np.pi, np.pi, size=sys.n_currents))
+    return V, I
+
+
+class TestStructureMemo:
+    def test_targets_share_one_structure(self, case118):
+        opts = StudyOptions(method="nr")
+        a = run_study(case118, (_sssc(),), opts)
+        b = run_study(case118, (_sssc(ControlTarget(Mode.Q_FLOW, 0.0)),),
+                      opts)
+        assert a.system.structure is b.system.structure
+        assert a.system is not b.system
+
+    def test_passes_share_it_and_placements_miss(self, case118):
+        plain = build_system(case118, (_sssc(),))
+        frozen = build_system(case118, (_sssc(),), frozen_q={49: 0.1})
+        relaxed = build_system(
+            case118, (_sssc(ControlTarget(Mode.V_SE, 0.3)),))
+        assert frozen.structure is plain.structure
+        assert relaxed.structure is plain.structure
+        assert _structure.cache_info().hits == 2
+        for other in (_sssc(z_se=0.02j), _sssc(branch=(101, 102))):
+            assert build_system(case118, (other,)).structure \
+                is not plain.structure
+        assert _structure.cache_info().misses == 3
+
+    def test_pass_pins_leave_the_structure_alone(self, case118):
+        plain = build_system(case118, (_sssc(),))
+        frozen = build_system(case118, (_sssc(),), frozen_q={12: -0.2})
+        b = case118.index_of[12]
+        assert plain.pv[b] and not frozen.pv[b]
+        assert frozen.net.bus(12).q_gen == -0.2
+        assert plain.net.bus(12).q_gen != -0.2
+        assert frozen.structure.pv[b]
+
+    def test_memoised_arrays_are_read_only(self, case118):
+        st = build_system(case118, (_sssc(),)).structure
+        arrays = (st.ybus.data, st.ybus.indices, st.ybus.indptr,
+                  st.incidence.data, st.incidence.indices,
+                  st.incidence.indptr, st.slack, st.pv, st.s_inj, st.v_set,
+                  st.t_rows, st.t_cols, st.t_vals, st.t_diag)
+        for arr in arrays:
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            st.ybus.data[0] = 0.0
+
+    def test_memo_hit_gives_the_cold_study(self, case118):
+        devs = (SeriesDevice("i", ((49, 50), (49, 51)), (
+            ControlTarget(Mode.P_FLOW, 0.75, branch=0),
+            ControlTarget(Mode.P_FLOW, 0.75, branch=1),
+            ControlTarget(Mode.Q_FLOW, 0.03, branch=1))),)
+        opts = StudyOptions(method="compare")
+        cold = run_study(case118, devs, opts)
+        misses = _structure.cache_info().misses
+        warm = run_study(case118, devs, opts)
+        assert _structure.cache_info().misses == misses
+        assert warm.system.structure is cold.system.structure
+        assert cold.V.tobytes() == warm.V.tobytes()
+        assert cold.I.tobytes() == warm.I.tobytes()
+        for name, st in cold.stats.items():
+            assert (st.iterations, st.terms, st.mismatch) == \
+                (warm.stats[name].iterations, warm.stats[name].terms,
+                 warm.stats[name].mismatch)
+
+
+# ------------------------------------------------- fixed-pattern Jacobian
+
+
+def _coo_jacobian(sys, V, I):
+    """The Jacobian assembled from (row, column, value) triplets and
+    converted by scipy, as before the fixed pattern."""
+    n = sys.n_bus
+    y, inc = sys.ybus.tocoo(), sys.incidence.tocoo()
+    cV = np.conj(V)
+    t_rows = np.concatenate([y.row, inc.row])
+    t_cols = np.concatenate([y.col, n + inc.col])
+    a = cV[t_rows] * np.concatenate([y.data, inc.data])
+    b = np.zeros_like(a)
+    diag = np.flatnonzero(t_rows == t_cols)
+    b[diag] = (sys.ybus @ V + inc @ I)[t_rows[diag]]
+    p, q = a + b, a - b
+    re = ~sys.slack[t_rows]
+    im = sys.pq[t_rows]
+    pv = np.flatnonzero(sys.pv)
+    slack = np.flatnonzero(sys.slack)
+    rows = [2 * t_rows[re], 2 * t_rows[re],
+            2 * t_rows[im] + 1, 2 * t_rows[im] + 1,
+            2 * pv + 1, 2 * pv + 1, 2 * slack, 2 * slack + 1]
+    cols = [2 * t_cols[re], 2 * t_cols[re] + 1,
+            2 * t_cols[im], 2 * t_cols[im] + 1,
+            2 * pv, 2 * pv + 1, 2 * slack, 2 * slack + 1]
+    vals = [p[re].real, -q[re].imag, p[im].imag, q[im].real,
+            V[pv].real, V[pv].imag, np.ones(slack.size), np.ones(slack.size)]
+    dev_rows, dev_cols, dev_vals = [], [], []
+
+    def add(row, col, a, b=0j, imag=False):
+        dev_rows.extend((row, row))
+        dev_cols.extend((col, col + 1))
+        if imag:
+            dev_vals.extend((a.imag + b.imag, a.real - b.real))
+        else:
+            dev_vals.extend((a.real + b.real, -a.imag + b.imag))
+
+    ccol = lambda c: 2 * n + 2 * c
+    for dev in sys.devices:
+        row = dev.row_start
+        for be in dev.branches:
+            cI = np.conj(I[be.cur_idx])
+            add(row, 2 * be.m_idx, cI)
+            add(row, 2 * be.i_idx, -cI)
+            add(row, ccol(be.cur_idx), 0j, V[be.m_idx] - V[be.i_idx])
+        for t in dev.targets:
+            row += 1
+            be = dev.branches[t.branch]
+            cur = I[be.cur_idx]
+            cI = np.conj(cur)
+            dv = V[be.m_idx] - V[be.i_idx]
+            if t.mode in (Mode.P_FLOW, Mode.Q_FLOW):
+                imag = t.mode is Mode.Q_FLOW
+                add(row, 2 * be.i_idx, cI, imag=imag)
+                add(row, ccol(be.cur_idx), 0j, V[be.i_idx], imag=imag)
+            elif t.mode is Mode.V_BUS:
+                vb = V[t.bus_idx]
+                add(row, 2 * t.bus_idx, 0.5 * np.conj(vb), 0.5 * vb)
+            else:
+                div = {Mode.Q_INJ: 1.0, Mode.V_SE: abs(cur),
+                       Mode.X_EQ: abs(cur) ** 2}[t.mode]
+                add(row, 2 * be.m_idx, cI / div, imag=True)
+                add(row, 2 * be.i_idx, -cI / div, imag=True)
+                add(row, ccol(be.cur_idx), 0j, dv / div, imag=True)
+                q = (dv * cI).imag
+                if t.mode is Mode.V_SE:
+                    den = 2 * div ** 3
+                elif t.mode is Mode.X_EQ:
+                    den = div ** 2
+                else:
+                    continue
+                add(row, ccol(be.cur_idx), -q * cI / den, -q * cur / den)
+    return sparse.csc_matrix(
+        (np.concatenate(vals + [dev_vals]),
+         (np.concatenate(rows + [dev_rows]),
+          np.concatenate(cols + [dev_cols]))),
+        shape=(sys.size, sys.size))
+
+
+def _assert_same_csc(J, ref):
+    assert J.format == "csc" and J.shape == ref.shape
+    assert np.array_equal(J.indptr, ref.indptr)
+    assert np.array_equal(J.indices, ref.indices)
+    assert np.array_equal(J.data, ref.data)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_filled_jacobian_equals_the_coo_reference(case118, mode):
+    sp = 1.0 if mode is Mode.V_BUS else 0.1
+    devices = (
+        SsscDevice("s", (101, 102), ControlTarget(mode, sp)),
+        SeriesDevice("i", ((49, 50), (49, 51)),
+                     (ControlTarget(mode, sp, branch=0),
+                      ControlTarget(Mode.P_FLOW, 0.7, branch=1),
+                      ControlTarget(Mode.Q_FLOW, 0.1, branch=1))))
+    sys = build_system(case118, devices)
+    rng = np.random.default_rng(7)
+    for _ in range(3):      # one pattern, refilled at each state
+        V, I = _random_state(rng, sys)
+        _assert_same_csc(jacobian(sys, V, I), _coo_jacobian(sys, V, I))
+
+
+def test_filled_jacobian_after_a_pv_clamp(case118):
+    devices = (_sssc(ControlTarget(Mode.X_EQ, -0.2)),)
+    plain = build_system(case118, devices)
+    clamped = build_system(case118, devices, frozen_q={12: -0.2, 59: 0.3})
+    assert clamped.pv.sum() == plain.pv.sum() - 2
+    V, I = _random_state(np.random.default_rng(8), clamped)
+    J = jacobian(clamped, V, I)
+    _assert_same_csc(J, _coo_jacobian(clamped, V, I))
+    assert not np.array_equal(J.indices, jacobian(plain, V, I).indices)

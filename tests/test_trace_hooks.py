@@ -24,9 +24,6 @@ def test_tracer_installs_runs_and_uninstalls(case118):
                                    ("core", "jacobian"), ("newton", "jacobian"),
                                    ("report", "residual"),
                                    ("report", "generator_reactive_output")]}
-    # an earlier test may have memoised case118's device-free pre-solve,
-    # which would then not run under the tracer
-    ffheflow.report._base_solution.cache_clear()
     tracer = spans.Tracer()
     layers.install(tracer, ffheflow)
     try:
