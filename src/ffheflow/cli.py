@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -69,6 +70,7 @@ def _run_one(case_path: Path, devices_path, opts: StudyOptions) -> StudyReport:
 
 
 def report_dict(rep: StudyReport) -> dict:
+    """The JSON report of a study; a non-finite float is written as null."""
     net = rep.system.net
     buses = {}
     for b, bus in enumerate(net.buses):
@@ -88,7 +90,7 @@ def report_dict(rep: StudyReport) -> dict:
                "runtime_s": st.runtime_s}
         for name, st in rep.stats.items()
     }
-    return {
+    return _finite_or_null({
         "converged": rep.converged,
         "method": rep.method,
         "case": net.name,
@@ -102,7 +104,18 @@ def report_dict(rep: StudyReport) -> dict:
         "devices": devices,
         "stats": stats,
         "comparison": rep.comparison,
-    }
+    })
+
+
+def _finite_or_null(obj):
+    """``obj`` with every non-finite float (an infinite ``x_eq`` or
+    ``voltage_gap``, a NaN mismatch) replaced by None, which JSON writes as
+    ``null``: strict parsers reject ``Infinity`` and ``NaN``."""
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
 def format_text(rep: StudyReport) -> str:
@@ -152,7 +165,7 @@ def format_text(rep: StudyReport) -> str:
 
 def _emit(rep: StudyReport, kind: str) -> None:
     if kind == "json":
-        print(json.dumps(report_dict(rep), indent=2))
+        print(json.dumps(report_dict(rep), indent=2, allow_nan=False))
     else:
         print(format_text(rep))
 

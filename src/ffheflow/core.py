@@ -7,12 +7,12 @@ linear system per series order, all sharing the constant coefficient matrix
 J = dR/dx evaluated at x0 — the same Jacobian the Newton solver uses.  Order
 1 reproduces a Newton step; higher orders add the polynomial history of the
 quadratic (and, for magnitude-normalised device rows, rational) terms.
-Each order's history is a set of Cauchy products over the order axis,
-formed for all buses at once from forward and reversed coefficient slices.
-The solution is read off at a = 1 from the partial sums, or with ``pade``
-from the degree-reduced Pade approximant of ``series.pade_at_one``, by one
-``series.evaluate_at_one`` call over the ``(n_bus, k)`` voltage
-coefficients and one over the ``(n_currents, k)`` current coefficients.
+The coefficients of the state ``z = [V; I]`` are one array, beside those
+of the bus currents ``[Y C] z``; each order's history is a set of Cauchy
+products over the order axis, formed for all buses at once from forward
+and reversed coefficient slices.  The solution is read off at a = 1 from
+the partial sums, or with ``pade`` from the degree-reduced Pade approximant
+of ``series.pade_at_one``, by one ``series.evaluate_at_one`` call per order.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .newton import _nudge_zero_currents
 from .series import (evaluate_at_one, magnitude_coefficient,
                      reciprocal_coefficient)
 from .system import (System, companion_currents, jacobian, lu_factor,
-                     lu_solve, residual, unpack_state)
+                     lu_solve, residual)
 
 #: consecutive growing-mismatch orders before the series is declared divergent
 DIVERGENCE_ORDERS = 5
@@ -44,18 +44,19 @@ class FfheResult:
     best_order: int = 0        # truncation order with the smallest mismatch
 
 
-def _history(sys: System, n: int, Vs, Is, Us, comp_f, comp_m) -> np.ndarray:
+def _history(sys: System, n: int, Zs, Ws, comp_f, comp_m) -> np.ndarray:
     """Order-n polynomial history of the embedded equations (n >= 2).
 
-    Every term is a Cauchy product ``sum(a[d] * b[n - d], d=1..n-1)``,
-    formed as the dot of the forward slice ``a[1:n]`` with the reversed
-    slice ``b[n-1:0:-1]``; the bus rows do so for all buses at once.
+    ``Zs`` and ``Ws`` are the coefficients of z and ``[Y C] z``.  Every term
+    is a Cauchy product ``sum(a[d] * b[n - d], d=1..n-1)``, the dot of the
+    forward slice ``a[1:n]`` with the reversed slice ``b[n-1:0:-1]``; the
+    bus rows do so for all buses at once.
     """
     n_bus = sys.n_bus
+    Vs, Is = Zs[:n_bus], Zs[n_bus:]
     h = np.zeros(sys.size)
     fwd, rev = slice(1, n), slice(n - 1, 0, -1)
-    acc = np.einsum("bd,bd->b", np.conj(Vs[:, fwd]),
-                    Us[:, rev] + sys.incidence @ Is[:, rev])
+    acc = np.einsum("bd,bd->b", np.conj(Vs[:, fwd]), Ws[:, rev])
     h_re, h_im = h[0:2 * n_bus:2], h[1:2 * n_bus:2]     # views into h
     h_re[:] = acc.real
     h_im[:] = acc.imag
@@ -126,14 +127,13 @@ def _single_stage(sys: System, C, D, tol, n_max, pade) -> FfheResult:
     C = np.asarray(C, dtype=complex)
     D = np.asarray(D, dtype=complex)
     n = sys.n_bus
-    ncur = sys.n_currents
 
-    Vs = np.zeros((n, n_max + 1), dtype=complex)
-    Is = np.zeros((ncur, n_max + 1), dtype=complex)
-    Us = np.zeros((n, n_max + 1), dtype=complex)
+    Zs = np.zeros((n + sys.n_currents, n_max + 1), dtype=complex)
+    Vs, Is = Zs[:n], Zs[n:]         # views: voltage and current rows
+    Ws = np.zeros((n, n_max + 1), dtype=complex)
     Vs[:, 0] = C
     Is[:, 0] = D
-    Us[:, 0] = sys.ybus @ C
+    Ws[:, 0] = sys.yc @ Zs[:, 0]
 
     comp = companion_currents(sys)
     comp_f = {c: np.zeros(n_max + 1, dtype=complex) for c in comp}
@@ -158,18 +158,18 @@ def _single_stage(sys: System, C, D, tol, n_max, pade) -> FfheResult:
         if order == 1:
             rhs = -base_res
         else:
-            rhs = -_history(sys, order, Vs, Is, Us, comp_f, comp_m)
-        Vs[:, order], Is[:, order] = unpack_state(lu_solve(lu, rhs), n)
-        Us[:, order] = sys.ybus @ Vs[:, order]
+            rhs = -_history(sys, order, Zs, Ws, comp_f, comp_m)
+        Zs[:, order] = lu_solve(lu, rhs).view(complex)
+        Ws[:, order] = sys.yc @ Zs[:, order]
         for c in comp:
             comp_f[c][order] = reciprocal_coefficient(
                 comp_f[c], Is[c], order)
             comp_m[c][order] = magnitude_coefficient(
                 comp_m[c], Is[c], order)
 
-        V = evaluate_at_one(Vs[:, :order + 1], pade)
-        I = evaluate_at_one(Is[:, :order + 1], pade)
-        if np.isfinite(V).all() and np.isfinite(I).all():
+        z = evaluate_at_one(Zs[:, :order + 1], pade)
+        V, I = z[:n], z[n:]
+        if np.isfinite(z).all():
             mis = float(np.max(np.abs(residual(sys, V, I))))
         else:       # a Pade approximant with a pole at a = 1
             mis = np.inf

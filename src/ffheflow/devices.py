@@ -98,6 +98,12 @@ class SeriesDevice:
                 raise DeviceConfigError(
                     f"{self.device_id}: mode {t.mode.value} needs a nonzero "
                     "current guess")
+            vmax = self.v_se_max[t.branch]
+            if t.mode is Mode.V_SE and vmax is not None and \
+                    abs(t.setpoint) > vmax:
+                raise DeviceConfigError(
+                    f"{self.device_id}: v_se target {t.setpoint} on branch "
+                    f"{t.branch} exceeds its rating {vmax}")
 
     @property
     def branch(self):
@@ -159,6 +165,11 @@ def relax_violations(devices, solution_outputs, tol: float = 1e-9):
     target replaced by an injected-voltage-magnitude target pinned at the
     limit.  Returns ``(new_devices, relaxed)`` where ``relaxed`` lists
     ``(device_id, branch_index)`` pairs changed in this pass.
+
+    A branch that already holds an injected-voltage target has nothing left
+    to relax: an SSSC's is left alone (its |V_se| is the setpoint, so an
+    excess is solve tolerance), and an IPFC's, whose target pins only the
+    part of V_se in quadrature with I, raises :class:`DeviceConfigError`.
     """
     new_devices = []
     relaxed = []
@@ -168,13 +179,17 @@ def relax_violations(devices, solution_outputs, tol: float = 1e-9):
         for b, (out, vmax) in enumerate(zip(outs, dev.v_se_max)):
             if vmax is None or abs(out.v_se) <= vmax + tol:
                 continue
+            if any(t.branch == b and t.mode is Mode.V_SE
+                   for t in dev.targets):
+                if len(dev.branches) == 1:
+                    continue
+                raise DeviceConfigError(
+                    f"{dev.device_id}: branch {b} holds a v_se target but "
+                    f"|V_se| = {abs(out.v_se):.6g} exceeds its rating {vmax}")
+            # every branch holds a target: 2n - 1 of them, at most two each
             targets = list(dev_new.targets)
-            for k, t in enumerate(targets):
-                if t.branch == b and t.mode is not Mode.V_SE:
-                    targets[k] = ControlTarget(Mode.V_SE, float(vmax), branch=b)
-                    break
-            else:
-                continue
+            k = next(k for k, t in enumerate(targets) if t.branch == b)
+            targets[k] = ControlTarget(Mode.V_SE, float(vmax), branch=b)
             dev_new = replace(dev_new, targets=tuple(targets))
             relaxed.append((dev.device_id, b))
         new_devices.append(dev_new)

@@ -45,7 +45,8 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .core import ffhe_solve
-from .devices import Mode, branch_outputs, relax_violations
+from .devices import (DeviceConfigError, Mode, branch_outputs,
+                      relax_violations)
 from .network import BusKind, Network
 from .newton import ConvergenceError, flat_start, nr_solve, warm_start
 from .system import System, build_system, residual
@@ -137,7 +138,7 @@ def generator_reactive_output(sys: System, V, I, bus_idx) -> np.ndarray:
     """Reactive power the generators must supply at the internal bus indices
     ``bus_idx`` (an array of them), from one network matvec."""
     bus_idx = np.asarray(bus_idx, dtype=np.intp)
-    inet = (sys.ybus @ V + sys.incidence @ I)[bus_idx]
+    inet = (sys.yc @ np.concatenate([V, I]))[bus_idx]
     q_load = np.array([sys.structure.net.buses[b].q_load for b in bus_idx])
     return (V[bus_idx] * np.conj(inet)).imag + q_load
 
@@ -289,6 +290,7 @@ def run_study(net: Network, devices=(), options: StudyOptions | None = None):
     devices = tuple(devices)
 
     if devices:
+        _check_device_buses(net, devices)
         # device-free pre-solve of the same case supplies the warm start and
         # the frozen reactive outputs of displaced regulating generators
         base = _base_solution(net, StudyOptions(
@@ -321,6 +323,15 @@ def run_study(net: Network, devices=(), options: StudyOptions | None = None):
     if opts.method == "compare":
         _attach_comparison(report, start, opts)
     return report
+
+
+def _check_device_buses(net: Network, devices) -> None:
+    """Reject a device whose branches name a bus that ``net`` lacks."""
+    for dev in devices:
+        for bus in (b for br in dev.branches for b in br):
+            if bus not in net.index_of:
+                raise DeviceConfigError(
+                    f"device {dev.device_id}: unknown bus {bus}")
 
 
 @lru_cache(maxsize=8)

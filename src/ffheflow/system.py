@@ -3,15 +3,17 @@
 One set of residual equations describes the network with its series devices;
 the Newton solver iterates on their Jacobian, and the series solver reuses the
 same Jacobian evaluated at the reference state as its constant coefficient
-matrix.  Unknown layout: bus b occupies real columns ``2b, 2b+1`` (re, im),
+matrix.  The unknowns are the complex state ``z = [V; I]``, bus voltages
+then device-branch currents, and the real unknown vector is its float view
+(:func:`pack_state`): bus b occupies real columns ``2b, 2b+1`` (re, im),
 device-branch current c occupies ``2*n_bus + 2c, ... + 1``.  Row layout: two
 rows per bus, then per device one power-exchange row followed by its control
 rows.
 
 Assembly is split by what changes.  A :class:`Structure` holds what the
 case and the device placement (each device's id, branches and coupling
-impedances) fix: the spliced network, the CSR Y-bus, the incidence, the
-device rows' branch entries and the per-bus arrays.  It is memoised per
+impedances) fix: the spliced network, the bus-current operator ``[Y C]``,
+the device rows' branch entries and the per-bus arrays.  It is memoised per
 (case, placement) in a small bounded cache, and its arrays are read-only.
 A :class:`System`, made by :func:`build_system`, is one outer pass's view
 of it: the bus masks after the constant-Q pins, the scheduled injections
@@ -22,7 +24,7 @@ step, series stage and ``compare`` solve on one System refills one pattern,
 as in the fixed-structure Jacobian of MATPOWER and pandapower.
 
 The bus rows are complex-matrix expressions over those index arrays: the
-injections ``S = diag(conj V) (Y V + C I)``, with ``C`` the sparse +-1
+injections ``S = diag(conj V) [Y C] z``, with ``C`` the sparse +-1
 incidence of device currents on buses, and their derivatives after
 Zimmerman ("AC Power Flows, Generalized OPF Costs and their Derivatives
 using Complex Matrix Notation", MATPOWER TN2, 2010).  The Jacobian is a
@@ -81,16 +83,15 @@ class Structure:
     """
 
     net: Network        # spliced network, with the case's bus kinds
-    ybus: sparse.csr_matrix
-    incidence: sparse.csr_matrix  # n_bus x n_currents: +1 at i, -1 at m
+    yc: sparse.csr_matrix   # [Y C], n_bus x (n_bus + n_currents): the Y-bus,
+                            # then the incidence (+1 at i, -1 at m)
     devices: tuple      # DeviceEntry, with no targets or current guesses
     slack: np.ndarray   # the slack bus
     pv: np.ndarray      # regulating buses that no device displaces
     s_inj: np.ndarray   # complex scheduled injection at gen-table Q
     v_set: np.ndarray   # slack: complex setpoint; regulating: magnitude
-    t_rows: np.ndarray  # complex-variable Jacobian triplets of the bus rows:
-    t_cols: np.ndarray  # the Y-bus pattern in CSR order, then the incidence
-    t_vals: np.ndarray  # (column n_bus + c), with the entries they scale
+    t_rows: np.ndarray  # row of each stored entry of ``yc``, the bus rows'
+                        # complex-variable Jacobian triplets
     t_diag: np.ndarray  # the triplets on the diagonal, one per bus in order
 
 
@@ -112,12 +113,8 @@ class System:
         return self.structure.slack
 
     @property
-    def ybus(self) -> sparse.csr_matrix:
-        return self.structure.ybus
-
-    @property
-    def incidence(self) -> sparse.csr_matrix:
-        return self.structure.incidence
+    def yc(self) -> sparse.csr_matrix:
+        return self.structure.yc
 
     @property
     def n_bus(self) -> int:
@@ -125,7 +122,7 @@ class System:
 
     @property
     def n_currents(self) -> int:
-        return self.incidence.shape[1]
+        return self.yc.shape[1] - self.n_bus
 
     @property
     def size(self) -> int:
@@ -152,9 +149,9 @@ def build_system(base_net: Network, devices=(), *,
                  frozen_q: dict | None = None) -> System:
     """Assemble one pass's solve structure for ``devices`` in ``base_net``.
 
-    The splice, the Y-bus and the incidence depend only on the case and
-    the device placement (ids, branches, coupling impedances), so they come
-    from a memoised :class:`Structure`; a pass adds only the bus kinds, the
+    The splice and ``[Y C]`` depend only on the case and the device
+    placement (ids, branches, coupling impedances), so they come from a
+    memoised :class:`Structure`; a pass adds only the bus kinds, the
     injections and the device targets.
 
     ``frozen_q`` (ext id -> p.u.) holds the constant-Q buses: every PV bus
@@ -222,10 +219,9 @@ def _structure(base_net: Network, placement: tuple) -> Structure:
             raise TopologyError(
                 f"device {topo.device_id}: sending bus {b.ext_id} is the slack")
 
-    ybus = build_admittance_matrix(net)
     idx = net.index_of
     n = net.n_bus
-    inc_rows, inc_signs = [], []
+    inc_rows = []
     entries = []
     row = 2 * n
     cur = 0
@@ -234,18 +230,19 @@ def _structure(base_net: Network, placement: tuple) -> Structure:
         for (i, j), m in zip(topo.original_branches, topo.aux_buses):
             be = BranchEntry(i_idx=idx[i], m_idx=idx[m], cur_idx=cur, j_ext=j)
             inc_rows += (be.i_idx, be.m_idx)
-            inc_signs += (1.0, -1.0)
             bentries.append(be)
             cur += 1
         entries.append(DeviceEntry(
             device_id=topo.device_id, branches=tuple(bentries), targets=(),
             row_start=row, current_guesses=()))
         row += 2 * len(bentries)    # the exchange row and 2n - 1 targets
-    inc_rows = np.array(inc_rows, dtype=np.intp)
-    inc_cols = np.repeat(np.arange(cur), 2)
-    inc_signs = np.array(inc_signs)
-    incidence = sparse.csr_matrix((inc_signs, (inc_rows, inc_cols)),
-                                  shape=(n, cur))
+    incidence = sparse.csr_matrix(
+        (np.tile([1.0, -1.0], cur),
+         (np.array(inc_rows, dtype=np.intp), np.repeat(np.arange(cur), 2))),
+        shape=(n, cur))
+    yc = sparse.hstack([build_admittance_matrix(net), incidence],
+                       format="csr")
+    yc.sort_indices()
 
     displaced = {idx[topo.sending_bus] for topo in topos}
     slack = np.array([b.kind is BusKind.SLACK for b in net.buses])
@@ -260,17 +257,13 @@ def _structure(base_net: Network, placement: tuple) -> Structure:
                                bus.v_setpoint * np.sin(bus.angle_setpoint))
         elif bus.kind is BusKind.PV:
             v_set[b] = bus.v_setpoint
-    t_rows = np.concatenate([np.repeat(np.arange(n), np.diff(ybus.indptr)),
-                             inc_rows])
-    t_cols = np.concatenate([ybus.indices, n + inc_cols])
+    t_rows = np.repeat(np.arange(n), np.diff(yc.indptr))
     st = Structure(
-        net=net, ybus=ybus, incidence=incidence, devices=tuple(entries),
-        slack=slack, pv=pv, s_inj=s_inj, v_set=v_set, t_rows=t_rows,
-        t_cols=t_cols, t_vals=np.concatenate([ybus.data, inc_signs]),
-        t_diag=np.flatnonzero(t_rows == t_cols))
-    for arr in (ybus.data, ybus.indices, ybus.indptr, incidence.data,
-                incidence.indices, incidence.indptr, slack, pv, s_inj, v_set,
-                t_rows, t_cols, st.t_vals, st.t_diag):
+        net=net, yc=yc, devices=tuple(entries), slack=slack, pv=pv,
+        s_inj=s_inj, v_set=v_set, t_rows=t_rows,
+        t_diag=np.flatnonzero(t_rows == yc.indices))
+    for arr in (yc.data, yc.indices, yc.indptr, slack, pv, s_inj, v_set,
+                t_rows, st.t_diag):
         arr.setflags(write=False)
     return st
 
@@ -285,27 +278,21 @@ def companion_currents(sys: System) -> list:
 
 
 def pack_state(V: np.ndarray, I: np.ndarray) -> np.ndarray:
-    x = np.empty(2 * (V.size + I.size))
-    x[0:2 * V.size:2] = V.real
-    x[1:2 * V.size:2] = V.imag
-    x[2 * V.size::2] = I.real
-    x[2 * V.size + 1::2] = I.imag
-    return x
+    """The real unknown vector: the float view of ``z = [V; I]``."""
+    return np.concatenate([V, I], dtype=complex).view(float)
 
 
 def unpack_state(x: np.ndarray, n_bus: int):
-    V = x[0:2 * n_bus:2] + 1j * x[1:2 * n_bus:2]
-    I = x[2 * n_bus::2] + 1j * x[2 * n_bus + 1::2]
-    return V, I
-
-
+    """(V, I) of a real unknown vector, as views into it."""
+    z = x.view(complex)
+    return z[:n_bus], z[n_bus:]
 
 
 def residual(sys: System, V: np.ndarray, I: np.ndarray) -> np.ndarray:
     """Real residual vector of the original (unembedded) equations."""
     n = sys.n_bus
     r = np.empty(sys.size)
-    f = np.conj(V) * (sys.ybus @ V + sys.incidence @ I) - np.conj(sys.s_inj)
+    f = np.conj(V) * (sys.yc @ np.concatenate([V, I])) - np.conj(sys.s_inj)
     r_re, r_im = r[0:2 * n:2], r[1:2 * n:2]     # views into r
     r_re[:] = f.real
     r_im[:] = f.imag
@@ -402,7 +389,7 @@ def _jacobian_pattern(sys: System) -> JacobianPattern:
     d_im = np.concatenate([x_im, x_im, x_im, f_im, f_im, v_im,
                            np.zeros(z_x.size, dtype=int)]) == 1
 
-    tr, tc = sys.structure.t_rows, sys.structure.t_cols
+    tr, tc = sys.structure.t_rows, sys.yc.indices
     re = np.flatnonzero(~sys.slack[tr])
     im = np.flatnonzero(sys.pq[tr])
     pv = np.flatnonzero(sys.pv)
@@ -437,14 +424,14 @@ def jacobian(sys: System, V: np.ndarray, I: np.ndarray) -> sparse.csc_matrix:
     A complex row f with d f = a du + b d(conj u) contributes
     ``[[Re(a+b), Im(b-a)], [Im(a+b), Re(a-b)]]`` to the (re, im) rows and
     the (re, im) columns of u.  For the bus injections
-    ``f = diag(conj V) (Y V + C I)``, a = diag(conj V) [Y  C] on the Y-bus
-    and incidence patterns, and b = diag(Y V + C I) on the diagonal.  The
-    values fill the system's fixed :class:`JacobianPattern`.
+    ``f = diag(conj V) [Y C] z``, a = diag(conj V) [Y C] on the pattern of
+    ``[Y C]``, and b = diag([Y C] z) on the diagonal.  The values fill the
+    system's fixed :class:`JacobianPattern`.
     """
     st, pat = sys.structure, sys.pattern
-    a = np.conj(V)[st.t_rows] * st.t_vals
+    a = np.conj(V)[st.t_rows] * st.yc.data
     b = np.zeros_like(a)
-    b[st.t_diag] = st.ybus @ V + st.incidence @ I
+    b[st.t_diag] = st.yc @ np.concatenate([V, I])
     p, q = a + b, a - b
     re, im, pv = pat.re, pat.im, pat.pv
     da, db = _device_terms(pat, V, I)

@@ -5,9 +5,9 @@ These are the scalar kernels the vectorised ``ffheflow.system.residual``,
 ``ffheflow.system.jacobian`` and ``ffheflow.core._history`` replaced: one
 Python loop over buses (and, for the history, over orders), with a dense
 Jacobian accumulated entry by entry.  They read only the spliced network,
-the Y-bus, the device-current incidence and the device entries of a
+whose dense Y-bus they build afresh, and the device entries of a
 :class:`System`, so they check the vectorised kernels independently of the
-index arrays and slices those use.
+``[Y C]`` operator, index arrays and slices those use.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ffheflow.devices import Mode
-from ffheflow.network import BusKind
+from ffheflow.network import BusKind, build_admittance_matrix
 from ffheflow.series import SeriesOrderError
 
 
@@ -41,12 +41,16 @@ def _device_current_sum(bus_currents, I, b) -> complex:
     return sum(s * I[c] for c, s in bus_currents[b])
 
 
+def _dense_ybus(sys) -> np.ndarray:
+    return build_admittance_matrix(sys.structure.net).toarray()
+
+
 def residual(sys, V, I) -> np.ndarray:
     """Real residual vector of the original (unembedded) equations."""
     net = sys.net
     bus_currents = _bus_currents(sys)
     r = np.zeros(sys.size)
-    yv = sys.ybus.toarray() @ V
+    yv = _dense_ybus(sys) @ V
     for b, bus in enumerate(net.buses):
         if bus.kind is BusKind.SLACK:
             r[2 * b] = V[b].real - bus.v_setpoint * np.cos(bus.angle_setpoint)
@@ -115,7 +119,7 @@ def jacobian(sys, V, I) -> np.ndarray:
     """Dense analytic Jacobian of :func:`residual` at (V, I)."""
     net = sys.net
     n = net.n_bus
-    Y = sys.ybus.toarray()
+    Y = _dense_ybus(sys)
     bus_currents = _bus_currents(sys)
     asm = _Assembler(sys.size)
     yv = Y @ V
@@ -192,72 +196,100 @@ def jacobian(sys, V, I) -> np.ndarray:
     return asm.J
 
 
-def history(sys: System, n: int, Vs, Is, Us, comp_f, comp_m) -> np.ndarray:
-    """Order-n polynomial history of the embedded equations (n >= 2)."""
+def history(sys, n: int, Vs, Is, comp_f, comp_m):
+    """Order-n polynomial history of the embedded equations (n >= 2), and
+    per row the sum of its summands' magnitudes.
+
+    That sum, times a few units of rounding per summand, bounds the
+    rounding error of any evaluation of the row, however it orders its
+    sums; a row's value may be far smaller after cancellation.
+    """
     net = sys.net
+    Y = _dense_ybus(sys)
+    Us, AUs = Y @ Vs, np.abs(Y) @ np.abs(Vs)
+    bus_currents = _bus_currents(sys)
     h = np.zeros(sys.size)
-    CIs = sys.incidence @ Is[:, :n]     # device currents summed per bus
+    mag = np.zeros(sys.size)
+
+    def cauchy(a, b, A=None, B=None):
+        """sum(a[d] * b[n-d], d=1..n-1) and the sum of its summands'
+        magnitudes, with A and B bounding |a| and |b| (default: those)."""
+        A = np.abs(a) if A is None else A
+        B = np.abs(b) if B is None else B
+        return (sum(a[d] * b[n - d] for d in range(1, n)),
+                sum(A[d] * B[n - d] for d in range(1, n)))
+
     for b, bus in enumerate(net.buses):
         if bus.kind is BusKind.SLACK:
             continue
-        acc = 0j
-        for d in range(1, n):
-            acc += np.conj(Vs[b, d]) * (Us[b, n - d] + CIs[b, n - d])
+        W = Us[b] + np.array([_device_current_sum(bus_currents, Is[:, k], b)
+                              for k in range(Is.shape[1])])
+        AW = AUs[b] + sum(np.abs(Is[c]) for c, _ in bus_currents[b])
+        acc, m = cauchy(np.conj(Vs[b]), W, B=AW)
+        h[2 * b] = acc.real
+        mag[2 * b] = mag[2 * b + 1] = m
         if bus.kind is BusKind.PV:
-            h[2 * b] = acc.real
-            h[2 * b + 1] = 0.5 * sum(
-                (Vs[b, d] * np.conj(Vs[b, n - d])).real for d in range(1, n))
+            acc, m = cauchy(Vs[b], np.conj(Vs[b]))
+            h[2 * b + 1] = 0.5 * acc.real
+            mag[2 * b + 1] = 0.5 * m
         else:
-            h[2 * b] = acc.real
             h[2 * b + 1] = acc.imag
 
     for dev in sys.devices:
         row = dev.row_start
-        acc = 0.0
         for be in dev.branches:
             dv = Vs[be.m_idx] - Vs[be.i_idx]
-            acc += sum((dv[d] * np.conj(Is[be.cur_idx, n - d])).real
-                       for d in range(1, n))
-        h[row] = acc
+            adv = np.abs(Vs[be.m_idx]) + np.abs(Vs[be.i_idx])
+            acc, m = cauchy(dv, np.conj(Is[be.cur_idx]), adv)
+            h[row] += acc.real
+            mag[row] += m
         for t in dev.targets:
             row += 1
             be = dev.branches[t.branch]
             c = be.cur_idx
+            cI = np.conj(Is[c])
             dv = Vs[be.m_idx] - Vs[be.i_idx]
+            adv = np.abs(Vs[be.m_idx]) + np.abs(Vs[be.i_idx])
             if t.mode is Mode.P_FLOW:
-                h[row] = sum((Vs[be.i_idx, d] * np.conj(Is[c, n - d])).real
-                             for d in range(1, n))
+                acc, mag[row] = cauchy(Vs[be.i_idx], cI)
+                h[row] = acc.real
             elif t.mode is Mode.Q_FLOW:
-                h[row] = sum((Vs[be.i_idx, d] * np.conj(Is[c, n - d])).imag
-                             for d in range(1, n))
+                acc, mag[row] = cauchy(Vs[be.i_idx], cI)
+                h[row] = acc.imag
             elif t.mode is Mode.Q_INJ:
-                h[row] = sum((dv[d] * np.conj(Is[c, n - d])).imag
-                             for d in range(1, n))
+                acc, mag[row] = cauchy(dv, cI, adv)
+                h[row] = acc.imag
             elif t.mode is Mode.V_BUS:
-                h[row] = 0.5 * sum(
-                    (Vs[t.bus_idx, d] * np.conj(Vs[t.bus_idx, n - d])).real
-                    for d in range(1, n))
+                vb = Vs[t.bus_idx]
+                acc, m = cauchy(vb, np.conj(vb))
+                h[row], mag[row] = 0.5 * acc.real, 0.5 * m
             else:
                 F = comp_f[c]
                 D = Is[c, 0]
-                hist_f = -sum(F[d] * Is[c, n - d] for d in range(1, n)) / D
+                acc, m = cauchy(F, Is[c])
+                hist_f, hist_f_mag = -acc / D, m / abs(D)
                 if t.mode is Mode.X_EQ:
                     # injected voltage times reciprocal current
-                    acc = sum(dv[a] * F[n - a] for a in range(1, n))
+                    acc, m = cauchy(dv, F, adv)
                     acc += dv[0] * hist_f
-                    h[row] = acc.imag
+                    m += adv[0] * hist_f_mag
                 else:
                     # injected voltage times |I|/I via both companions
                     M = comp_m[c]
                     m0 = M[0]
-                    hist_m = (sum(Is[c, d] * np.conj(Is[c, n - d])
-                                  for d in range(1, n)).real
-                              - sum(M[d] * M[n - d]
-                                    for d in range(1, n))) / (2.0 * m0)
-                    t_hist = m0 * sum(dv[a] * F[n - a] for a in range(1, n))
+                    ii, ii_mag = cauchy(Is[c], cI)
+                    mm, mm_mag = cauchy(M, M)
+                    hist_m = (ii.real - mm) / (2.0 * m0)
+                    hist_m_mag = (ii_mag + mm_mag) / (2.0 * abs(m0))
+                    acc, m = cauchy(dv, F, adv)
+                    acc, m = m0 * acc, abs(m0) * m
                     for b_ in range(1, n):
-                        g = sum(dv[l] * F[n - b_ - l] for l in range(n - b_ + 1))
-                        t_hist += M[b_] * g
-                    acc = t_hist + dv[0] * F[0] * hist_m + dv[0] * m0 * hist_f
-                    h[row] = acc.imag
-    return h
+                        ls = range(n - b_ + 1)
+                        acc += M[b_] * sum(dv[l] * F[n - b_ - l] for l in ls)
+                        m += abs(M[b_]) * sum(adv[l] * abs(F[n - b_ - l])
+                                              for l in ls)
+                    acc += dv[0] * F[0] * hist_m + dv[0] * m0 * hist_f
+                    m += adv[0] * (abs(F[0]) * hist_m_mag
+                                   + abs(m0) * hist_f_mag)
+                h[row], mag[row] = acc.imag, m
+    return h, mag

@@ -215,6 +215,46 @@ def test_outer_loop_outcome(study, label):
         assert (bus.kind, bus.q_gen) == (BusKind.PQ, q)
 
 
+#: Newton iterations and series terms of each scenario's final solve, so a
+#: refactor is seen to do the same work: (iterations, terms) under nr and
+#: under nr-warm-ffhe, then the series terms under ffhe (where that study
+#: raises, 49-50/v1.0 and 101-102/vse0.1, the count its error reports)
+SOLVE_COUNTS = {
+    "base": ((3, 0), (3, 0), 5),
+    "49-50/p0.75": ((3, 0), (3, 0), 5),
+    "49-50/q0": ((3, 0), (3, 0), 5),
+    "49-50/qse0.3": ((3, 0), (3, 0), 5),
+    "49-50/v1.0": ((3, 0), (3, 0), 6),
+    "49-50/vse0.2": ((3, 0), (3, 0), 5),
+    "49-50/x-0.2": ((3, 0), (3, 0), 5),
+    "101-102/p0.9": ((3, 0), (3, 0), 9),
+    "101-102/q0": ((3, 0), (3, 0), 5),
+    "101-102/qse0.3": ((3, 0), (3, 0), 5),
+    "101-102/v0.9": ((3, 0), (3, 0), 6),
+    "101-102/vse0.1": ((3, 0), (3, 0), 508),
+    "101-102/x0.1": ((3, 0), (3, 0), 5),
+    "49/c1": ((3, 0), (3, 0), 5),
+    "49/c2": ((3, 0), (3, 0), 5),
+    "100/c1": ((3, 0), (3, 0), 5),
+    "100/c2": ((3, 0), (3, 0), 5),
+    "relax": ((3, 0), (3, 0), 5),
+}
+
+
+@pytest.mark.parametrize("label", ALL_LABELS)
+def test_solve_counts(study, label):
+    nr, warm, ffhe_terms = SOLVE_COUNTS[label]
+    for method, pinned in (("nr", nr), ("nr-warm-ffhe", warm)):
+        st = study(label, method).stats[method]
+        assert (st.iterations, st.terms) == pinned, method
+    try:
+        st = study(label, "ffhe").stats["ffhe"]
+    except StudyError as exc:
+        assert f"({ffhe_terms} terms," in str(exc)
+    else:
+        assert (st.iterations, st.terms) == (0, ffhe_terms)
+
+
 def test_criterion_01_base_case(study):
     """Device-free 118-bus solution matches the reference operating point."""
     t0 = time.perf_counter()

@@ -13,6 +13,10 @@ from ffheflow.report import MethodStats, StudyReport
 from ffheflow.system import build_system
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 @pytest.fixture(scope="module")
 def case_path(tmp_path_factory):
     text = resources.files("ffheflow.data").joinpath("case118.m").read_text()
@@ -110,6 +114,30 @@ class TestSingleRun:
                      "--method", "nr"]) == EXIT_INPUT
         assert "repeated" in capsys.readouterr().err
 
+    def test_unknown_device_bus(self, case_path, tmp_path, capsys):
+        devs = tmp_path / "devs.json"
+        devs.write_text(json.dumps([{
+            "type": "sssc", "branch": [999, 50],
+            "mode": "p_flow", "setpoint": 0.75}]))
+        assert main(["--case", str(case_path), "--devices", str(devs),
+                     "--method", "nr"]) == EXIT_INPUT
+        assert capsys.readouterr().err == \
+            "error: device sssc0: unknown bus 999\n"
+
+    @pytest.mark.parametrize("method", ["nr", "compare"])
+    def test_json_report_is_strict_json(self, case_path, tmp_path, capsys,
+                                        method):
+        # a zero reactive-flow target blocks the line: x_eq is infinite
+        devs = tmp_path / "q0.json"
+        devs.write_text(json.dumps([{
+            "type": "sssc", "branch": [49, 50],
+            "mode": "q_flow", "setpoint": 0.0}]))
+        assert main(["--case", str(case_path), "--devices", str(devs),
+                     "--method", method, "--report", "json"]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out,
+                         parse_constant=_reject_constant)
+        assert doc["devices"]["sssc0"][0]["x_eq"] is None
+
     def test_divergent_study(self, case_path, tmp_path, capsys):
         dev = tmp_path / "dev.json"
         dev.write_text(json.dumps([{
@@ -150,6 +178,21 @@ class TestBatch:
         assert main(["--batch", str(batch)]) == EXIT_INPUT
         out, err = capsys.readouterr()
         assert "[bad] input error" in err
+        assert "=== ok" in out
+
+    def test_batch_unknown_device_bus_does_not_stop_the_batch(
+            self, case_path, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps([{
+            "type": "sssc", "branch": [999, 50],
+            "mode": "p_flow", "setpoint": 0.75}]))
+        batch = tmp_path / "batch.json"
+        batch.write_text(json.dumps([
+            {"label": "bad", "case": str(case_path), "devices": str(bad)},
+            {"label": "ok", "case": str(case_path), "method": "nr"}]))
+        assert main(["--batch", str(batch)]) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert "[bad] input error: device sssc0: unknown bus 999" in err
         assert "=== ok" in out
 
     @pytest.mark.parametrize("bad", [1, "x.m", None, [1]],
@@ -195,6 +238,15 @@ class TestMethodConvergence:
         stats = report_dict(report)["stats"]
         assert stats["nr"]["converged"] is True
         assert stats["nr-warm-ffhe"]["converged"] is False
+
+    def test_non_finite_floats_are_null(self, report):
+        report.stats["ffhe"] = MethodStats()        # mismatch NaN
+        report.comparison = {"voltage_gap": np.inf, "delta_e_pct": 1.0,
+                             "delta_t_pct": 2.0}
+        doc = json.loads(json.dumps(report_dict(report), allow_nan=False))
+        assert doc["stats"]["ffhe"]["mismatch"] is None
+        assert doc["comparison"]["voltage_gap"] is None
+        assert doc["comparison"]["delta_e_pct"] == 1.0
 
     def test_text_marks_the_unconverged_method(self, report):
         lines = {line.split(":")[0]: line

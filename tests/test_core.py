@@ -127,8 +127,10 @@ class TestConvergence:
         # with a pole at a = 1 at its tenth restart stage; stand one in from
         # the first order, so the non-finite state never reaches residual()
         from ffheflow import core
-        monkeypatch.setattr(core, "evaluate_at_one",
-                            lambda coeffs, pade=False: complex(np.inf))
+        monkeypatch.setattr(
+            core, "evaluate_at_one",
+            lambda coeffs, pade=False: np.full(coeffs.shape[:-1], np.inf,
+                                               dtype=complex))
         dev = SsscDevice("s", (101, 102), ControlTarget(Mode.V_SE, 0.1))
         sys = build_system(case118, (dev,))
         V0, I0 = flat_start(sys)

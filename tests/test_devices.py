@@ -27,6 +27,18 @@ class TestSsscValidation:
             SsscDevice("s", (1, 2), ControlTarget(Mode.V_SE, 0.2),
                        current_guess=0.0)
 
+    @pytest.mark.parametrize("setpoint", [0.2, -0.2])
+    def test_vse_target_above_rating_rejected(self, setpoint):
+        with pytest.raises(DeviceConfigError,
+                           match="v_se target .* exceeds its rating 0.1"):
+            SsscDevice("s", (101, 102), ControlTarget(Mode.V_SE, setpoint),
+                       v_se_max=0.1)
+
+    def test_vse_target_at_rating_accepted(self):
+        d = SsscDevice("s", (101, 102), ControlTarget(Mode.V_SE, 0.1),
+                       v_se_max=0.1)
+        assert d.v_se_max == (0.1,)
+
 
 class TestIpfcValidation:
     def _targets(self, n=3):
@@ -134,6 +146,19 @@ class TestRelaxation:
         assert relaxed == []
         assert new[0].targets[0].setpoint == 0.3
 
+    def test_ipfc_branch_with_vse_target_over_rating_raises(self):
+        # the v_se row pins only the part of V_se in quadrature with I
+        d = SeriesDevice("i", ((49, 50), (49, 51)),
+                         (ControlTarget(Mode.P_FLOW, 0.75, branch=0),
+                          ControlTarget(Mode.V_SE, 0.02, branch=1),
+                          ControlTarget(Mode.Q_FLOW, 0.03, branch=1)),
+                         v_se_max=(None, 0.03))
+        outs = {"i": self._outputs(0.2) + self._outputs(0.05)}
+        with pytest.raises(DeviceConfigError,
+                           match=r"^i: branch 1 holds a v_se target but "
+                                 r"\|V_se\| = 0\.05 exceeds its rating 0\.03"):
+            relax_violations([d], outs)
+
     def test_ipfc_relaxes_single_branch(self):
         d = SeriesDevice("i", ((49, 50), (49, 51)),
                          (ControlTarget(Mode.P_FLOW, 0.75, branch=0),
@@ -215,6 +240,8 @@ class TestLoadDevices:
          '"setpoint": 0.5, "v_se_max": "rated"}]', "device 0"),
         ('[{"type": "sssc", "branch": [1, 2], "mode": "p_flow", '
          '"setpoint": [0.5]}]', "device 0"),
+        ('[{"type": "sssc", "branch": [101, 102], "mode": "v_se", '
+         '"setpoint": 0.2, "v_se_max": 0.1}]', "exceeds its rating"),
         ('[{"type": "ipfc", "branches": [[49, 50], [49, 51]], '
          '"v_se_max": [0.3], "targets": ['
          '{"branch": 0, "mode": "p_flow", "setpoint": 0.7}, '

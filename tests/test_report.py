@@ -80,8 +80,8 @@ class TestBaseStudy:
                 total += base_nr.branch_flow(slack, other)
         v = base_nr.voltage(slack)
         bus = case118.bus(slack)
-        inj = v * np.conj((base_nr.system.ybus @ base_nr.V)[
-            case118.index_of[slack]])
+        z = np.concatenate([base_nr.V, base_nr.I])
+        inj = v * np.conj((base_nr.system.yc @ z)[case118.index_of[slack]])
         shunt = complex(bus.shunt_g, -bus.shunt_b) * abs(v) ** 2
         assert total == pytest.approx(inj - shunt, abs=1e-8)
 
@@ -164,6 +164,29 @@ class TestDeviceStudy:
                 SsscDevice("s", (49, 50), ControlTarget(Mode.P_FLOW, 0.75)))
         with pytest.raises(DeviceConfigError, match="'s' is repeated"):
             run_study(case118, devs, StudyOptions(method="nr"))
+
+    @pytest.mark.parametrize("branch", [(999, 50), (49, 999)])
+    def test_unknown_bus_rejected_before_any_solve(self, case118, branch):
+        dev = SsscDevice("s", branch, ControlTarget(Mode.P_FLOW, 0.5))
+        with pytest.raises(DeviceConfigError,
+                           match="^device s: unknown bus 999$"):
+            run_study(case118, (dev,), StudyOptions(method="nr"))
+        assert _base_solution.cache_info().misses == 0
+
+    def test_ipfc_vse_target_over_rating_raises(self, case118):
+        # solves, then finds |V_se| = 0.050 on branch 1: its v_se target
+        # pins only the part in quadrature with the current
+        dev = SeriesDevice(
+            "i", ((49, 50), (49, 51)),
+            (ControlTarget(Mode.P_FLOW, 0.75, branch=0),
+             ControlTarget(Mode.V_SE, 0.02, branch=1),
+             ControlTarget(Mode.Q_FLOW, 0.03, branch=1)),
+            v_se_max=(None, 0.03))
+        with pytest.raises(DeviceConfigError,
+                           match=r"^i: branch 1 holds a v_se target but "
+                                 r"\|V_se\| = 0\.0499\d+ exceeds its rating "
+                                 r"0\.03$"):
+            run_study(case118, (dev,), StudyOptions(method="nr"))
 
     def test_infeasible_raises_study_error(self, case118):
         dev = SsscDevice("s", (101, 102), ControlTarget(Mode.P_FLOW, 50.0))

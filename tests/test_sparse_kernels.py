@@ -3,7 +3,7 @@ per-bus oracle."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_network
@@ -127,9 +127,9 @@ HISTORY_ORDERS = range(2, 13)
 
 def _series_state(rng, sys, n):
     """Random coefficients through order n, with nonzero leading terms near
-    a perturbed flat start, ``Us = Y Vs``, and the reciprocal and magnitude
-    companions from their recurrences.  Order n is filled too: the order-n
-    history must not read it."""
+    a perturbed flat start, and the reciprocal and magnitude companions
+    from their recurrences.  Order n is filled too: the order-n history
+    must not read it."""
     V0, I0 = _perturbed_state(rng, sys)
     decay = rng.uniform(0.2, 0.6) ** np.arange(n + 1)
 
@@ -139,7 +139,6 @@ def _series_state(rng, sys, n):
 
     Vs, Is = draw(sys.n_bus), draw(sys.n_currents)
     Vs[:, 0], Is[:, 0] = V0, I0
-    Us = np.asarray(sys.ybus @ Vs)
     comp_f, comp_m = {}, {}
     for c in companion_currents(sys):
         f = np.zeros(n + 1, dtype=complex)
@@ -149,20 +148,26 @@ def _series_state(rng, sys, n):
             f[k] = reciprocal_coefficient(f, Is[c], k)
             m[k] = magnitude_coefficient(m, Is[c], k)
         comp_f[c], comp_m[c] = f, m
-    return Vs, Is, Us, comp_f, comp_m
+    return Vs, Is, comp_f, comp_m
 
 
 def _assert_history_matches_oracle(rng, sys):
+    """Each row within TOL times the sum of its summands' magnitudes, the
+    summation error bound: a row that cancels to far below its summands
+    carries the rounding of those summands, in the kernel and the oracle
+    alike."""
     for n in HISTORY_ORDERS:
-        state = _series_state(rng, sys, n)
-        h = _history(sys, n, *state)
-        ref = oracle_history(sys, n, *state)
-        assert np.max(np.abs(h - ref)) <= TOL * np.max(np.abs(ref)), n
+        Vs, Is, comp_f, comp_m = _series_state(rng, sys, n)
+        Zs = np.vstack([Vs, Is])
+        h = _history(sys, n, Zs, sys.yc @ Zs, comp_f, comp_m)
+        ref, mag = oracle_history(sys, n, Vs, Is, comp_f, comp_m)
+        assert np.all(np.abs(h - ref) <= TOL * mag), n
 
 
 @pytest.mark.parametrize("mode", list(Mode))
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1))
+@example(seed=167413)     # a v_se row cancels to 1.4e-6 of its summands
 def test_random_network_history_matches_oracle(mode, seed):
     rng = np.random.default_rng(seed)
     net = random_network(rng, n_bus=int(rng.integers(3, 8)))

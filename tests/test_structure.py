@@ -56,14 +56,12 @@ class TestStructureMemo:
 
     def test_memoised_arrays_are_read_only(self, case118):
         st = build_system(case118, (_sssc(),)).structure
-        arrays = (st.ybus.data, st.ybus.indices, st.ybus.indptr,
-                  st.incidence.data, st.incidence.indices,
-                  st.incidence.indptr, st.slack, st.pv, st.s_inj, st.v_set,
-                  st.t_rows, st.t_cols, st.t_vals, st.t_diag)
+        arrays = (st.yc.data, st.yc.indices, st.yc.indptr, st.slack, st.pv,
+                  st.s_inj, st.v_set, st.t_rows, st.t_diag)
         for arr in arrays:
             assert not arr.flags.writeable
         with pytest.raises(ValueError):
-            st.ybus.data[0] = 0.0
+            st.yc.data[0] = 0.0
 
     def test_memo_hit_gives_the_cold_study(self, case118):
         devs = (SeriesDevice("i", ((49, 50), (49, 51)), (
@@ -91,14 +89,12 @@ def _coo_jacobian(sys, V, I):
     """The Jacobian assembled from (row, column, value) triplets and
     converted by scipy, as before the fixed pattern."""
     n = sys.n_bus
-    y, inc = sys.ybus.tocoo(), sys.incidence.tocoo()
-    cV = np.conj(V)
-    t_rows = np.concatenate([y.row, inc.row])
-    t_cols = np.concatenate([y.col, n + inc.col])
-    a = cV[t_rows] * np.concatenate([y.data, inc.data])
+    yc = sys.yc.tocoo()
+    t_rows, t_cols = yc.row, yc.col
+    a = np.conj(V)[t_rows] * yc.data
     b = np.zeros_like(a)
     diag = np.flatnonzero(t_rows == t_cols)
-    b[diag] = (sys.ybus @ V + inc @ I)[t_rows[diag]]
+    b[diag] = (sys.yc @ np.concatenate([V, I]))[t_rows[diag]]
     p, q = a + b, a - b
     re = ~sys.slack[t_rows]
     im = sys.pq[t_rows]
