@@ -9,8 +9,10 @@ J = dR/dx evaluated at x0 — the same Jacobian the Newton solver uses.  Order
 quadratic (and, for magnitude-normalised device rows, rational) terms.
 The coefficients of the state ``z = [V; I]`` are one array, beside those
 of the bus currents ``[Y C] z``; each order's history is a set of Cauchy
-products over the order axis, formed for all buses at once from forward
-and reversed coefficient slices.  The solution is read off at a = 1 from
+products over the order axis, formed from forward and reversed coefficient
+slices for all buses at once, and for the device rows as one array
+expression per shape of ``System.rows`` (``system.DeviceRows``), whatever
+the number of devices.  The solution is read off at a = 1 from
 the partial sums, or with ``pade`` from the degree-reduced Pade approximant
 of ``series.pade_at_one``, by one ``series.evaluate_at_one`` call per order.
 """
@@ -21,12 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .devices import Mode
 from .newton import _nudge_zero_currents
 from .series import (evaluate_at_one, magnitude_coefficient,
                      reciprocal_coefficient)
-from .system import (System, companion_currents, jacobian, lu_factor,
-                     lu_solve, residual)
+from .system import System, jacobian, lu_factor, lu_solve, residual
 
 #: consecutive growing-mismatch orders before the series is declared divergent
 DIVERGENCE_ORDERS = 5
@@ -41,19 +41,26 @@ class FfheResult:
     converged: bool
     v_series: np.ndarray       # coefficients, shape (n_bus, terms + 1)
     i_series: np.ndarray
-    best_order: int = 0        # truncation order with the smallest mismatch
+    best_term: int = 0         # term with the lowest mismatch, counted over
+    best_mismatch: float = np.inf   # all stages, and that mismatch
 
 
-def _history(sys: System, n: int, Zs, Ws, comp_f, comp_m) -> np.ndarray:
+def _cauchy(a, b):
+    """Per row k, ``a[k] @ b[k]``, summed as the 1-D ``@`` sums it."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _history(sys: System, n: int, Zs, Ws, Fs, Ms) -> np.ndarray:
     """Order-n polynomial history of the embedded equations (n >= 2).
 
-    ``Zs`` and ``Ws`` are the coefficients of z and ``[Y C] z``.  Every term
-    is a Cauchy product ``sum(a[d] * b[n - d], d=1..n-1)``, the dot of the
-    forward slice ``a[1:n]`` with the reversed slice ``b[n-1:0:-1]``; the
-    bus rows do so for all buses at once.
+    ``Zs``, ``Ws``, ``Fs`` and ``Ms`` are the coefficients of z, ``[Y C] z``
+    and the reciprocal and magnitude series of ``sys.rows.companions``.
+    Every term is a Cauchy product ``sum(a[d] * b[n - d], d=1..n-1)``, the
+    dot of ``a[1:n]`` with ``b[n-1:0:-1]``, for all buses at once and for
+    all device rows of one shape at once.
     """
     n_bus = sys.n_bus
-    Vs, Is = Zs[:n_bus], Zs[n_bus:]
+    Vs = Zs[:n_bus]
     h = np.zeros(sys.size)
     fwd, rev = slice(1, n), slice(n - 1, 0, -1)
     acc = np.einsum("bd,bd->b", np.conj(Vs[:, fwd]), Ws[:, rev])
@@ -66,42 +73,37 @@ def _history(sys: System, n: int, Zs, Ws, comp_f, comp_m) -> np.ndarray:
     h_re[sys.slack] = 0.0
     h_im[sys.slack] = 0.0
 
-    for dev in sys.devices:
-        row = dev.row_start
-        dvs = [Vs[be.m_idx, :n] - Vs[be.i_idx, :n] for be in dev.branches]
-        h[row] = sum((dv[fwd] @ np.conj(Is[be.cur_idx, rev])).real
-                     for dv, be in zip(dvs, dev.branches))
-        for t in dev.targets:
-            row += 1
-            be = dev.branches[t.branch]
-            c = be.cur_idx
-            dv = dvs[t.branch]
-            cI = np.conj(Is[c, rev])
-            if t.mode is Mode.P_FLOW:
-                h[row] = (Vs[be.i_idx, fwd] @ cI).real
-            elif t.mode is Mode.Q_FLOW:
-                h[row] = (Vs[be.i_idx, fwd] @ cI).imag
-            elif t.mode is Mode.Q_INJ:
-                h[row] = (dv[fwd] @ cI).imag
-            elif t.mode is Mode.V_BUS:
-                vb = Vs[t.bus_idx]
-                h[row] = 0.5 * (vb[fwd] @ np.conj(vb[rev])).real
-            else:
-                F = comp_f[c]
-                hist_f = -(F[fwd] @ Is[c, rev]) / Is[c, 0]
-                if t.mode is Mode.X_EQ:
-                    # injected voltage times reciprocal current
-                    h[row] = (dv[fwd] @ F[rev] + dv[0] * hist_f).imag
-                else:
-                    # injected voltage times |I|/I via both companions
-                    M = comp_m[c]
-                    m0 = M[0]
-                    hist_m = ((Is[c, fwd] @ cI).real
-                              - M[fwd] @ M[rev]) / (2.0 * m0)
-                    t_hist = m0 * (dv[fwd] @ F[rev]) \
-                        + M[fwd] @ np.convolve(dv, F[:n])[rev]
-                    h[row] = (t_hist + dv[0] * F[0] * hist_m
-                              + dv[0] * m0 * hist_f).imag
+    rows = sys.rows
+    if rows.row.size:
+        U, C = Zs[rows.a, :n], Zs[rows.c, :n]
+        U[:rows.b.size] -= Zs[rows.b, :n]
+        prod = _cauchy(U[:, fwd], np.conj(C[:, rev]))
+        val = np.where(rows.im, prod.imag, prod.real)
+        if rows.z.size:
+            # companion rows: dv times the reciprocal current F (X_EQ), or
+            # |I|/I via F and M (V_SE); products written out as in residual
+            dv, I, F, M = U[rows.z], C[rows.z], Fs[:, :n], Ms[:, :n]
+            d0, f0, m0 = dv[:, 0], F[:, 0], M[:, 0]
+            hist_f = -_cauchy(F[:, fwd], I[:, rev]) / I[:, 0]
+            dvf = _cauchy(dv[:, fwd], F[:, rev])
+            x_eq = dvf.imag + (d0.real * hist_f.imag + d0.imag * hist_f.real)
+            hist_m = (_cauchy(I[:, fwd], np.conj(I[:, rev])).real
+                      - _cauchy(M[:, fwd], M[:, rev])) / (2.0 * m0)
+            # conv[j - 1] = sum(dv[l] * F[j - l], l=0..j): np.convolve's dots
+            f_rev = F[:, ::-1].copy()
+            conv = np.empty((F.shape[0], 1, n - 1), dtype=complex)
+            for j in range(1, n):
+                np.matmul(dv[:, None, :j + 1], f_rev[:, n - 1 - j:, None],
+                          out=conv[:, :, j - 1:j])
+            t_hist = m0 * dvf.imag + _cauchy(M[:, fwd], conv[:, 0, ::-1]).imag
+            v_se = (t_hist + (d0.real * f0.imag + d0.imag * f0.real) * hist_m
+                    + ((d0.real * m0) * hist_f.imag
+                       + (d0.imag * m0) * hist_f.real))
+            val[rows.z] = np.where(rows.pow[rows.z] == 2, x_eq, v_se)
+        dev = np.bincount(rows.row, val, minlength=rows.setpoint.size)
+        vb = Vs[rows.v_bus, :n]
+        dev[rows.v_row] = 0.5 * _cauchy(vb[:, fwd], np.conj(vb[:, rev])).real
+        h[2 * n_bus:] = dev
     return h
 
 
@@ -135,12 +137,11 @@ def _single_stage(sys: System, C, D, tol, n_max, pade) -> FfheResult:
     Is[:, 0] = D
     Ws[:, 0] = sys.yc @ Zs[:, 0]
 
-    comp = companion_currents(sys)
-    comp_f = {c: np.zeros(n_max + 1, dtype=complex) for c in comp}
-    comp_m = {c: np.zeros(n_max + 1) for c in comp}
-    for c in comp:
-        comp_f[c][0] = 1.0 / D[c]
-        comp_m[c][0] = abs(D[c])
+    comp = sys.rows.companions
+    Fs = np.zeros((comp.size, n_max + 1), dtype=complex)
+    Ms = np.zeros((comp.size, n_max + 1))
+    Fs[:, 0] = 1.0 / D[comp]
+    Ms[:, 0] = np.hypot(D.real, D.imag)[comp]
 
     base_res = residual(sys, C, D)
     best = np.inf
@@ -148,24 +149,22 @@ def _single_stage(sys: System, C, D, tol, n_max, pade) -> FfheResult:
     rising = 0
     mis = float(np.max(np.abs(base_res)))
     if mis <= tol:
-        return FfheResult(C, D, 0, mis, True, Vs[:, :1], Is[:, :1])
+        return FfheResult(C, D, 0, mis, True, Vs[:, :1], Is[:, :1], 0, mis)
     try:
         lu = lu_factor(jacobian(sys, C, D))
     except np.linalg.LinAlgError:
-        return FfheResult(C, D, 0, mis, False, Vs[:, :1], Is[:, :1])
+        return FfheResult(C, D, 0, mis, False, Vs[:, :1], Is[:, :1], 0, mis)
 
     for order in range(1, n_max + 1):
         if order == 1:
             rhs = -base_res
         else:
-            rhs = -_history(sys, order, Zs, Ws, comp_f, comp_m)
+            rhs = -_history(sys, order, Zs, Ws, Fs, Ms)
         Zs[:, order] = lu_solve(lu, rhs).view(complex)
         Ws[:, order] = sys.yc @ Zs[:, order]
-        for c in comp:
-            comp_f[c][order] = reciprocal_coefficient(
-                comp_f[c], Is[c], order)
-            comp_m[c][order] = magnitude_coefficient(
-                comp_m[c], Is[c], order)
+        for k, c in enumerate(comp):
+            Fs[k, order] = reciprocal_coefficient(Fs[k], Is[c], order)
+            Ms[k, order] = magnitude_coefficient(Ms[k], Is[c], order)
 
         z = evaluate_at_one(Zs[:, :order + 1], pade)
         V, I = z[:n], z[n:]
@@ -174,8 +173,8 @@ def _single_stage(sys: System, C, D, tol, n_max, pade) -> FfheResult:
         else:       # a Pade approximant with a pole at a = 1
             mis = np.inf
         if mis <= tol:
-            return FfheResult(V, I, order, mis, True,
-                              Vs[:, :order + 1], Is[:, :order + 1], order)
+            return FfheResult(V, I, order, mis, True, Vs[:, :order + 1],
+                              Is[:, :order + 1], order, mis)
         if not np.isfinite(mis):
             break
         if mis > best:
@@ -187,28 +186,32 @@ def _single_stage(sys: System, C, D, tol, n_max, pade) -> FfheResult:
             best = mis
             best_order = order
 
-    return FfheResult(V, I, order, mis, False,
-                      Vs[:, :order + 1], Is[:, :order + 1], best_order)
+    return FfheResult(V, I, order, mis, False, Vs[:, :order + 1],
+                      Is[:, :order + 1], best_order, best)
 
 
 def _staged_solve(sys: System, C, D, tol, n_max, pade, restarts) -> FfheResult:
     V, I = np.asarray(C, dtype=complex), np.asarray(D, dtype=complex)
     total_terms = 0
+    best = (np.inf, 0)      # lowest mismatch of any stage, and its term
     result = None
     for _ in range(restarts + 1):
         I = _nudge_zero_currents(sys, I.copy())
         result = _single_stage(sys, V, I, tol, n_max, pade)
+        if result.best_mismatch < best[0]:
+            best = (result.best_mismatch, total_terms + result.best_term)
         total_terms += result.terms
         if result.converged:
             return FfheResult(result.V, result.I, total_terms, result.mismatch,
-                              True, result.v_series, result.i_series)
+                              True, result.v_series, result.i_series,
+                              total_terms, result.mismatch)
         if not result.terms:      # singular Jacobian at the reference
             break
         # walk back along the homotopy path to a point the series still
         # represents well, then re-embed from there; orders past the best
         # mismatch carry no information, so truncate before evaluating
         entry = float(np.max(np.abs(residual(sys, V, I))))
-        n_tr = max(result.best_order, 1)
+        n_tr = max(result.best_term, 1)
         best_state = None
         best_mis = 0.9 * entry
         for trunc in {n_tr, max(1, n_tr // 2)}:
@@ -226,4 +229,5 @@ def _staged_solve(sys: System, C, D, tol, n_max, pade, restarts) -> FfheResult:
             break
         V, I = best_state
     return FfheResult(result.V, result.I, total_terms, result.mismatch,
-                      False, result.v_series, result.i_series)
+                      False, result.v_series, result.i_series, best[1],
+                      best[0])

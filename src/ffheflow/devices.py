@@ -29,7 +29,11 @@ class Mode(str, enum.Enum):
     Q_FLOW = "q_flow"    # reactive power entering the branch
     Q_INJ = "q_inj"      # reactive power injected by the series source
     V_BUS = "v_bus"      # voltage magnitude of a (local or remote) bus
-    V_SE = "v_se"        # magnitude of the injected series voltage
+    V_SE = "v_se"        # magnitude of the injected series voltage; the
+                         # row pins Im(V_se conj I) / |I|, which is |V_se|
+                         # only on a branch that exchanges no real power:
+                         # on an IPFC branch, just the part of V_se in
+                         # quadrature with I
     X_EQ = "x_eq"        # equivalent series reactance presented by the device
 
 
@@ -204,7 +208,17 @@ def _target_from_record(rec, idx) -> ControlTarget:
     except (KeyError, ValueError):
         raise DeviceConfigError(f"device {idx}: bad or missing mode") from None
     return ControlTarget(mode=mode, setpoint=float(rec["setpoint"]),
-                         branch=int(rec.get("branch", 0)), bus=rec.get("bus"))
+                         branch=_integer(rec.get("branch", 0), idx,
+                                         "target branch"),
+                         bus=rec.get("bus"))
+
+
+def _integer(val, idx, what) -> int:
+    """A JSON integer, not coerced from a float, a string or a boolean."""
+    if not isinstance(val, int) or isinstance(val, bool):
+        raise DeviceConfigError(f"device {idx}: {what} {val!r} is not an "
+                                "integer")
+    return val
 
 
 def _as_complex(val, default):
@@ -237,7 +251,8 @@ def _device_from_record(rec: dict, idx: int) -> SeriesDevice:
         raise DeviceConfigError(f"device {idx}: unknown type {kind!r}")
     return SeriesDevice(
         device_id=rec.get("id", f"{kind}{idx}"),
-        branches=tuple(tuple(int(b) for b in br) for br in branches),
+        branches=tuple(tuple(_integer(b, idx, "bus") for b in br)
+                       for br in branches),
         targets=tuple(_target_from_record(t, idx) for t in targets),
         z_se=tuple(_as_complex(z, 0.01 + 0.01j) for z in z_se),
         v_se_max=tuple(None if v is None else float(v) for v in v_se_max),

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .system import (System, companion_currents, jacobian, lu_factor,
-                     lu_solve, residual, unpack_state)
+from .system import (System, jacobian, lu_factor, lu_solve, residual,
+                     unpack_state)
 
 #: nudge applied to a device current that an iteration drove to ~zero, so
 #: magnitude-normalised control rows stay differentiable
@@ -127,7 +127,7 @@ def warm_start(sys: System, iterations: int = 3, tol: float = 1e-8,
 
 def _nudge_zero_currents(sys: System, I: np.ndarray) -> np.ndarray:
     """Keep currents used by magnitude-normalised rows away from zero."""
-    for c in companion_currents(sys):
+    for c in sys.rows.companions:
         if abs(I[c]) < CURRENT_NUDGE:
             I[c] = CURRENT_NUDGE if I[c] == 0 else \
                 I[c] / abs(I[c]) * CURRENT_NUDGE

@@ -92,6 +92,8 @@ class MethodStats:
     mismatch: float = np.nan
     runtime_s: float = 0.0
     converged: bool = True     # False only for a series that did not converge
+    best_mismatch: float = np.nan   # such a series' lowest mismatch,
+    best_term: int = 0              # and the term where it was reached
 
 
 @dataclass
@@ -218,7 +220,9 @@ def _solve_method(sys: System, method: str, V0, I0, opts: StudyOptions):
     stats = MethodStats(iterations=warm_n, terms=res.terms,
                         mismatch=res.mismatch,
                         runtime_s=time.perf_counter() - t0,
-                        converged=res.converged)
+                        converged=res.converged,
+                        best_mismatch=res.best_mismatch,
+                        best_term=res.best_term)
     return res.V, res.I, stats
 
 
@@ -242,7 +246,8 @@ def _limited_solve(net: Network, devices, opts: StudyOptions, frozen_q,
         if not stats.converged:
             raise ConvergenceError(
                 f"series did not converge ({stats.terms} terms, "
-                f"mismatch {stats.mismatch:.3e})")
+                f"mismatch {stats.mismatch:.3e}; best "
+                f"{stats.best_mismatch:.3e} at term {stats.best_term})")
         if not opts.enforce_q_limits:
             return sysi, V, I, stats, clamped
         viol = _q_violations(sysi, V, I, net)

@@ -10,6 +10,16 @@ device-branch current c occupies ``2*n_bus + 2c, ... + 1``.  Row layout: two
 rows per bus, then per device one power-exchange row followed by its control
 rows.
 
+Each control mode is described once, in :data:`MODE_ROWS`, as one of three
+row shapes: exchange-like rows, Re or Im of ``(V_m - V_i) conj(I) / |I|**p``
+with p = 0, 1 or 2 (each branch's share of its device's power exchange, and
+the Q_INJ, V_SE and X_EQ targets); flow rows, Re or Im of ``V_i conj(I)``
+(P_FLOW, Q_FLOW); and V_BUS rows, ``(|V_b|**2 - s**2) / 2``.  A
+:class:`DeviceRows` table, built once per System, holds every device row's
+indices, divisor power and setpoint by shape; :func:`residual`,
+:func:`jacobian` and the series history read it with one array expression
+per shape instead of a loop over devices and targets.
+
 Assembly is split by what changes.  A :class:`Structure` holds what the
 case and the device placement (each device's id, branches and coupling
 impedances) fix: the spliced network, the bus-current operator ``[Y C]``,
@@ -18,10 +28,11 @@ the device rows' branch entries and the per-bus arrays.  It is memoised per
 A :class:`System`, made by :func:`build_system`, is one outer pass's view
 of it: the bus masks after the constant-Q pins, the scheduled injections
 and setpoints, the resolved device targets and, built on first use, the
-Jacobian's fixed CSC pattern.  So a generator-limit or relaxation pass
-neither re-splices the devices nor rebuilds the Y-bus, and every Newton
-step, series stage and ``compare`` solve on one System refills one pattern,
-as in the fixed-structure Jacobian of MATPOWER and pandapower.
+device-row table and the Jacobian's fixed CSC pattern.  So a generator-limit
+or relaxation pass neither re-splices the devices nor rebuilds the Y-bus,
+and every Newton step, series stage and ``compare`` solve on one System
+refills one pattern, as in the fixed-structure Jacobian of MATPOWER and
+pandapower.
 
 The bus rows are complex-matrix expressions over those index arrays: the
 injections ``S = diag(conj V) [Y C] z``, with ``C`` the sparse +-1
@@ -41,7 +52,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .devices import COMPANION_MODES, DeviceConfigError, Mode
+from .devices import DeviceConfigError, Mode
 from .network import (BusKind, Network, TopologyError,
                       build_admittance_matrix, insert_series_device)
 
@@ -139,6 +150,10 @@ class System:
                     q_gen=self.frozen_q.get(b.ext_id, b.q_gen))
             if b.kind is BusKind.PV and not pv else b
             for b, pv in zip(base.buses, self.pv)))
+
+    @cached_property
+    def rows(self) -> "DeviceRows":
+        return _device_rows(self)
 
     @cached_property
     def pattern(self) -> "JacobianPattern":
@@ -268,15 +283,6 @@ def _structure(base_net: Network, placement: tuple) -> Structure:
     return st
 
 
-def companion_currents(sys: System) -> list:
-    """Current indices whose control rows (``COMPANION_MODES``) need the
-    reciprocal and magnitude companion series, in order of first use."""
-    return list(dict.fromkeys(
-        dev.branches[t.branch].cur_idx
-        for dev in sys.devices for t in dev.targets
-        if t.mode in COMPANION_MODES))
-
-
 def pack_state(V: np.ndarray, I: np.ndarray) -> np.ndarray:
     """The real unknown vector: the float view of ``z = [V; I]``."""
     return np.concatenate([V, I], dtype=complex).view(float)
@@ -288,11 +294,74 @@ def unpack_state(x: np.ndarray, n_bus: int):
     return z[:n_bus], z[n_bus:]
 
 
+#: control mode -> (row shape, imaginary part?, power p of the divisor |I|)
+MODE_ROWS = {
+    Mode.P_FLOW: ("flow", False, 0),
+    Mode.Q_FLOW: ("flow", True, 0),
+    Mode.Q_INJ: ("exchange", True, 0),
+    Mode.V_SE: ("exchange", True, 1),
+    Mode.X_EQ: ("exchange", True, 2),
+    Mode.V_BUS: ("v_bus", False, 0),
+}
+
+
+@dataclass(frozen=True, eq=False)
+class DeviceRows:
+    """The device rows of one :class:`System`, by shape, as index arrays.
+
+    Row k of the device block is residual row ``2 n_bus + k``, less its
+    setpoint.  Product rows are Re or Im of ``u conj(I) / |I|**p``, with I
+    a branch current: first the exchange-like rows, ``u = V_m - V_i``, then
+    the flow rows, ``u = V_i``.  V_BUS rows are ``|V_b|**2 / 2``.
+    :data:`MODE_ROWS` gives each target's shape; each branch adds one
+    exchange-like row, its share of its device's real power exchange, at
+    the device's first row.  Companion rows (p > 0: V_SE, X_EQ) also need
+    the reciprocal and magnitude series of their current in the history.
+    """
+
+    row: np.ndarray     # product rows: device-block row (shares repeat it)
+    im: np.ndarray      # the row is the imaginary part
+    a: np.ndarray       # state index of V_m (exchange-like) or V_i (flow)
+    b: np.ndarray       # state index of V_i, exchange-like rows only
+    c: np.ndarray       # state index of the current
+    pow: np.ndarray     # divisor power p
+    z: np.ndarray       # the companion rows among them,
+    companions: np.ndarray  # and their current numbers
+    v_row: np.ndarray   # V_BUS rows: device-block row and bus
+    v_bus: np.ndarray
+    setpoint: np.ndarray    # per device-block row (V_BUS: s**2 / 2)
+
+
+def _device_rows(sys: System) -> DeviceRows:
+    n = sys.n_bus
+    recs = {"exchange": [], "flow": [], "v_bus": []}
+    setpoint = np.zeros(sys.size - 2 * n)
+    for dev in sys.devices:
+        k = dev.row_start - 2 * n
+        recs["exchange"] += [(k, 0, 0, n + be.cur_idx, be.m_idx, be.i_idx, 0)
+                             for be in dev.branches]
+        for k, t in enumerate(dev.targets, k + 1):
+            shape, im, p = MODE_ROWS[t.mode]
+            be = dev.branches[t.branch]
+            a = be.m_idx if shape == "exchange" else be.i_idx
+            recs[shape].append((k, im, p, n + be.cur_idx, a, be.i_idx,
+                                t.bus_idx))
+            setpoint[k] = 0.5 * t.setpoint ** 2 if shape == "v_bus" \
+                else t.setpoint
+    x, f, v = (np.array(r, dtype=int).reshape(-1, 7).T for r in recs.values())
+    row, im, p, c, a = np.concatenate([x[:5], f[:5]], axis=1)
+    z = np.flatnonzero(p)
+    return DeviceRows(row=row, im=im == 1, a=a, b=x[5], c=c, pow=p, z=z,
+                      companions=c[z] - n, v_row=v[0], v_bus=v[6],
+                      setpoint=setpoint)
+
+
 def residual(sys: System, V: np.ndarray, I: np.ndarray) -> np.ndarray:
     """Real residual vector of the original (unembedded) equations."""
     n = sys.n_bus
     r = np.empty(sys.size)
-    f = np.conj(V) * (sys.yc @ np.concatenate([V, I])) - np.conj(sys.s_inj)
+    z = np.concatenate([V, I])
+    f = np.conj(V) * (sys.yc @ z) - np.conj(sys.s_inj)
     r_re, r_im = r[0:2 * n:2], r[1:2 * n:2]     # views into r
     r_re[:] = f.real
     r_im[:] = f.imag
@@ -301,29 +370,19 @@ def residual(sys: System, V: np.ndarray, I: np.ndarray) -> np.ndarray:
     r_re[slack] = V[slack].real - sys.v_set[slack].real
     r_im[slack] = V[slack].imag - sys.v_set[slack].imag
 
-    for dev in sys.devices:
-        row = dev.row_start
-        dv = {k: V[be.m_idx] - V[be.i_idx] for k, be in enumerate(dev.branches)}
-        r[row] = sum((dv[k] * np.conj(I[be.cur_idx])).real
-                     for k, be in enumerate(dev.branches))
-        for t in dev.targets:
-            row += 1
-            be = dev.branches[t.branch]
-            cur = I[be.cur_idx]
-            if t.mode is Mode.P_FLOW:
-                r[row] = (V[be.i_idx] * np.conj(cur)).real - t.setpoint
-            elif t.mode is Mode.Q_FLOW:
-                r[row] = (V[be.i_idx] * np.conj(cur)).imag - t.setpoint
-            elif t.mode is Mode.Q_INJ:
-                r[row] = (dv[t.branch] * np.conj(cur)).imag - t.setpoint
-            elif t.mode is Mode.V_BUS:
-                r[row] = 0.5 * (abs(V[t.bus_idx]) ** 2 - t.setpoint ** 2)
-            elif t.mode is Mode.V_SE:
-                q = (dv[t.branch] * np.conj(cur)).imag
-                r[row] = q / abs(cur) - t.setpoint
-            else:  # X_EQ
-                q = (dv[t.branch] * np.conj(cur)).imag
-                r[row] = q / abs(cur) ** 2 - t.setpoint
+    rows = sys.rows
+    if rows.row.size:
+        u, c = z[rows.a], z[rows.c]
+        u[:rows.b.size] -= z[rows.b]
+        prod = np.where(rows.im, u.imag * c.real - u.real * c.imag,
+                        u.real * c.real + u.imag * c.imag)
+        if rows.z.size:
+            prod /= np.float_power(np.hypot(c.real, c.imag), rows.pow)
+        dev = np.bincount(rows.row, prod, minlength=rows.setpoint.size)
+        if rows.v_row.size:
+            vb = np.hypot(V.real, V.imag)[rows.v_bus]
+            dev[rows.v_row] = 0.5 * np.float_power(vb, 2)
+        r[2 * n:] = dev - rows.setpoint
     return r
 
 
@@ -335,28 +394,16 @@ class JacobianPattern:
     order; ``scatter`` maps each value to its slot in the CSC ``data``,
     where duplicates are summed in triplet order.
 
-    Device rows are complex terms ``a du + b d(conj u)`` of three shapes:
-    exchange-like rows (each branch's power exchange, and the Q_INJ, V_SE
-    and X_EQ targets) have terms at V_m, V_i and I, divided by
-    ``|I| ** x_pow``, and V_SE and X_EQ rows one more at I for the
-    divisor's own derivative; flow rows (P_FLOW, Q_FLOW) have terms at V_i
-    and I; V_BUS rows one term at the bus.
+    The device rows (:class:`DeviceRows`) are complex terms
+    ``a du + b d(conj u)``: a product row has terms at u's buses and at I,
+    divided by ``|I|**p``, and a companion row one more at I for the
+    divisor's own derivative; a V_BUS row has one term at its bus.
     """
 
     re: np.ndarray      # bus triplets with a real row (every bus but slack)
     im: np.ndarray      # bus triplets with an imaginary row (PQ, auxiliary)
     pv: np.ndarray      # PV bus indices
     n_slack: int
-    x_i: np.ndarray     # exchange-like rows: the branch's buses and current,
-    x_m: np.ndarray
-    x_c: np.ndarray
-    x_pow: np.ndarray   # and the divisor's power: 0, 1 (V_SE) or 2 (X_EQ)
-    z_x: np.ndarray     # V_SE and X_EQ rows among them,
-    z_pow: np.ndarray   # their divisor derivative's denominator
-    z_mul: np.ndarray   # 2 |I|^3 (V_SE) or |I|^4 (X_EQ) as mul * scale^pow
-    f_i: np.ndarray     # flow rows: sending bus and current
-    f_c: np.ndarray
-    v_bus: np.ndarray   # V_BUS rows: the bus
     d_im: np.ndarray    # per device term: its row is an imaginary part
     scatter: np.ndarray  # triplet -> slot in data
     indices: np.ndarray
@@ -365,29 +412,13 @@ class JacobianPattern:
 
 def _jacobian_pattern(sys: System) -> JacobianPattern:
     n, size = sys.n_bus, sys.size
-    x, f, v = [], [], []    # per row shape: (row, imaginary?, indices...)
-    for dev in sys.devices:
-        for be in dev.branches:
-            x.append((dev.row_start, 0, be.i_idx, be.m_idx, be.cur_idx, 0))
-        for row, t in enumerate(dev.targets, dev.row_start + 1):
-            be = dev.branches[t.branch]
-            if t.mode in (Mode.P_FLOW, Mode.Q_FLOW):
-                f.append((row, t.mode is Mode.Q_FLOW, be.i_idx, be.cur_idx))
-            elif t.mode is Mode.V_BUS:
-                v.append((row, 0, t.bus_idx))
-            else:
-                x.append((row, 1, be.i_idx, be.m_idx, be.cur_idx,
-                          (Mode.Q_INJ, Mode.V_SE, Mode.X_EQ).index(t.mode)))
-    x_row, x_im, x_i, x_m, x_c, x_pow = _columns(x, 6)
-    f_row, f_im, f_i, f_c = _columns(f, 4)
-    v_row, v_im, v_bus = _columns(v, 3)
-    z_x = np.flatnonzero(x_pow)
-    c_col = n + x_c         # complex column of a device current
-    d_rows = np.concatenate([x_row, x_row, x_row, f_row, f_row, v_row,
-                             x_row[z_x]])
-    d_cols = np.concatenate([x_m, x_i, c_col, f_i, n + f_c, v_bus, c_col[z_x]])
-    d_im = np.concatenate([x_im, x_im, x_im, f_im, f_im, v_im,
-                           np.zeros(z_x.size, dtype=int)]) == 1
+    rw = sys.rows
+    nx = rw.b.size
+    d_rows = 2 * n + np.concatenate([rw.row, rw.row[:nx], rw.row, rw.v_row,
+                                     rw.row[rw.z]])
+    d_cols = np.concatenate([rw.a, rw.b, rw.c, rw.v_bus, rw.c[rw.z]])
+    d_im = np.concatenate([rw.im, rw.im[:nx], rw.im,
+                           np.zeros(rw.v_row.size + rw.z.size, dtype=bool)])
 
     tr, tc = sys.structure.t_rows, sys.yc.indices
     re = np.flatnonzero(~sys.slack[tr])
@@ -404,18 +435,9 @@ def _jacobian_pattern(sys: System) -> JacobianPattern:
     slots, scatter = np.unique(cols * size + rows, return_inverse=True)
     indptr = np.zeros(size + 1, dtype=np.int32)
     np.cumsum(np.bincount(slots // size, minlength=size), out=indptr[1:])
-    v_se = x_pow[z_x] == 1
     return JacobianPattern(
-        re=re, im=im, pv=pv, n_slack=slack.size, x_i=x_i, x_m=x_m, x_c=x_c,
-        x_pow=x_pow, z_x=z_x, z_pow=np.where(v_se, 3, 2),
-        z_mul=np.where(v_se, 2.0, 1.0), f_i=f_i, f_c=f_c, v_bus=v_bus,
-        d_im=d_im, scatter=scatter, indices=(slots % size).astype(np.int32),
-        indptr=indptr)
-
-
-def _columns(records: list, k: int):
-    """The k fields of ``records`` (tuples of ints) as k int arrays."""
-    return np.array(records, dtype=int).reshape(len(records), k).T
+        re=re, im=im, pv=pv, n_slack=slack.size, d_im=d_im, scatter=scatter,
+        indices=(slots % size).astype(np.int32), indptr=indptr)
 
 
 def jacobian(sys: System, V: np.ndarray, I: np.ndarray) -> sparse.csc_matrix:
@@ -429,12 +451,13 @@ def jacobian(sys: System, V: np.ndarray, I: np.ndarray) -> sparse.csc_matrix:
     system's fixed :class:`JacobianPattern`.
     """
     st, pat = sys.structure, sys.pattern
+    z = np.concatenate([V, I])
     a = np.conj(V)[st.t_rows] * st.yc.data
     b = np.zeros_like(a)
-    b[st.t_diag] = st.yc @ np.concatenate([V, I])
+    b[st.t_diag] = st.yc @ z
     p, q = a + b, a - b
     re, im, pv = pat.re, pat.im, pat.pv
-    da, db = _device_terms(pat, V, I)
+    da, db = _device_terms(sys.rows, z)
     dp, dq = da + db, da - db
     vals = np.concatenate([
         p[re].real, -q[re].imag, p[im].imag, q[im].real,
@@ -446,26 +469,27 @@ def jacobian(sys: System, V: np.ndarray, I: np.ndarray) -> sparse.csc_matrix:
                              shape=(sys.size, sys.size))
 
 
-def _device_terms(pat: JacobianPattern, V, I):
-    """(a, b) of the device rows' complex terms, in the pattern's order.
+def _device_terms(rows: DeviceRows, z):
+    """(a, b) of the device rows' complex terms at z, in pattern order.
 
-    ``np.hypot``, ``np.float_power`` and the written-out product round
-    like the scalar ``abs``, ``**`` and ``*`` of :func:`residual`.
+    As in :func:`residual`, written-out products, ``np.hypot`` and
+    ``np.float_power`` round like the scalar ``*``, ``abs`` and ``**``.
     """
-    cI = np.conj(I)
-    scale = np.float_power(np.hypot(I.real, I.imag)[pat.x_c], pat.x_pow)
-    dv = V[pat.x_m] - V[pat.x_i]
-    cIx = cI[pat.x_c] / scale
-    zx, zf = np.zeros(pat.x_c.size), np.zeros(pat.f_c.size)
-    vb = V[pat.v_bus]
-    # the divisor's derivative, with q = Im(dv conj I)
-    dz, cz = dv[pat.z_x], cI[pat.x_c[pat.z_x]]
+    nx = rows.b.size
+    u, c = z[rows.a], z[rows.c]
+    u[:nx] -= z[rows.b]
+    cI = np.conj(c)
+    scale = np.float_power(np.hypot(c.real, c.imag), rows.pow)
+    cIs = cI / scale
+    zp = np.zeros(rows.row.size + nx)
+    # the divisor's derivative: q = Im(u conj I) over 2|I|^3 or |I|^4
+    dz, cz, pz = u[rows.z], cI[rows.z], rows.pow[rows.z]
     q = dz.real * cz.imag + dz.imag * cz.real
-    den = np.float_power(scale[pat.z_x], pat.z_pow) * pat.z_mul
-    a = np.concatenate([cIx, -cIx, zx, cI[pat.f_c], zf, 0.5 * np.conj(vb),
+    den = np.float_power(scale[rows.z], 4 - pz) * (2 / pz)
+    vb = 0.5 * z[rows.v_bus]
+    a = np.concatenate([cIs, -cIs[:nx], zp[:c.size], np.conj(vb),
                         -q * cz / den])
-    b = np.concatenate([zx, zx, dv / scale, zf, V[pat.f_i], 0.5 * vb,
-                        -q * np.conj(cz) / den])
+    b = np.concatenate([zp, u / scale, vb, -q * np.conj(cz) / den])
     return a, b
 
 

@@ -16,6 +16,7 @@ meaningful; the analysis behind them lives in the decisions ledger
   flow lands at 0.3847 vs the published 0.3860 (1.3e-3, just outside 1e-3).
 """
 
+import re
 import time
 
 import numpy as np
@@ -253,6 +254,21 @@ def test_solve_counts(study, label):
         assert f"({ffhe_terms} terms," in str(exc)
     else:
         assert (st.iterations, st.terms) == (0, ffhe_terms)
+
+
+def test_failed_series_reports_its_best_mismatch(study):
+    """49-50/v1.0 under ffhe raises at a last mismatch of ~1e+42, but
+    every frozen-Q candidate's series came closest at its first order: the
+    error names that best mismatch and its term."""
+    with pytest.raises(StudyError) as info:
+        study("49-50/v1.0", "ffhe")
+    found = re.search(r"\((\d+) terms, mismatch (\S+); best (\S+) at term "
+                      r"(\d+)\)", str(info.value))
+    assert found, str(info.value)
+    terms, last, best, term = (int(found[1]), float(found[2]),
+                               float(found[3]), int(found[4]))
+    assert (terms, term) == (6, 1)
+    assert best < 1e-30 * last
 
 
 def test_criterion_01_base_case(study):

@@ -114,6 +114,18 @@ class TestSingleRun:
                      "--method", "nr"]) == EXIT_INPUT
         assert "repeated" in capsys.readouterr().err
 
+    def test_fractional_target_branch(self, case_path, tmp_path, capsys):
+        devs = tmp_path / "devs.json"
+        devs.write_text(json.dumps([{
+            "type": "ipfc", "branches": [[49, 50], [49, 51]], "targets": [
+                {"branch": 0, "mode": "p_flow", "setpoint": 0.75},
+                {"branch": 1.9, "mode": "p_flow", "setpoint": 0.75},
+                {"branch": 1, "mode": "q_flow", "setpoint": 0.03}]}]))
+        assert main(["--case", str(case_path), "--devices", str(devs),
+                     "--method", "nr"]) == EXIT_INPUT
+        assert capsys.readouterr().err == \
+            "error: device 0: target branch 1.9 is not an integer\n"
+
     def test_unknown_device_bus(self, case_path, tmp_path, capsys):
         devs = tmp_path / "devs.json"
         devs.write_text(json.dumps([{
@@ -206,6 +218,32 @@ class TestBatch:
         out, err = capsys.readouterr()
         assert "[#0] input error" in err
         assert "=== ok" in out
+
+    @pytest.mark.parametrize("key, bad", [
+        ("pade", "false"), ("pade", 1), ("max_terms", 7.9),
+        ("max_terms", True), ("warm_iters", True), ("warm_iters", "3"),
+        ("tol", "1e-8"), ("tol", False)])
+    def test_batch_option_of_wrong_type_is_an_input_error(
+            self, case_path, tmp_path, capsys, key, bad):
+        batch = tmp_path / "batch.json"
+        batch.write_text(json.dumps([
+            {"label": "bad", "case": str(case_path), key: bad},
+            {"label": "ok", "case": str(case_path), "method": "nr"}]))
+        assert main(["--batch", str(batch)]) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert f"[bad] input error: {key} must be" in err
+        assert "=== bad" not in out
+        assert "=== ok" in out
+
+    def test_batch_options_of_the_right_type(self, case_path, tmp_path,
+                                             capsys):
+        batch = tmp_path / "batch.json"
+        batch.write_text(json.dumps([
+            {"label": "ok", "case": str(case_path), "method": "nr-warm-ffhe",
+             "pade": False, "max_terms": 30, "warm_iters": 2, "tol": 1}]))
+        assert main(["--batch", str(batch), "--report", "json"]) == EXIT_OK
+        stats = json.loads(capsys.readouterr().out.split("\n", 1)[1])
+        assert stats["stats"]["nr-warm-ffhe"]["iterations"] <= 2
 
     def test_batch_not_json(self, tmp_path, capsys):
         bad = tmp_path / "batch.json"

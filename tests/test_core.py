@@ -9,7 +9,7 @@ from ffheflow.core import _single_stage, ffhe_solve
 from ffheflow.devices import ControlTarget, Mode, SsscDevice
 from ffheflow.network import Branch, Bus, BusKind, Network
 from ffheflow.newton import flat_start, nr_solve, warm_start
-from ffheflow.system import build_system, companion_currents, residual
+from ffheflow.system import build_system, residual
 
 
 def slack_pq_net(vsp=1.06, p=0.2, q=0.05, r=0.02, x=0.1):
@@ -65,7 +65,7 @@ class TestFirstCoefficients:
         d1 = SsscDevice("a", (49, 50), ControlTarget(Mode.P_FLOW, 0.75))
         d2 = SsscDevice("b", (101, 102), ControlTarget(Mode.V_SE, 0.1))
         sys = build_system(case118, (d1, d2))
-        assert companion_currents(sys) == [1]
+        assert sys.rows.companions.tolist() == [1]
 
 
 class TestConvergence:
@@ -138,6 +138,29 @@ class TestConvergence:
         assert not res.converged
         assert res.terms == 1
         assert res.mismatch == np.inf
+
+    def test_unconverged_series_carries_its_best_mismatch(self, case118):
+        # truncation at four orders fails; the result keeps the lowest
+        # mismatch of any partial sum, not the last one
+        sys = build_system(case118)
+        V0, I0 = flat_start(sys)
+        res = ffhe_solve(sys, V0, I0, tol=1e-14, n_max=4)
+        assert not res.converged
+        mis = [float(np.max(np.abs(residual(
+                   sys, res.v_series[:, :k + 1].sum(axis=1),
+                   res.i_series[:, :k + 1].sum(axis=1)))))
+               for k in range(1, res.terms + 1)]
+        assert res.best_mismatch == min(mis)
+        assert res.best_term == 1 + int(np.argmin(mis))
+
+    def test_staged_best_mismatch_counts_terms_over_stages(self, case118):
+        sys = build_system(case118)
+        V0, I0 = flat_start(sys)
+        first = ffhe_solve(sys, V0, I0, tol=1e-14, n_max=3)
+        staged = ffhe_solve(sys, V0, I0, tol=1e-14, n_max=3, restarts=2)
+        assert not staged.converged
+        assert staged.best_mismatch < first.best_mismatch
+        assert first.terms < staged.best_term <= staged.terms
 
     def test_already_converged_reference(self, case118):
         sys = build_system(case118)

@@ -225,6 +225,24 @@ class TestLoadDevices:
             load_devices('[{"type": "sssc", "branch": [1, 2], '
                          '"mode": "p_flow"}]')
 
+    @pytest.mark.parametrize("bad", [1.9, 1.0, "1", True])
+    def test_target_branch_must_be_an_integer(self, bad):
+        record = {"type": "ipfc", "branches": [[49, 50], [49, 51]],
+                  "targets": [
+                      {"branch": 0, "mode": "p_flow", "setpoint": 0.75},
+                      {"branch": bad, "mode": "p_flow", "setpoint": 0.75},
+                      {"branch": 1, "mode": "q_flow", "setpoint": 0.03}]}
+        with pytest.raises(DeviceConfigError,
+                           match=f"device 0: target branch {bad!r} is not"):
+            load_devices(json.dumps([record]))
+
+    @pytest.mark.parametrize("bad", [49.5, "49"])
+    def test_bus_ids_must_be_integers(self, bad):
+        with pytest.raises(DeviceConfigError, match="device 0: bus"):
+            load_devices(json.dumps([{
+                "type": "sssc", "branch": [bad, 50], "mode": "p_flow",
+                "setpoint": 0.75}]))
+
     @pytest.mark.parametrize("text, match", [
         ("[1]", "not a JSON object"),
         ('[{"type": "sssc", "mode": "p_flow", "setpoint": 0.75}]',

@@ -12,8 +12,8 @@ from ffheflow.devices import ControlTarget, Mode, SeriesDevice, SsscDevice
 from ffheflow.network import BusKind
 from ffheflow.newton import flat_start
 from ffheflow.series import magnitude_coefficient, reciprocal_coefficient
-from ffheflow.system import build_system, companion_currents, jacobian, \
-    lu_factor, lu_solve, residual
+from ffheflow.system import build_system, jacobian, lu_factor, lu_solve, \
+    residual
 from scalar_kernels import history as oracle_history
 from scalar_kernels import jacobian as oracle_jacobian
 from scalar_kernels import residual as oracle_residual
@@ -103,6 +103,31 @@ def test_case118_sssc_and_ipfc_match_oracle(case118, mode):
                                                   sys))
 
 
+def _all_modes_devices():
+    """Four devices that together hold all six modes: two IPFCs, the V_SE
+    and X_EQ companion currents on different devices, and two devices per
+    flow mode, so the device rows interleave across devices and shapes."""
+    return (
+        SeriesDevice("i", ((49, 50), (49, 51)),
+                     (ControlTarget(Mode.P_FLOW, 0.7, branch=0),
+                      ControlTarget(Mode.V_SE, 0.05, branch=1),
+                      ControlTarget(Mode.Q_FLOW, 0.1, branch=1))),
+        SsscDevice("x", (101, 102), ControlTarget(Mode.X_EQ, 0.1)),
+        SeriesDevice("j", ((100, 104), (100, 106)),
+                     (ControlTarget(Mode.Q_INJ, 0.1, branch=0),
+                      ControlTarget(Mode.V_BUS, 1.0, branch=0, bus=106),
+                      ControlTarget(Mode.P_FLOW, 0.5, branch=1))),
+        SsscDevice("q", (23, 25), ControlTarget(Mode.Q_FLOW, 0.0)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_case118_all_modes_at_once_match_oracle(case118, seed):
+    sys = build_system(case118, _all_modes_devices())
+    rng = np.random.default_rng(seed)
+    _assert_matches_oracle(sys, *_perturbed_state(rng, sys))
+    _assert_history_matches_oracle(rng, sys)
+
+
 def test_factorisation_solves_the_jacobian(case118):
     sys = build_system(case118)
     V, I = _perturbed_state(np.random.default_rng(2), sys)
@@ -140,7 +165,7 @@ def _series_state(rng, sys, n):
     Vs, Is = draw(sys.n_bus), draw(sys.n_currents)
     Vs[:, 0], Is[:, 0] = V0, I0
     comp_f, comp_m = {}, {}
-    for c in companion_currents(sys):
+    for c in sys.rows.companions:
         f = np.zeros(n + 1, dtype=complex)
         m = np.zeros(n + 1)
         f[0], m[0] = 1.0 / Is[c, 0], abs(Is[c, 0])
@@ -159,7 +184,10 @@ def _assert_history_matches_oracle(rng, sys):
     for n in HISTORY_ORDERS:
         Vs, Is, comp_f, comp_m = _series_state(rng, sys, n)
         Zs = np.vstack([Vs, Is])
-        h = _history(sys, n, Zs, sys.yc @ Zs, comp_f, comp_m)
+        comp = sys.rows.companions
+        h = _history(sys, n, Zs, sys.yc @ Zs,
+                     np.array([comp_f[c] for c in comp]).reshape(-1, n + 1),
+                     np.array([comp_m[c] for c in comp]).reshape(-1, n + 1))
         ref, mag = oracle_history(sys, n, Vs, Is, comp_f, comp_m)
         assert np.all(np.abs(h - ref) <= TOL * mag), n
 
