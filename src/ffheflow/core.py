@@ -50,11 +50,12 @@ def _cauchy(a, b):
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _history(sys: System, n: int, Zs, Ws, Fs, Ms) -> np.ndarray:
+def _history(sys: System, n: int, Zs, Ws, Fs, Ms, Ts) -> np.ndarray:
     """Order-n polynomial history of the embedded equations (n >= 2).
 
     ``Zs``, ``Ws``, ``Fs`` and ``Ms`` are the coefficients of z, ``[Y C] z``
-    and the reciprocal and magnitude series of ``sys.rows.companions``.
+    and the reciprocal and magnitude series of ``sys.rows.companions``;
+    ``Ts`` those of each companion row's injected voltage times F.
     Every term is a Cauchy product ``sum(a[d] * b[n - d], d=1..n-1)``, the
     dot of ``a[1:n]`` with ``b[n-1:0:-1]``, for all buses at once and for
     all device rows of one shape at once.
@@ -89,13 +90,7 @@ def _history(sys: System, n: int, Zs, Ws, Fs, Ms) -> np.ndarray:
             x_eq = dvf.imag + (d0.real * hist_f.imag + d0.imag * hist_f.real)
             hist_m = (_cauchy(I[:, fwd], np.conj(I[:, rev])).real
                       - _cauchy(M[:, fwd], M[:, rev])) / (2.0 * m0)
-            # conv[j - 1] = sum(dv[l] * F[j - l], l=0..j): np.convolve's dots
-            f_rev = F[:, ::-1].copy()
-            conv = np.empty((F.shape[0], 1, n - 1), dtype=complex)
-            for j in range(1, n):
-                np.matmul(dv[:, None, :j + 1], f_rev[:, n - 1 - j:, None],
-                          out=conv[:, :, j - 1:j])
-            t_hist = m0 * dvf.imag + _cauchy(M[:, fwd], conv[:, 0, ::-1]).imag
+            t_hist = m0 * dvf.imag + _cauchy(M[:, fwd], Ts[:, rev]).imag
             v_se = (t_hist + (d0.real * f0.imag + d0.imag * f0.real) * hist_m
                     + ((d0.real * m0) * hist_f.imag
                        + (d0.imag * m0) * hist_f.real))
@@ -142,6 +137,8 @@ def _single_stage(sys: System, C, D, tol, n_max, pade) -> FfheResult:
     Ms = np.zeros((comp.size, n_max + 1))
     Fs[:, 0] = 1.0 / D[comp]
     Ms[:, 0] = np.hypot(D.real, D.imag)[comp]
+    Ts = np.zeros_like(Fs)          # orders >= 1 of dv F, dv = V_m - V_i
+    dm, di = sys.rows.a[sys.rows.z], sys.rows.b[sys.rows.z]
 
     base_res = residual(sys, C, D)
     best = np.inf
@@ -159,12 +156,15 @@ def _single_stage(sys: System, C, D, tol, n_max, pade) -> FfheResult:
         if order == 1:
             rhs = -base_res
         else:
-            rhs = -_history(sys, order, Zs, Ws, Fs, Ms)
+            rhs = -_history(sys, order, Zs, Ws, Fs, Ms, Ts)
         Zs[:, order] = lu_solve(lu, rhs).view(complex)
         Ws[:, order] = sys.yc @ Zs[:, order]
         for k, c in enumerate(comp):
             Fs[k, order] = reciprocal_coefficient(Fs[k], Is[c], order)
             Ms[k, order] = magnitude_coefficient(Ms[k], Is[c], order)
+            # np.convolve's dot: the reversed F contiguous, as it copies it
+            Ts[k, order] = ((Zs[dm[k], :order + 1] - Zs[di[k], :order + 1])
+                            @ Fs[k, order::-1].copy())
 
         z = evaluate_at_one(Zs[:, :order + 1], pade)
         V, I = z[:n], z[n:]

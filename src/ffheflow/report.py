@@ -80,8 +80,10 @@ class StudyOptions:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.tol <= 0 or self.max_terms < 1 or self.warm_iters < 1:
-            raise ValueError("tol, max_terms and warm_iters must be positive")
+        if not 0 < self.tol < np.inf:       # NaN too
+            raise ValueError(f"tol must be positive and finite: {self.tol}")
+        if self.max_terms < 1 or self.warm_iters < 1:
+            raise ValueError("max_terms and warm_iters must be positive")
 
 
 @dataclass

@@ -222,7 +222,8 @@ class TestBatch:
     @pytest.mark.parametrize("key, bad", [
         ("pade", "false"), ("pade", 1), ("max_terms", 7.9),
         ("max_terms", True), ("warm_iters", True), ("warm_iters", "3"),
-        ("tol", "1e-8"), ("tol", False)])
+        ("tol", "1e-8"), ("tol", False), ("tol", float("nan")),
+        ("tol", float("inf")), ("tol", -1e-8)])
     def test_batch_option_of_wrong_type_is_an_input_error(
             self, case_path, tmp_path, capsys, key, bad):
         batch = tmp_path / "batch.json"

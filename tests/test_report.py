@@ -27,6 +27,8 @@ class TestOptions:
     def test_bad_numbers(self):
         with pytest.raises(ValueError):
             StudyOptions(tol=0.0)
+        with pytest.raises(ValueError, match="tol must be"):
+            StudyOptions(tol=float("nan"))
         with pytest.raises(ValueError):
             StudyOptions(max_terms=0)
         with pytest.raises(ValueError):

@@ -184,10 +184,13 @@ def _assert_history_matches_oracle(rng, sys):
     for n in HISTORY_ORDERS:
         Vs, Is, comp_f, comp_m = _series_state(rng, sys, n)
         Zs = np.vstack([Vs, Is])
-        comp = sys.rows.companions
+        comp, rows = sys.rows.companions, sys.rows
+        dv = Zs[rows.a[rows.z]] - Zs[rows.b[rows.z]]
         h = _history(sys, n, Zs, sys.yc @ Zs,
                      np.array([comp_f[c] for c in comp]).reshape(-1, n + 1),
-                     np.array([comp_m[c] for c in comp]).reshape(-1, n + 1))
+                     np.array([comp_m[c] for c in comp]).reshape(-1, n + 1),
+                     np.array([np.convolve(d, comp_f[c])[:n + 1]
+                               for d, c in zip(dv, comp)]).reshape(-1, n + 1))
         ref, mag = oracle_history(sys, n, Vs, Is, comp_f, comp_m)
         assert np.all(np.abs(h - ref) <= TOL * mag), n
 

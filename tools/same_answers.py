@@ -48,9 +48,12 @@ def _scenarios() -> dict:
 
 
 def _worker(records: dict) -> dict:
-    """Every scenario/method pair of the ``ffheflow`` on the import path."""
+    """Every scenario/method pair of the ``ffheflow`` in ``./src``."""
     import ffheflow as ff
 
+    src = Path.cwd().resolve() / "src"
+    if not Path(ff.__file__ or "").resolve().is_relative_to(src):
+        raise SystemExit(f"imported {ff.__file__}, not the one in {src}")
     net = ff.load_bundled_case()
     out = {}
     for label, recs in records.items():
@@ -138,8 +141,12 @@ def main(argv=None) -> int:
         return 0
     if args.other is None:
         p.error("the other checkout is required")
+    trees = (ROOT, args.other.resolve())
+    for tree in trees:
+        if not (tree / "src" / "ffheflow").is_dir():
+            p.error(f"{tree} has no src/ffheflow")
     records = _scenarios()
-    procs = [_run_tree(tree, records) for tree in (ROOT, args.other.resolve())]
+    procs = [_run_tree(tree, records) for tree in trees]
     here, other = (_collect(proc, records) for proc in procs)
     bad = compare(here, other)
     print(f"{len(here) - bad} of {len(here)} pairs the same, {bad} differ")
