@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .devices import DeviceConfigError, load_devices
-from .network import ParseError, TopologyError, parse_case
+from .devices import load_devices
+from .network import parse_case
 from .newton import ConvergenceError
 from .report import METHODS, StudyError, StudyOptions, StudyReport, run_study
 
@@ -25,8 +25,15 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_DIVERGED = 2
 
+#: exceptions that end a study with EXIT_INPUT and with EXIT_DIVERGED; the
+#: parse, topology and device-config errors are ValueErrors, and a KeyError
+#: or TypeError is a ``--batch`` entry's missing or mistyped case or devices
+INPUT_ERRORS = (OSError, ValueError, KeyError, TypeError)
+DIVERGED_ERRORS = (ConvergenceError, StudyError)
+
 
 def build_parser() -> argparse.ArgumentParser:
+    defaults = StudyOptions()
     p = argparse.ArgumentParser(
         prog="ffheflow",
         description="Holomorphic-embedding AC load flow with series VSC "
@@ -34,12 +41,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case", type=Path, help="case file (MATPOWER-style)")
     p.add_argument("--devices", type=Path,
                    help="JSON series-device configuration")
-    p.add_argument("--method", choices=METHODS, default="nr-warm-ffhe")
-    p.add_argument("--tol", type=float, default=1e-8,
+    p.add_argument("--method", choices=METHODS, default=defaults.method)
+    p.add_argument("--tol", type=float, default=defaults.tol,
                    help="convergence tolerance on the mismatch (p.u.)")
-    p.add_argument("--max-terms", type=int, default=60,
+    p.add_argument("--max-terms", type=int, default=defaults.max_terms,
                    help="series orders per embedding stage")
-    p.add_argument("--warm-iters", type=int, default=3,
+    p.add_argument("--warm-iters", type=int, default=defaults.warm_iters,
                    help="Newton iterations before the series expansion")
     p.add_argument("--pade", action="store_true",
                    help="evaluate the series with Padé acceleration")
@@ -207,12 +214,11 @@ def _run_batch(batch_path: Path, args) -> int:
         try:
             rep = _run_one(Path(entry["case"]), entry.get("devices"),
                            _options(args, entry))
-        except (KeyError, TypeError, ValueError, OSError, ParseError,
-                TopologyError, DeviceConfigError) as exc:
+        except INPUT_ERRORS as exc:
             print(f"[{label}] input error: {exc}", file=sys.stderr)
             worst = max(worst, EXIT_INPUT)
             continue
-        except (ConvergenceError, StudyError) as exc:
+        except DIVERGED_ERRORS as exc:
             print(f"[{label}] diverged: {exc}", file=sys.stderr)
             worst = max(worst, EXIT_DIVERGED)
             continue
@@ -230,11 +236,10 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     try:
         rep = _run_one(args.case, args.devices, _options(args))
-    except (OSError, ParseError, TopologyError, DeviceConfigError,
-            ValueError) as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ConvergenceError, StudyError) as exc:
+    except DIVERGED_ERRORS as exc:
         print(f"diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
     _emit(rep, args.report)

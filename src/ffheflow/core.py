@@ -31,6 +31,9 @@ from .system import System, jacobian, lu_factor, lu_solve, residual
 #: consecutive growing-mismatch orders before the series is declared divergent
 DIVERGENCE_ORDERS = 5
 
+#: staged re-embeddings allowed to a series solve
+SERIES_RESTARTS = 10
+
 
 @dataclass
 class FfheResult:
@@ -102,25 +105,8 @@ def _history(sys: System, n: int, Zs, Ws, Fs, Ms, Ts) -> np.ndarray:
     return h
 
 
-def ffhe_solve(sys: System, C: np.ndarray, D: np.ndarray, tol: float = 1e-8,
-               n_max: int = 60, pade: bool = False,
-               restarts: int = 0) -> FfheResult:
-    """Expand the embedded system around reference state (C, D).
-
-    Every entry of C must be nonzero; currents appearing in magnitude-
-    normalised control rows must be nonzero in D.
-
-    With ``restarts`` > 0, a series that cannot reach a = 1 is evaluated at
-    the largest a < 1 that still lowers the mismatch and a fresh embedding
-    is expanded from that intermediate state, up to the given number of
-    times.  Term counts accumulate across stages.
-    """
-    if restarts:
-        return _staged_solve(sys, C, D, tol, n_max, pade, restarts)
-    return _single_stage(sys, C, D, tol, n_max, pade)
-
-
 def _single_stage(sys: System, C, D, tol, n_max, pade) -> FfheResult:
+    """One embedding around (C, D), up to ``n_max`` orders."""
     C = np.asarray(C, dtype=complex)
     D = np.asarray(D, dtype=complex)
     n = sys.n_bus
@@ -190,12 +176,22 @@ def _single_stage(sys: System, C, D, tol, n_max, pade) -> FfheResult:
                       Is[:, :order + 1], best_order, best)
 
 
-def _staged_solve(sys: System, C, D, tol, n_max, pade, restarts) -> FfheResult:
+def ffhe_solve(sys: System, C: np.ndarray, D: np.ndarray, tol: float = 1e-8,
+               n_max: int = 60, pade: bool = False) -> FfheResult:
+    """Expand the embedded system around reference state (C, D).
+
+    Every entry of C must be nonzero; currents appearing in magnitude-
+    normalised control rows must be nonzero in D.
+
+    A series that cannot reach a = 1 is evaluated at the largest a < 1 that
+    still lowers the mismatch and a fresh embedding is expanded from that
+    intermediate state, up to ``SERIES_RESTARTS`` times.  Term counts
+    accumulate across stages.
+    """
     V, I = np.asarray(C, dtype=complex), np.asarray(D, dtype=complex)
     total_terms = 0
     best = (np.inf, 0)      # lowest mismatch of any stage, and its term
-    result = None
-    for _ in range(restarts + 1):
+    for _ in range(SERIES_RESTARTS + 1):
         I = _nudge_zero_currents(sys, I.copy())
         result = _single_stage(sys, V, I, tol, n_max, pade)
         if result.best_mismatch < best[0]:

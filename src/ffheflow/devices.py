@@ -96,7 +96,13 @@ class SeriesDevice:
         if max(per_branch.values()) > 2:
             raise DeviceConfigError(
                 "more than two targets on one device branch is ill posed")
+        if not all(math.isfinite(v) for v in self.v_se_max if v is not None):
+            raise DeviceConfigError(
+                f"{self.device_id}: v_se_max {self.v_se_max} is not finite")
         for t in self.targets:
+            if not math.isfinite(t.setpoint):
+                raise DeviceConfigError(
+                    f"{self.device_id}: setpoint {t.setpoint} is not finite")
             if t.mode in COMPANION_MODES and \
                     abs(self.current_guess[t.branch]) <= EPS_ZERO:
                 raise DeviceConfigError(
@@ -113,6 +119,11 @@ class SeriesDevice:
     def branch(self):
         """The first branch's (i, j) ends; an SSSC's only branch."""
         return self.branches[0]
+
+    def target_bus(self, t: ControlTarget) -> int:
+        """External id of the bus whose magnitude a V_BUS target holds: its
+        own ``bus``, else the sending bus the branches share."""
+        return t.bus if t.bus is not None else self.branches[0][0]
 
 
 def SsscDevice(device_id: str, branch, target: ControlTarget,
@@ -207,10 +218,13 @@ def _target_from_record(rec, idx) -> ControlTarget:
         mode = Mode(rec["mode"])
     except (KeyError, ValueError):
         raise DeviceConfigError(f"device {idx}: bad or missing mode") from None
-    return ControlTarget(mode=mode, setpoint=float(rec["setpoint"]),
+    bus = rec.get("bus")
+    return ControlTarget(mode=mode,
+                         setpoint=_number(rec["setpoint"], idx, "setpoint"),
                          branch=_integer(rec.get("branch", 0), idx,
                                          "target branch"),
-                         bus=rec.get("bus"))
+                         bus=None if bus is None else
+                         _integer(bus, idx, "target bus"))
 
 
 def _integer(val, idx, what) -> int:
@@ -221,12 +235,21 @@ def _integer(val, idx, what) -> int:
     return val
 
 
-def _as_complex(val, default):
+def _number(val, idx, what) -> float:
+    """A JSON number, not coerced from a string or a boolean."""
+    if not isinstance(val, (int, float)) or isinstance(val, bool):
+        raise DeviceConfigError(f"device {idx}: {what} {val!r} is not a "
+                                "number")
+    return float(val)
+
+
+def _as_complex(val, default, idx, what) -> complex:
+    """A JSON number or ``[re, im]`` pair of numbers; ``default`` if absent."""
     if val is None:
         return default
-    if isinstance(val, (list, tuple)):
-        return complex(val[0], val[1])
-    return complex(val)
+    if isinstance(val, list) and len(val) == 2:
+        return complex(_number(val[0], idx, what), _number(val[1], idx, what))
+    return complex(_number(val, idx, what))
 
 
 def _device_from_record(rec: dict, idx: int) -> SeriesDevice:
@@ -249,14 +272,20 @@ def _device_from_record(rec: dict, idx: int) -> SeriesDevice:
         guesses = rec.get("current_guess", [None] * n)
     else:
         raise DeviceConfigError(f"device {idx}: unknown type {kind!r}")
+    device_id = rec.get("id", f"{kind}{idx}")
+    if not isinstance(device_id, str):
+        raise DeviceConfigError(f"device {idx}: id {device_id!r} is not a "
+                                "string")
     return SeriesDevice(
-        device_id=rec.get("id", f"{kind}{idx}"),
+        device_id=device_id,
         branches=tuple(tuple(_integer(b, idx, "bus") for b in br)
                        for br in branches),
         targets=tuple(_target_from_record(t, idx) for t in targets),
-        z_se=tuple(_as_complex(z, 0.01 + 0.01j) for z in z_se),
-        v_se_max=tuple(None if v is None else float(v) for v in v_se_max),
-        current_guess=tuple(_as_complex(g, 0.1 + 0j) for g in guesses))
+        z_se=tuple(_as_complex(z, 0.01 + 0.01j, idx, "z_se") for z in z_se),
+        v_se_max=tuple(None if v is None else _number(v, idx, "v_se_max")
+                       for v in v_se_max),
+        current_guess=tuple(_as_complex(g, 0.1 + 0j, idx, "current_guess")
+                            for g in guesses))
 
 
 def load_devices(text: str):

@@ -20,6 +20,9 @@ CURRENT_NUDGE = 1e-3
 #: step halvings attempted before the line search gives up
 MAX_BACKTRACKS = 40
 
+#: Newton steps a full solve may take before it is declared divergent
+MAX_ITERS = 40
+
 
 class ConvergenceError(RuntimeError):
     """The iteration diverged or stalled above tolerance."""
@@ -31,7 +34,6 @@ class NewtonResult:
     I: np.ndarray
     iterations: int
     mismatch: float
-    converged: bool
 
 
 def flat_start(sys: System):
@@ -65,36 +67,44 @@ def _step(sys: System, V, I, r):
     return None
 
 
-def nr_solve(sys: System, V0=None, I0=None, tol: float = 1e-8,
-             max_iters: int = 40) -> NewtonResult:
-    """Damped Newton iteration from (V0, I0), default flat start.
-
-    Each step is backtracked until the mismatch norm decreases; divergence
-    is declared when the line search stalls.
-    """
+def _newton(sys: System, V0, I0, tol: float, max_steps: int):
+    """Damped Newton steps from (V0, I0), default flat start, until the
+    mismatch meets ``tol`` or is not finite, ``max_steps`` steps are taken,
+    or the line search stalls.  Returns (V, I, mismatch, steps)."""
     if V0 is None or I0 is None:
         V0, I0 = flat_start(sys)
     V = np.array(V0, dtype=complex)
     I = _nudge_zero_currents(sys, np.array(I0, dtype=complex))
-
     r = residual(sys, V, I)
     mis = float(np.max(np.abs(r)))
-    for it in range(max_iters):
-        if not np.isfinite(mis):
-            raise ConvergenceError("iteration produced non-finite mismatch")
-        if mis <= tol:
-            return NewtonResult(V, I, it, mis, True)
+    steps = 0
+    while steps < max_steps and tol < mis < np.inf:
         stepped = _step(sys, V, I, r)
         if stepped is None:
-            raise ConvergenceError(
-                f"stalled at iteration {it} (mismatch {mis:.3e})")
+            break
         V, I, r = stepped
         mis = float(np.max(np.abs(r)))
+        steps += 1
+    return V, I, mis, steps
 
+
+def nr_solve(sys: System, V0=None, I0=None,
+             tol: float = 1e-8) -> NewtonResult:
+    """Damped Newton iteration from (V0, I0), default flat start.
+
+    Each step is backtracked until the mismatch norm decreases; divergence
+    is declared when the line search stalls, or after ``MAX_ITERS`` steps.
+    """
+    V, I, mis, steps = _newton(sys, V0, I0, tol, MAX_ITERS)
     if mis <= tol:
-        return NewtonResult(V, I, max_iters, mis, True)
+        return NewtonResult(V, I, steps, mis)
+    if not np.isfinite(mis):
+        raise ConvergenceError("iteration produced non-finite mismatch")
+    if steps < MAX_ITERS:
+        raise ConvergenceError(
+            f"stalled at iteration {steps} (mismatch {mis:.3e})")
     raise ConvergenceError(
-        f"no convergence in {max_iters} iterations (mismatch {mis:.3e})")
+        f"no convergence in {MAX_ITERS} iterations (mismatch {mis:.3e})")
 
 
 def warm_start(sys: System, iterations: int = 3, tol: float = 1e-8,
@@ -109,19 +119,7 @@ def warm_start(sys: System, iterations: int = 3, tol: float = 1e-8,
     """
     if iterations < 1:
         raise ValueError("warm start needs at least one iteration")
-    if V0 is None or I0 is None:
-        V, I = flat_start(sys)
-    else:
-        V = np.array(V0, dtype=complex)
-        I = _nudge_zero_currents(sys, np.array(I0, dtype=complex))
-    r = residual(sys, V, I)
-    steps = 0
-    while steps < iterations and float(np.max(np.abs(r))) > tol:
-        stepped = _step(sys, V, I, r)
-        if stepped is None:
-            break
-        V, I, r = stepped
-        steps += 1
+    V, I, _, steps = _newton(sys, V0, I0, tol, iterations)
     return V, I, steps
 
 

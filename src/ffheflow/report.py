@@ -60,9 +60,6 @@ LOG_FLOOR = 1e-16
 MAX_LIMIT_PASSES = 12
 MAX_RELAX_PASSES = 5
 
-#: staged re-embeddings allowed to a series solve
-SERIES_RESTARTS = 10
-
 
 class StudyError(RuntimeError):
     """The study could not be completed (divergence, limit cycling, ...)."""
@@ -75,7 +72,6 @@ class StudyOptions:
     max_terms: int = 60
     warm_iters: int = 3
     pade: bool = False
-    enforce_q_limits: bool = True
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -218,7 +214,7 @@ def _solve_method(sys: System, method: str, V0, I0, opts: StudyOptions):
         V0, I0, warm_n = warm_start(sys, iterations=opts.warm_iters,
                                     tol=opts.tol, V0=V0, I0=I0)
     res = ffhe_solve(sys, V0, I0, tol=opts.tol, n_max=opts.max_terms,
-                     pade=opts.pade, restarts=SERIES_RESTARTS)
+                     pade=opts.pade)
     stats = MethodStats(iterations=warm_n, terms=res.terms,
                         mismatch=res.mismatch,
                         runtime_s=time.perf_counter() - t0,
@@ -250,8 +246,6 @@ def _limited_solve(net: Network, devices, opts: StudyOptions, frozen_q,
                 f"series did not converge ({stats.terms} terms, "
                 f"mismatch {stats.mismatch:.3e}; best "
                 f"{stats.best_mismatch:.3e} at term {stats.best_term})")
-        if not opts.enforce_q_limits:
-            return sysi, V, I, stats, clamped
         viol = _q_violations(sysi, V, I, net)
         if not viol:
             return sysi, V, I, stats, clamped
@@ -272,12 +266,8 @@ def _frozen_q_candidates(net: Network, devices, base: StudyReport):
     q = generator_reactive_output(base.system, base.V, base.I,
                                   [idx[i] for i in displaced])
     frozen = dict(zip(displaced, q.tolist()))
-    vbus_targets = set()
-    for dev in devices:
-        for t in dev.targets:
-            if t.mode is Mode.V_BUS:
-                vbus_targets.add(t.bus if t.bus is not None
-                                 else dev.branches[t.branch][0])
+    vbus_targets = {dev.target_bus(t) for dev in devices
+                    for t in dev.targets if t.mode is Mode.V_BUS}
     candidates = [dict(frozen)]
     for b in sorted(frozen):
         if b in vbus_targets:
@@ -300,8 +290,7 @@ def run_study(net: Network, devices=(), options: StudyOptions | None = None):
         _check_device_buses(net, devices)
         # device-free pre-solve of the same case supplies the warm start and
         # the frozen reactive outputs of displaced regulating generators
-        base = _base_solution(net, StudyOptions(
-            method="nr", tol=opts.tol, enforce_q_limits=opts.enforce_q_limits))
+        base = _base_solution(net, StudyOptions(method="nr", tol=opts.tol))
         candidates = _frozen_q_candidates(net, devices, base)
         start = partial(_device_start, base=base)
     else:

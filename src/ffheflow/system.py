@@ -195,7 +195,7 @@ def build_system(base_net: Network, devices=(), *,
         rtargets = []
         for t in dev.targets:
             if t.mode is Mode.V_BUS:
-                bus_ext = t.bus if t.bus is not None else dev.branches[0][0]
+                bus_ext = dev.target_bus(t)
                 if bus_ext not in idx:
                     raise DeviceConfigError(
                         f"{dev.device_id}: unknown target bus {bus_ext}")

@@ -136,6 +136,21 @@ class TestSingleRun:
         assert capsys.readouterr().err == \
             "error: device sssc0: unknown bus 999\n"
 
+    @pytest.mark.parametrize("change, err", [
+        ({"id": ["a"]}, "error: device 0: id ['a'] is not a string\n"),
+        ({"setpoint": float("nan")},
+         "error: sssc0: setpoint nan is not finite\n")],
+        ids=["list-id", "nan-setpoint"])
+    def test_mistyped_device_value(self, case_path, tmp_path, capsys, change,
+                                   err):
+        devs = tmp_path / "devs.json"
+        devs.write_text(json.dumps([{
+            "type": "sssc", "branch": [101, 102],
+            "mode": "p_flow", "setpoint": 0.9, **change}]))
+        assert main(["--case", str(case_path), "--devices", str(devs),
+                     "--method", "nr"]) == EXIT_INPUT
+        assert capsys.readouterr().err == err
+
     @pytest.mark.parametrize("method", ["nr", "compare"])
     def test_json_report_is_strict_json(self, case_path, tmp_path, capsys,
                                         method):

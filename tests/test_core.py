@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_sssc_study
+from ffheflow import core
 from ffheflow.core import _single_stage, ffhe_solve
 from ffheflow.devices import ControlTarget, Mode, SsscDevice
 from ffheflow.network import Branch, Bus, BusKind, Network
@@ -25,7 +26,8 @@ class TestFirstCoefficients:
         """Order 1 must move the slack from the reference to its setpoint."""
         sys = build_system(slack_pq_net(vsp=1.06))
         C = np.array([0.9 + 0j, 1.0 + 0j])
-        res = ffhe_solve(sys, C, np.zeros(0, complex), n_max=2, tol=1e-30)
+        res = _single_stage(sys, C, np.zeros(0, complex), n_max=2, tol=1e-30,
+                            pade=False)
         assert res.v_series[0, 1] == pytest.approx(0.16)
 
     def test_pv_magnitude_coefficients(self):
@@ -54,7 +56,8 @@ class TestFirstCoefficients:
         """From any reference, order 1 of the series is the Newton step."""
         sys = build_system(slack_pq_net())
         C = np.array([1.02 + 0.01j, 0.97 - 0.03j])
-        res = ffhe_solve(sys, C, np.zeros(0, complex), n_max=1, tol=1e-30)
+        res = _single_stage(sys, C, np.zeros(0, complex), n_max=1, tol=1e-30,
+                            pade=False)
         from ffheflow.system import jacobian
         J = jacobian(sys, C, np.zeros(0, complex)).toarray()
         dx = np.linalg.solve(J, -residual(sys, C, np.zeros(0, complex)))
@@ -102,11 +105,12 @@ class TestConvergence:
         assert not res.converged
 
     @pytest.mark.parametrize("restarts", [0, 3])
-    def test_singular_reference_reported_unconverged(self, restarts):
+    def test_singular_reference_reported_unconverged(self, restarts,
+                                                     monkeypatch):
         # at V = 0 every PQ row of the Jacobian vanishes
+        monkeypatch.setattr(core, "SERIES_RESTARTS", restarts)
         sys = build_system(slack_pq_net())
-        res = ffhe_solve(sys, np.zeros(2, complex), np.zeros(0, complex),
-                         restarts=restarts)
+        res = ffhe_solve(sys, np.zeros(2, complex), np.zeros(0, complex))
         assert not res.converged
         assert res.terms == 0
 
@@ -115,9 +119,9 @@ class TestConvergence:
         # homotopy path and finish the job
         sys = build_system(case118)
         V0, I0 = flat_start(sys)
-        short = ffhe_solve(sys, V0, I0, tol=1e-10, n_max=4)
+        short = _single_stage(sys, V0, I0, tol=1e-10, n_max=4, pade=False)
         assert not short.converged
-        staged = ffhe_solve(sys, V0, I0, tol=1e-10, n_max=4, restarts=10)
+        staged = ffhe_solve(sys, V0, I0, tol=1e-10, n_max=4)
         assert staged.converged
 
     @pytest.mark.filterwarnings("error")
@@ -126,7 +130,6 @@ class TestConvergence:
         # 101-102/vse0.1 under method="ffhe", pade=True meets an approximant
         # with a pole at a = 1 at its tenth restart stage; stand one in from
         # the first order, so the non-finite state never reaches residual()
-        from ffheflow import core
         monkeypatch.setattr(
             core, "evaluate_at_one",
             lambda coeffs, pade=False: np.full(coeffs.shape[:-1], np.inf,
@@ -134,7 +137,7 @@ class TestConvergence:
         dev = SsscDevice("s", (101, 102), ControlTarget(Mode.V_SE, 0.1))
         sys = build_system(case118, (dev,))
         V0, I0 = flat_start(sys)
-        res = ffhe_solve(sys, V0, I0, pade=True)
+        res = _single_stage(sys, V0, I0, tol=1e-8, n_max=60, pade=True)
         assert not res.converged
         assert res.terms == 1
         assert res.mismatch == np.inf
@@ -144,7 +147,7 @@ class TestConvergence:
         # mismatch of any partial sum, not the last one
         sys = build_system(case118)
         V0, I0 = flat_start(sys)
-        res = ffhe_solve(sys, V0, I0, tol=1e-14, n_max=4)
+        res = _single_stage(sys, V0, I0, tol=1e-14, n_max=4, pade=False)
         assert not res.converged
         mis = [float(np.max(np.abs(residual(
                    sys, res.v_series[:, :k + 1].sum(axis=1),
@@ -156,8 +159,8 @@ class TestConvergence:
     def test_staged_best_mismatch_counts_terms_over_stages(self, case118):
         sys = build_system(case118)
         V0, I0 = flat_start(sys)
-        first = ffhe_solve(sys, V0, I0, tol=1e-14, n_max=3)
-        staged = ffhe_solve(sys, V0, I0, tol=1e-14, n_max=3, restarts=2)
+        first = _single_stage(sys, V0, I0, tol=1e-14, n_max=3, pade=False)
+        staged = ffhe_solve(sys, V0, I0, tol=1e-14, n_max=3)
         assert not staged.converged
         assert staged.best_mismatch < first.best_mismatch
         assert first.terms < staged.best_term <= staged.terms

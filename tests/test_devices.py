@@ -34,6 +34,13 @@ class TestSsscValidation:
             SsscDevice("s", (101, 102), ControlTarget(Mode.V_SE, setpoint),
                        v_se_max=0.1)
 
+    @pytest.mark.parametrize("setpoint, v_se_max", [
+        (math.nan, None), (math.inf, None), (0.1, math.nan), (0.1, math.inf)])
+    def test_non_finite_values_rejected(self, setpoint, v_se_max):
+        with pytest.raises(DeviceConfigError, match="is not finite"):
+            SsscDevice("s", (101, 102), ControlTarget(Mode.P_FLOW, setpoint),
+                       v_se_max=v_se_max)
+
     def test_vse_target_at_rating_accepted(self):
         d = SsscDevice("s", (101, 102), ControlTarget(Mode.V_SE, 0.1),
                        v_se_max=0.1)
@@ -270,3 +277,36 @@ class TestLoadDevices:
     def test_malformed_record(self, text, match):
         with pytest.raises(DeviceConfigError, match=match):
             load_devices(text)
+
+    @pytest.mark.parametrize("change, match", [
+        ({"setpoint": "0.75"}, "setpoint '0.75' is not a number"),
+        ({"setpoint": True}, "setpoint True is not a number"),
+        ({"setpoint": math.nan}, "setpoint nan is not finite"),
+        ({"v_se_max": "0.3"}, "v_se_max '0.3' is not a number"),
+        ({"z_se": "0.01+0.02j"}, "z_se '0.01\\+0.02j' is not a number"),
+        ({"z_se": True}, "z_se True is not a number"),
+        ({"z_se": [0.01, "0.02"]}, "z_se '0.02' is not a number"),
+        ({"current_guess": "0.2"}, "current_guess '0.2' is not a number"),
+        ({"mode": "v_bus", "setpoint": 1.0, "bus": 50.0},
+         "target bus 50.0 is not an integer"),
+        ({"mode": "v_bus", "setpoint": 1.0, "bus": "50"},
+         "target bus '50' is not an integer"),
+        ({"id": ["a"]}, "id \\['a'\\] is not a string"),
+    ], ids=["str-setpoint", "bool-setpoint", "nan-setpoint", "str-v_se_max",
+            "str-z_se", "bool-z_se", "str-z_se-part", "str-current_guess",
+            "float-bus", "str-bus", "list-id"])
+    def test_values_are_type_checked_not_coerced(self, change, match):
+        record = {"type": "sssc", "branch": [49, 50], "mode": "p_flow",
+                  "setpoint": 0.75, **change}
+        with pytest.raises(DeviceConfigError, match=match):
+            load_devices(json.dumps([record]))
+
+    def test_ipfc_values_are_type_checked(self):
+        record = {"type": "ipfc", "branches": [[49, 50], [49, 51]],
+                  "targets": [
+                      {"branch": 0, "mode": "p_flow", "setpoint": 0.75},
+                      {"branch": 1, "mode": "p_flow", "setpoint": 0.75},
+                      {"branch": 1, "mode": "q_flow", "setpoint": "0.03"}]}
+        with pytest.raises(DeviceConfigError,
+                           match="setpoint '0.03' is not a number"):
+            load_devices(json.dumps([record]))

@@ -1,5 +1,7 @@
 """System assembly, analytic Jacobian, and Newton-solver tests."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -129,7 +131,6 @@ class TestNewton:
     def test_converges_base_case(self, case118):
         sys = build_system(case118)
         res = nr_solve(sys)
-        assert res.converged
         assert res.mismatch <= 1e-8
         # slack pinned, magnitudes physical
         assert abs(res.V[sys.net.index_of[69]]) == \
@@ -140,7 +141,6 @@ class TestNewton:
         dev = SsscDevice("s", (101, 102), ControlTarget(Mode.P_FLOW, 0.9))
         sys = build_system(case118, (dev,))
         res = nr_solve(sys)
-        assert res.converged
         be = sys.devices[0].branches[0]
         s = res.V[be.i_idx] * np.conj(res.I[be.cur_idx])
         assert s.real == pytest.approx(0.9, abs=1e-8)
@@ -148,7 +148,26 @@ class TestNewton:
     def test_infeasible_raises(self):
         sys = build_system(two_bus(p_load=50.0))   # far beyond loadability
         with pytest.raises(ConvergenceError):
-            nr_solve(sys, max_iters=15)
+            nr_solve(sys)
+
+    @pytest.mark.parametrize("extra", [0, 5])
+    def test_warm_start_matches_newton(self, case118, extra):
+        # both run one damped-Newton loop: given at least Newton's step
+        # count, the warm start stops where Newton converges
+        dev = SsscDevice("s", (101, 102), ControlTarget(Mode.P_FLOW, 0.9))
+        sys = build_system(case118, (dev,))
+        nr = nr_solve(sys)
+        V, I, steps = warm_start(sys, iterations=nr.iterations + extra)
+        assert steps == nr.iterations
+        np.testing.assert_array_equal(V, nr.V)
+        np.testing.assert_array_equal(I, nr.I)
+
+    def test_warm_start_stops_where_newton_stalls(self):
+        sys = build_system(two_bus(p_load=50.0))
+        with pytest.raises(ConvergenceError, match="stalled") as err:
+            nr_solve(sys)
+        stalled_at = int(re.search(r"iteration (\d+)", str(err.value))[1])
+        assert warm_start(sys, iterations=100)[2] == stalled_at
 
     def test_warm_start_reduces_mismatch(self, case118):
         sys = build_system(case118)

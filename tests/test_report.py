@@ -55,11 +55,6 @@ class TestBaseStudy:
             assert abs(abs(base_nr.voltage(ext))
                        - case118.bus(ext).v_setpoint) > 1e-6
 
-    def test_limits_can_be_disabled(self, case118):
-        rep = run_study(case118, (), StudyOptions(
-            method="nr", enforce_q_limits=False))
-        assert rep.clamped_generators == {}
-
     def test_unclamped_pv_magnitudes_hold(self, base_nr, case118):
         from ffheflow.network import BusKind
         for bus in case118.buses:
@@ -254,8 +249,7 @@ class TestBaseSolutionMemo:
                   StudyOptions(method="nr-warm-ffhe", warm_iters=2))
         assert _base_solution.cache_info().hits == 1
 
-    @pytest.mark.parametrize("change", [{"tol": 1e-9},
-                                        {"enforce_q_limits": False}])
+    @pytest.mark.parametrize("change", [{"tol": 1e-9}])
     def test_other_newton_options_miss(self, case118, change):
         run_study(case118, (self.DEV,), self.NR)
         run_study(case118, (self.DEV,), StudyOptions(method="nr", **change))
