@@ -9,9 +9,11 @@ by :func:`SsscDevice`; n >= 2 is the IPFC.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 from .series import EPS_ZERO
@@ -96,13 +98,15 @@ class SeriesDevice:
         if max(per_branch.values()) > 2:
             raise DeviceConfigError(
                 "more than two targets on one device branch is ill posed")
-        if not all(math.isfinite(v) for v in self.v_se_max if v is not None):
-            raise DeviceConfigError(
-                f"{self.device_id}: v_se_max {self.v_se_max} is not finite")
+        for what, vals, kind in (
+                ("z_se", self.z_se, numbers.Complex),
+                ("current_guess", self.current_guess, numbers.Complex),
+                ("v_se_max", [v for v in self.v_se_max if v is not None],
+                 numbers.Real)):
+            for v in vals:
+                self._check_finite(what, v, kind)
         for t in self.targets:
-            if not math.isfinite(t.setpoint):
-                raise DeviceConfigError(
-                    f"{self.device_id}: setpoint {t.setpoint} is not finite")
+            self._check_finite("setpoint", t.setpoint, numbers.Real)
             if t.mode in COMPANION_MODES and \
                     abs(self.current_guess[t.branch]) <= EPS_ZERO:
                 raise DeviceConfigError(
@@ -114,6 +118,16 @@ class SeriesDevice:
                 raise DeviceConfigError(
                     f"{self.device_id}: v_se target {t.setpoint} on branch "
                     f"{t.branch} exceeds its rating {vmax}")
+
+    def _check_finite(self, what, val, kind) -> None:
+        """Raise unless ``val`` is a finite number of ``kind``; a boolean
+        is not a number."""
+        if not isinstance(val, kind) or isinstance(val, bool):
+            raise DeviceConfigError(
+                f"{self.device_id}: {what} {val!r} is not a number")
+        if not cmath.isfinite(val):
+            raise DeviceConfigError(
+                f"{self.device_id}: {what} {val} is not finite")
 
     @property
     def branch(self):

@@ -2,6 +2,11 @@
 
 Used standalone for cross-validation and, truncated to a few iterations, to
 produce the reference state the series solver expands around.
+
+The loop holds its last SuperLU factorisation and reuses it for a full
+chord step while that step contracts the mismatch by ``CONTRACTION``; it
+factorises the Jacobian at the current point only when the held factor
+fails that ratio test (the chord, or Shamanskii, method).
 """
 
 from __future__ import annotations
@@ -19,6 +24,10 @@ CURRENT_NUDGE = 1e-3
 
 #: step halvings attempted before the line search gives up
 MAX_BACKTRACKS = 40
+
+#: a chord step, with a factorisation held from an earlier point, is kept
+#: only if it brings the mismatch below this fraction of the current one
+CONTRACTION = 0.3
 
 #: Newton steps a full solve may take before it is declared divergent
 MAX_ITERS = 40
@@ -44,42 +53,51 @@ def flat_start(sys: System):
     return V, I
 
 
-def _step(sys: System, V, I, r):
-    """One damped Newton update from (V, I), whose residual vector is ``r``:
-    the step is halved until the mismatch norm decreases.  Returns (V, I,
-    residual vector) of the accepted point, or None when the line search
-    cannot make progress."""
-    nrm = float(np.max(np.abs(r)))
-    try:
-        dx = lu_solve(lu_factor(jacobian(sys, V, I)), -r)
-    except np.linalg.LinAlgError:
-        return None
-    dV, dI = unpack_state(dx, sys.n_bus)
+def _step(sys: System, V, I, r, lu, bound: float, tries: int):
+    """Update (V, I), whose residual vector is ``r``, along the Newton
+    direction of the factorisation ``lu``: the step is halved, up to
+    ``tries`` lengths in all, until the mismatch norm falls below ``bound``.
+    Returns (V, I, residual vector) of the accepted point, or None."""
+    dV, dI = unpack_state(lu_solve(lu, -r), sys.n_bus)
     lam = 1.0
-    for _ in range(MAX_BACKTRACKS):
+    for _ in range(tries):
         Vn = V + lam * dV
         In = _nudge_zero_currents(sys, I + lam * dI)
         rn = residual(sys, Vn, In)
         mn = float(np.max(np.abs(rn))) if np.all(np.isfinite(rn)) else np.inf
-        if mn < nrm:
+        if mn < bound:
             return Vn, In, rn
         lam *= 0.5
     return None
 
 
 def _newton(sys: System, V0, I0, tol: float, max_steps: int):
-    """Damped Newton steps from (V0, I0), default flat start, until the
-    mismatch meets ``tol`` or is not finite, ``max_steps`` steps are taken,
-    or the line search stalls.  Returns (V, I, mismatch, steps)."""
+    """Newton steps from (V0, I0), default flat start, until the mismatch
+    meets ``tol`` or is not finite, ``max_steps`` steps are taken, or the
+    line search stalls.  Returns (V, I, mismatch, steps).
+
+    The last factorisation is held.  A step first tries it unchanged, at
+    full length (a chord step), and keeps the result only if the mismatch
+    falls below ``CONTRACTION`` times the current one.  Otherwise the
+    Jacobian is factorised at the current point and the step is
+    backtracked until the mismatch decreases.  Either kind counts as one
+    step."""
     if V0 is None or I0 is None:
         V0, I0 = flat_start(sys)
     V = np.array(V0, dtype=complex)
     I = _nudge_zero_currents(sys, np.array(I0, dtype=complex))
     r = residual(sys, V, I)
     mis = float(np.max(np.abs(r)))
-    steps = 0
+    steps, lu = 0, None
     while steps < max_steps and tol < mis < np.inf:
-        stepped = _step(sys, V, I, r)
+        stepped = None if lu is None else \
+            _step(sys, V, I, r, lu, CONTRACTION * mis, 1)
+        if stepped is None:
+            try:
+                lu = lu_factor(jacobian(sys, V, I))
+            except np.linalg.LinAlgError:
+                break
+            stepped = _step(sys, V, I, r, lu, mis, MAX_BACKTRACKS)
         if stepped is None:
             break
         V, I, r = stepped
@@ -92,8 +110,10 @@ def nr_solve(sys: System, V0=None, I0=None,
              tol: float = 1e-8) -> NewtonResult:
     """Damped Newton iteration from (V0, I0), default flat start.
 
-    Each step is backtracked until the mismatch norm decreases; divergence
-    is declared when the line search stalls, or after ``MAX_ITERS`` steps.
+    A step reuses the held factorisation when that contracts the mismatch
+    enough, else factorises afresh and is backtracked until the mismatch
+    norm decreases; divergence is declared when the line search stalls, or
+    after ``MAX_ITERS`` steps, chord steps included.
     """
     V, I, mis, steps = _newton(sys, V0, I0, tol, MAX_ITERS)
     if mis <= tol:
@@ -109,8 +129,8 @@ def nr_solve(sys: System, V0=None, I0=None,
 
 def warm_start(sys: System, iterations: int = 3, tol: float = 1e-8,
                V0=None, I0=None):
-    """Run up to ``iterations`` damped Newton iterations to produce a
-    series reference.
+    """Run up to ``iterations`` steps of :func:`nr_solve`'s loop, chord
+    steps included, to produce a series reference.
 
     Returns ``(V, I, steps)``, where ``steps`` counts the Newton steps taken:
     fewer than requested when the mismatch already meets ``tol`` or the line

@@ -30,9 +30,9 @@ of it: the bus masks after the constant-Q pins, the scheduled injections
 and setpoints, the resolved device targets and, built on first use, the
 device-row table and the Jacobian's fixed CSC pattern.  So a generator-limit
 or relaxation pass neither re-splices the devices nor rebuilds the Y-bus,
-and every Newton step, series stage and ``compare`` solve on one System
-refills one pattern, as in the fixed-structure Jacobian of MATPOWER and
-pandapower.
+and every Newton Jacobian, series stage and ``compare`` solve on one
+System refills one pattern, as in the fixed-structure Jacobian of MATPOWER
+and pandapower.
 
 The bus rows are complex-matrix expressions over those index arrays: the
 injections ``S = diag(conj V) [Y C] z``, with ``C`` the sparse +-1

@@ -218,27 +218,28 @@ def test_outer_loop_outcome(study, label):
 
 #: Newton iterations and series terms of each scenario's final solve, so a
 #: refactor is seen to do the same work: (iterations, terms) under nr and
-#: under nr-warm-ffhe, then the series terms under ffhe (where that study
-#: raises, 49-50/v1.0 and 101-102/vse0.1, the count its error reports)
+#: under nr-warm-ffhe, chord steps with a held factorisation counted as
+#: iterations, then the series terms under ffhe (where that study raises,
+#: 49-50/v1.0 and 101-102/vse0.1, the count its error reports)
 SOLVE_COUNTS = {
-    "base": ((3, 0), (3, 0), 5),
-    "49-50/p0.75": ((3, 0), (3, 0), 5),
-    "49-50/q0": ((3, 0), (3, 0), 5),
-    "49-50/qse0.3": ((3, 0), (3, 0), 5),
-    "49-50/v1.0": ((3, 0), (3, 0), 6),
-    "49-50/vse0.2": ((3, 0), (3, 0), 5),
-    "49-50/x-0.2": ((3, 0), (3, 0), 5),
-    "101-102/p0.9": ((3, 0), (3, 0), 9),
-    "101-102/q0": ((3, 0), (3, 0), 5),
-    "101-102/qse0.3": ((3, 0), (3, 0), 5),
-    "101-102/v0.9": ((3, 0), (3, 0), 6),
-    "101-102/vse0.1": ((3, 0), (3, 0), 508),
-    "101-102/x0.1": ((3, 0), (3, 0), 5),
-    "49/c1": ((3, 0), (3, 0), 5),
-    "49/c2": ((3, 0), (3, 0), 5),
-    "100/c1": ((3, 0), (3, 0), 5),
-    "100/c2": ((3, 0), (3, 0), 5),
-    "relax": ((3, 0), (3, 0), 5),
+    "base": ((5, 0), (3, 1), 5),
+    "49-50/p0.75": ((5, 0), (3, 1), 5),
+    "49-50/q0": ((5, 0), (3, 1), 5),
+    "49-50/qse0.3": ((5, 0), (3, 1), 5),
+    "49-50/v1.0": ((5, 0), (3, 1), 6),
+    "49-50/vse0.2": ((5, 0), (3, 1), 5),
+    "49-50/x-0.2": ((5, 0), (3, 1), 5),
+    "101-102/p0.9": ((8, 0), (3, 1), 9),
+    "101-102/q0": ((5, 0), (3, 1), 5),
+    "101-102/qse0.3": ((5, 0), (3, 1), 5),
+    "101-102/v0.9": ((6, 0), (3, 1), 6),
+    "101-102/vse0.1": ((5, 0), (3, 1), 469),
+    "101-102/x0.1": ((5, 0), (3, 1), 5),
+    "49/c1": ((5, 0), (3, 1), 5),
+    "49/c2": ((5, 0), (3, 1), 5),
+    "100/c1": ((5, 0), (3, 1), 5),
+    "100/c2": ((5, 0), (3, 1), 5),
+    "relax": ((5, 0), (3, 1), 5),
 }
 
 

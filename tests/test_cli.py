@@ -139,8 +139,10 @@ class TestSingleRun:
     @pytest.mark.parametrize("change, err", [
         ({"id": ["a"]}, "error: device 0: id ['a'] is not a string\n"),
         ({"setpoint": float("nan")},
-         "error: sssc0: setpoint nan is not finite\n")],
-        ids=["list-id", "nan-setpoint"])
+         "error: sssc0: setpoint nan is not finite\n"),
+        ({"z_se": [float("nan"), 0.01]},
+         "error: sssc0: z_se (nan+0.01j) is not finite\n")],
+        ids=["list-id", "nan-setpoint", "nan-z_se"])
     def test_mistyped_device_value(self, case_path, tmp_path, capsys, change,
                                    err):
         devs = tmp_path / "devs.json"

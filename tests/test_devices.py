@@ -41,6 +41,31 @@ class TestSsscValidation:
             SsscDevice("s", (101, 102), ControlTarget(Mode.P_FLOW, setpoint),
                        v_se_max=v_se_max)
 
+    @pytest.mark.parametrize("kw, match", [
+        ({"z_se": complex(math.nan, 0.01)}, r"z_se \(nan\+0.01j\)"),
+        ({"z_se": complex(0.01, math.inf)}, r"z_se \(0.01\+infj\)"),
+        ({"current_guess": complex(math.nan, 0)},
+         r"current_guess \(nan\+0j\)"),
+    ], ids=["nan-z_se", "inf-z_se", "nan-current_guess"])
+    def test_non_finite_complex_values_rejected(self, kw, match):
+        with pytest.raises(DeviceConfigError, match=match + " is not finite"):
+            SsscDevice("s", (101, 102), ControlTarget(Mode.P_FLOW, 0.9), **kw)
+
+    @pytest.mark.parametrize("setpoint, kw, match", [
+        ("0.9", {}, "setpoint '0.9'"),
+        (True, {}, "setpoint True"),
+        (0.9, {"v_se_max": "0.3"}, "v_se_max '0.3'"),
+        (0.9, {"z_se": "0.01"}, "z_se '0.01'"),
+        (0.9, {"current_guess": None}, "current_guess None"),
+    ], ids=["str-setpoint", "bool-setpoint", "str-v_se_max", "str-z_se",
+            "none-current_guess"])
+    def test_non_number_values_rejected(self, setpoint, kw, match):
+        # a library caller's values are checked as the JSON loader's are
+        with pytest.raises(DeviceConfigError,
+                           match=match + " is not a number"):
+            SsscDevice("s", (101, 102), ControlTarget(Mode.P_FLOW, setpoint),
+                       **kw)
+
     def test_vse_target_at_rating_accepted(self):
         d = SsscDevice("s", (101, 102), ControlTarget(Mode.V_SE, 0.1),
                        v_se_max=0.1)

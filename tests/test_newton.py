@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_network, random_sssc_study
+from ffheflow import newton
 from ffheflow.devices import ControlTarget, Mode, SsscDevice
 from ffheflow.network import Branch, Bus, BusKind, Network, TopologyError
 from ffheflow.newton import (ConvergenceError, _nudge_zero_currents,
@@ -127,6 +128,20 @@ class TestJacobian:
         assert np.allclose(J[2 * b], row)
 
 
+@pytest.fixture
+def factorisations(monkeypatch):
+    """Counts the Newton loop's factorisations in element 0."""
+    count = [0]
+    lu_factor = newton.lu_factor
+
+    def counted(J):
+        count[0] += 1
+        return lu_factor(J)
+
+    monkeypatch.setattr(newton, "lu_factor", counted)
+    return count
+
+
 class TestNewton:
     def test_converges_base_case(self, case118):
         sys = build_system(case118)
@@ -189,6 +204,30 @@ class TestNewton:
     def test_warm_start_needs_one_iteration(self, case118):
         with pytest.raises(ValueError):
             warm_start(build_system(case118), iterations=0)
+
+    def test_chord_steps_save_factorisations(self, case118, factorisations):
+        dev = SsscDevice("s", (101, 102), ControlTarget(Mode.P_FLOW, 0.9))
+        res = nr_solve(build_system(case118, (dev,)), tol=1e-8)
+        assert res.mismatch <= 1e-8
+        assert factorisations[0] < res.iterations
+
+    def test_chord_steps_contract(self, case118, factorisations):
+        # warm starts of 1, 2, ... steps replay one loop: step k reused a
+        # held factorisation when it factorised nothing itself
+        dev = SsscDevice("s", (101, 102), ControlTarget(Mode.P_FLOW, 0.9))
+        sys = build_system(case118, (dev,))
+        steps = nr_solve(sys).iterations
+        mis = [np.max(np.abs(residual(sys, *flat_start(sys))))]
+        count = [0]
+        for k in range(1, steps + 1):
+            factorisations[0] = 0
+            V, I, _ = warm_start(sys, iterations=k)
+            mis.append(np.max(np.abs(residual(sys, V, I))))
+            count.append(factorisations[0])
+        chord = [k for k in range(1, steps + 1) if count[k] == count[k - 1]]
+        assert chord
+        for k in chord:
+            assert mis[k] <= newton.CONTRACTION * mis[k - 1]
 
     def test_nudge_preserves_phase(self, case118):
         dev = SsscDevice("s", (101, 102), ControlTarget(Mode.V_SE, 0.1))

@@ -17,6 +17,12 @@ The exit status is 1 on any difference: V or I not bitwise equal, other
 counts, a study that raises in one tree only, or another raise message.
 A message that only appends a clause (``"; ..."``) to the other tree's is
 reported as extended and is not a difference.
+
+For a change that moves the iterates by design, ``--within DV`` reports a
+differing pair as ``near``, not a difference, when both trees raise, or
+when neither raises, every method's converged flag agrees, and V and I
+differ by at most DV.  The counts and raise messages are printed as
+before.
 """
 
 from __future__ import annotations
@@ -103,36 +109,48 @@ def _max_gap(x, y) -> float:
     return float(np.max(np.abs(x - y), initial=0.0))
 
 
-def compare(here: dict, other: dict) -> int:
-    """Print one line per pair; return the number of differing pairs."""
-    bad = 0
+def _converged(stats: dict) -> dict:
+    return {m: s[2] for m, s in stats.items()}
+
+
+def compare(here: dict, other: dict, within: float | None = None) -> dict:
+    """Print one line per pair; return the number of pairs per verdict:
+    ``same``, ``near`` (only with ``within``) and ``DIFF``."""
+    tally = dict.fromkeys(("same", "near", "DIFF"), 0)
     for key in here:
         h, o = here[key], other[key]
         label, method = key
-        if "raise" in h or "raise" in o:
-            if "raise" in h and "raise" in o:
-                diff, note = _messages(o["raise"], h["raise"])
-            else:
-                diff, note = True, f"raises in one tree only: {h} vs {o}"
+        if "raise" in h and "raise" in o:
+            diff, note = _messages(o["raise"], h["raise"])
+            near = within is not None
+        elif "raise" in h or "raise" in o:
+            diff, note = True, f"raises in one tree only: {h} vs {o}"
+            near = False
         else:
             bits = (np.array_equal(h["V"], o["V"])
                     and np.array_equal(h["I"], o["I"]))
             counts = h["stats"] == o["stats"]
             diff = not (bits and counts)
+            dv, di = _max_gap(h["V"], o["V"]), _max_gap(h["I"], o["I"])
+            near = (within is not None and max(dv, di) <= within
+                    and _converged(h["stats"]) == _converged(o["stats"]))
             note = (f"V/I {'bitwise' if bits else 'DIFFER'} "
-                    f"(max |dV| {_max_gap(h['V'], o['V']):.1e}, "
-                    f"|dI| {_max_gap(h['I'], o['I']):.1e}); "
+                    f"(max |dV| {dv:.1e}, |dI| {di:.1e}); "
                     + ", ".join(f"{m} {s}" for m, s in h["stats"].items())
                     + ("" if counts else f" vs {o['stats']}"))
-        bad += diff
-        print(f"{'DIFF' if diff else 'same'}  {label:<16} {method:<13} {note}")
-    return bad
+        verdict = "same" if not diff else "near" if near else "DIFF"
+        tally[verdict] += 1
+        print(f"{verdict:<4}  {label:<16} {method:<13} {note}")
+    return tally
 
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("other", type=Path, nargs="?",
                    help="root of the other checkout")
+    p.add_argument("--within", type=float, metavar="DV",
+                   help="report a pair whose V and I differ by at most DV, "
+                        "or that raises in both trees, as near")
     p.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.worker:
@@ -148,9 +166,10 @@ def main(argv=None) -> int:
     records = _scenarios()
     procs = [_run_tree(tree, records) for tree in trees]
     here, other = (_collect(proc, records) for proc in procs)
-    bad = compare(here, other)
-    print(f"{len(here) - bad} of {len(here)} pairs the same, {bad} differ")
-    return 1 if bad else 0
+    tally = compare(here, other, args.within)
+    print(f"{tally['same']} of {len(here)} pairs the same, "
+          f"{tally['near']} near, {tally['DIFF']} differ")
+    return 1 if tally["DIFF"] else 0
 
 
 if __name__ == "__main__":
