@@ -39,9 +39,22 @@ class Mode(str, enum.Enum):
     X_EQ = "x_eq"        # equivalent series reactance presented by the device
 
 
-#: modes whose embedded form needs the reciprocal (and magnitude) companion
-#: series of the device current
-COMPANION_MODES = frozenset({Mode.V_SE, Mode.X_EQ})
+#: control mode -> (row shape, imaginary part?, power p of the divisor |I|),
+#: the row shapes of :mod:`ffheflow.system`.  A mode with p > 0 needs the
+#: reciprocal (and magnitude) companion series of its current, and so a
+#: nonzero current guess.
+MODE_ROWS = {
+    Mode.P_FLOW: ("flow", False, 0),
+    Mode.Q_FLOW: ("flow", True, 0),
+    Mode.Q_INJ: ("exchange", True, 0),
+    Mode.V_SE: ("exchange", True, 1),
+    Mode.X_EQ: ("exchange", True, 2),
+    Mode.V_BUS: ("v_bus", False, 0),
+}
+
+#: excess of |V_se| over its rating that :func:`relax_violations` leaves
+#: alone, as solve tolerance
+RELAX_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -107,7 +120,7 @@ class SeriesDevice:
                 self._check_finite(what, v, kind)
         for t in self.targets:
             self._check_finite("setpoint", t.setpoint, numbers.Real)
-            if t.mode in COMPANION_MODES and \
+            if MODE_ROWS[t.mode][2] and \
                     abs(self.current_guess[t.branch]) <= EPS_ZERO:
                 raise DeviceConfigError(
                     f"{self.device_id}: mode {t.mode.value} needs a nonzero "
@@ -186,7 +199,7 @@ def branch_outputs(v_i: complex, v_m: complex, i_se: complex) -> BranchOutputs:
     )
 
 
-def relax_violations(devices, solution_outputs, tol: float = 1e-9):
+def relax_violations(devices, solution_outputs):
     """One pass of limit relaxation.
 
     ``solution_outputs`` maps device_id -> list of BranchOutputs.  Every
@@ -206,7 +219,7 @@ def relax_violations(devices, solution_outputs, tol: float = 1e-9):
         outs = solution_outputs[dev.device_id]
         dev_new = dev
         for b, (out, vmax) in enumerate(zip(outs, dev.v_se_max)):
-            if vmax is None or abs(out.v_se) <= vmax + tol:
+            if vmax is None or abs(out.v_se) <= vmax + RELAX_TOL:
                 continue
             if any(t.branch == b and t.mode is Mode.V_SE
                    for t in dev.targets):

@@ -62,16 +62,6 @@ class Branch:
 
 
 @dataclass(frozen=True)
-class DeviceTopology:
-    """Bookkeeping for one spliced series device."""
-
-    device_id: str
-    sending_bus: int                    # external id of bus i
-    original_branches: tuple            # (i, j) pairs removed from the Y-bus
-    aux_buses: tuple                    # external ids of the new buses (m[, t])
-
-
-@dataclass(frozen=True)
 class Network:
     """A case, compared and hashed by content.  Being frozen, it computes
     its hash and :attr:`index_of` once, on first use."""
@@ -251,7 +241,7 @@ def build_admittance_matrix(net: Network) -> sparse.csr_matrix:
     return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
-def insert_series_device(net: Network, device_id: str, branch_ends, z_se):
+def insert_series_device(net: Network, branch_ends, z_se):
     """Splice a series device into one or more branches of ``net``.
 
     ``branch_ends`` is a list of (i, j) external-id pairs sharing the sending
@@ -264,7 +254,8 @@ def insert_series_device(net: Network, device_id: str, branch_ends, z_se):
     the original electrical ends as shunts at buses i and j, the tap side's
     half scaled by 1/|t|^2.
 
-    Returns ``(new_net, DeviceTopology)``.
+    Returns ``(new_net, aux_ids)``: the external ids of the auxiliary buses,
+    one per branch in order, appended after every bus of ``net``.
     """
     branch_ends = [tuple(be) for be in branch_ends]
     z_se = [complex(z) for z in z_se]
@@ -311,9 +302,4 @@ def insert_series_device(net: Network, device_id: str, branch_ends, z_se):
         buses=tuple(buses),
         branches=tuple(b for b in branches if b is not None),
         base_mva=net.base_mva, name=net.name)
-    topo = DeviceTopology(
-        device_id=device_id,
-        sending_bus=sending,
-        original_branches=tuple(branch_ends),
-        aux_buses=tuple(aux_ids))
-    return new_net, topo
+    return new_net, tuple(aux_ids)

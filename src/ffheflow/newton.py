@@ -48,7 +48,7 @@ class NewtonResult:
 def flat_start(sys: System):
     """Standard cold start: setpoint magnitude at zero angle where known."""
     V = np.where(sys.slack | sys.pv, sys.v_set, 1)
-    I = np.array([g for dev in sys.devices for g in dev.current_guesses],
+    I = np.array([g for dev in sys.devices for g in dev.current_guess],
                  dtype=complex)
     return V, I
 

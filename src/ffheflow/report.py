@@ -117,8 +117,8 @@ class StudyReport:
         """Sending-end complex power on branch i-j (device branches via the
         device current)."""
         net = self.system.structure.net
-        for dev in self.system.devices:
-            for be in dev.branches:
+        for branches in self.system.structure.branches:
+            for be in branches:
                 if (net.buses[be.i_idx].ext_id, be.j_ext) == (i, j):
                     return self.V[be.i_idx] * np.conj(self.I[be.cur_idx])
         bidx = net.find_branch(i, j)
@@ -177,20 +177,19 @@ def _device_start(sys: System, base: StudyReport):
     V0[:len(base.V)] = base.V
     I0 = np.zeros(sys.n_currents, dtype=complex)
     net = sys.structure.net
-    for dev in sys.devices:
-        blocking = (len(dev.branches) == 1 and len(dev.targets) == 1
+    for dev, branches in zip(sys.devices, sys.structure.branches):
+        blocking = (len(branches) == 1 and len(dev.targets) == 1
                     and dev.targets[0].mode is Mode.Q_FLOW
                     and dev.targets[0].setpoint == 0.0)
         has_vbus = any(t.mode is Mode.V_BUS for t in dev.targets)
-        for k, be in enumerate(dev.branches):
-            i_ext = net.buses[be.i_idx].ext_id
+        for be, guess in zip(branches, dev.current_guess):
             if blocking:
                 V0[be.m_idx] = base.V[net.index_of[be.j_ext]]
                 continue
             V0[be.m_idx] = base.V[be.i_idx]
-            I0[be.cur_idx] = dev.current_guesses[k]
+            I0[be.cur_idx] = guess
             if has_vbus:
-                s = base.branch_flow(i_ext, be.j_ext)
+                s = base.branch_flow(net.buses[be.i_idx].ext_id, be.j_ext)
                 I0[be.cur_idx] = VOLTAGE_TARGET_BOOST * \
                     np.conj(s / base.V[be.i_idx])
     return V0, I0
@@ -287,7 +286,7 @@ def run_study(net: Network, devices=(), options: StudyOptions | None = None):
     devices = tuple(devices)
 
     if devices:
-        _check_device_buses(net, devices)
+        _check_devices(net, devices)
         # device-free pre-solve of the same case supplies the warm start and
         # the frozen reactive outputs of displaced regulating generators
         base = _base_solution(net, StudyOptions(method="nr", tol=opts.tol))
@@ -321,9 +320,14 @@ def run_study(net: Network, devices=(), options: StudyOptions | None = None):
     return report
 
 
-def _check_device_buses(net: Network, devices) -> None:
-    """Reject a device whose branches name a bus that ``net`` lacks."""
+def _check_devices(net: Network, devices) -> None:
+    """Reject a repeated device id, and a device whose branches name a bus
+    that ``net`` lacks."""
+    seen = set()
     for dev in devices:
+        if dev.device_id in seen:
+            raise DeviceConfigError(f"device id {dev.device_id!r} is repeated")
+        seen.add(dev.device_id)
         for bus in (b for br in dev.branches for b in br):
             if bus not in net.index_of:
                 raise DeviceConfigError(
@@ -362,10 +366,10 @@ def _relaxed_solve(net, devices, opts, frozen, start):
 
 def _collect_outputs(sys: System, V, I) -> dict:
     outs: dict = {}
-    for dev in sys.devices:
+    for dev, branches in zip(sys.devices, sys.structure.branches):
         outs[dev.device_id] = [
             branch_outputs(V[be.i_idx], V[be.m_idx], I[be.cur_idx])
-            for be in dev.branches]
+            for be in branches]
     return outs
 
 

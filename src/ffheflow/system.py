@@ -10,11 +10,12 @@ device-branch current c occupies ``2*n_bus + 2c, ... + 1``.  Row layout: two
 rows per bus, then per device one power-exchange row followed by its control
 rows.
 
-Each control mode is described once, in :data:`MODE_ROWS`, as one of three
-row shapes: exchange-like rows, Re or Im of ``(V_m - V_i) conj(I) / |I|**p``
-with p = 0, 1 or 2 (each branch's share of its device's power exchange, and
-the Q_INJ, V_SE and X_EQ targets); flow rows, Re or Im of ``V_i conj(I)``
-(P_FLOW, Q_FLOW); and V_BUS rows, ``(|V_b|**2 - s**2) / 2``.  A
+Each control mode is described once, in :data:`ffheflow.devices.MODE_ROWS`,
+as one of three row shapes: exchange-like rows, Re or Im of
+``(V_m - V_i) conj(I) / |I|**p`` with p = 0, 1 or 2 (each branch's share of
+its device's power exchange, and the Q_INJ, V_SE and X_EQ targets); flow
+rows, Re or Im of ``V_i conj(I)`` (P_FLOW, Q_FLOW); and V_BUS rows,
+``(|V_b|**2 - s**2) / 2``.  A
 :class:`DeviceRows` table, built once per System, holds every device row's
 indices, divisor power and setpoint by shape; :func:`residual`,
 :func:`jacobian` and the series history read it with one array expression
@@ -23,12 +24,14 @@ per shape instead of a loop over devices and targets.
 Assembly is split by what changes.  A :class:`Structure` holds what the
 case and the device placement (each device's id, branches and coupling
 impedances) fix: the spliced network, the bus-current operator ``[Y C]``,
-the device rows' branch entries and the per-bus arrays.  It is memoised per
-(case, placement) in a small bounded cache, and its arrays are read-only.
-A :class:`System`, made by :func:`build_system`, is one outer pass's view
-of it: the bus masks after the constant-Q pins, the scheduled injections
-and setpoints, the resolved device targets and, built on first use, the
-device-row table and the Jacobian's fixed CSC pattern.  So a generator-limit
+each device's :class:`BranchEntry` tuple (its branches in internal bus and
+current indices) and the per-bus arrays.  It is memoised per (case,
+placement) in a small bounded cache, and its arrays are read-only.  A
+:class:`System`, made by :func:`build_system`, is one outer pass's view of
+it: the bus masks after the constant-Q pins, the scheduled injections and
+setpoints, the :class:`~ffheflow.devices.SeriesDevice` objects the pass
+solves (relaxed targets included) and, built on first use, the device-row
+table and the Jacobian's fixed CSC pattern.  So a generator-limit
 or relaxation pass neither re-splices the devices nor rebuilds the Y-bus,
 and every Newton Jacobian, series stage and ``compare`` solve on one
 System refills one pattern, as in the fixed-structure Jacobian of MATPOWER
@@ -52,7 +55,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .devices import DeviceConfigError, Mode
+from .devices import MODE_ROWS, DeviceConfigError, Mode
 from .network import (BusKind, Network, TopologyError,
                       build_admittance_matrix, insert_series_device)
 
@@ -67,23 +70,6 @@ class BranchEntry:
     j_ext: int          # external id of the receiving bus, for reporting
 
 
-@dataclass(frozen=True)
-class ResolvedTarget:
-    mode: Mode
-    setpoint: float
-    branch: int         # index into the device's BranchEntry list
-    bus_idx: int        # internal bus index, V_BUS only
-
-
-@dataclass(frozen=True)
-class DeviceEntry:
-    device_id: str
-    branches: tuple     # BranchEntry per converter branch
-    targets: tuple      # ResolvedTarget, one per control row
-    row_start: int      # first residual row (the power-exchange row)
-    current_guesses: tuple
-
-
 @dataclass(frozen=True, eq=False)
 class Structure:
     """What a case and a device placement fix, shared by every pass.
@@ -96,7 +82,7 @@ class Structure:
     net: Network        # spliced network, with the case's bus kinds
     yc: sparse.csr_matrix   # [Y C], n_bus x (n_bus + n_currents): the Y-bus,
                             # then the incidence (+1 at i, -1 at m)
-    devices: tuple      # DeviceEntry, with no targets or current guesses
+    branches: tuple     # per device, its BranchEntry per converter branch
     slack: np.ndarray   # the slack bus
     pv: np.ndarray      # regulating buses that no device displaces
     s_inj: np.ndarray   # complex scheduled injection at gen-table Q
@@ -109,12 +95,14 @@ class Structure:
 @dataclass(frozen=True, eq=False)
 class System:
     """One pass's view of a :class:`Structure`: bus kinds after the
-    constant-Q pins, scheduled injections, setpoints and device targets."""
+    constant-Q pins, scheduled injections, setpoints and the devices.
+
+    ``devices[k]`` is placed by ``structure.branches[k]``."""
 
     structure: Structure
     frozen_q: dict      # ext id -> pinned Q of the PV buses made constant-Q
     s_inj: np.ndarray   # complex scheduled injection per bus (PV: real part)
-    devices: tuple      # DeviceEntry
+    devices: tuple      # SeriesDevice, with this pass's targets
     pv: np.ndarray      # voltage-regulating buses,
     pq: np.ndarray      # and the rest but the slack (PQ and auxiliary buses)
     v_set: np.ndarray   # slack: complex setpoint; PV: magnitude; else 0
@@ -167,14 +155,14 @@ def build_system(base_net: Network, devices=(), *,
     The splice and ``[Y C]`` depend only on the case and the device
     placement (ids, branches, coupling impedances), so they come from a
     memoised :class:`Structure`; a pass adds only the bus kinds, the
-    injections and the device targets.
+    injections and the devices with their targets.
 
     ``frozen_q`` (ext id -> p.u.) holds the constant-Q buses: every PV bus
     listed there becomes a fixed-injection bus with that reactive output.
     A PV sending bus loses its voltage regulation to the device and becomes
     a fixed-injection bus too, at its gen-table output unless listed.  A
-    slack sending bus, a repeated device id or a voltage target on a bus
-    that is already regulated is an error.
+    slack sending bus, or a voltage target on an unknown bus or on one that
+    is already regulated, is an error.
     """
     frozen_q = dict(frozen_q or {})
     st = _structure(base_net, tuple(
@@ -190,30 +178,19 @@ def build_system(base_net: Network, devices=(), *,
             s_inj[b] = complex(s_inj[b].real, q - st.net.buses[b].q_load)
     regulated = pv | st.slack
 
-    entries = []
-    for dev, placed in zip(devices, st.devices):
-        rtargets = []
-        for t in dev.targets:
-            if t.mode is Mode.V_BUS:
-                bus_ext = dev.target_bus(t)
-                if bus_ext not in idx:
-                    raise DeviceConfigError(
-                        f"{dev.device_id}: unknown target bus {bus_ext}")
-                bus_idx = idx[bus_ext]
-                if regulated[bus_idx]:
-                    raise DeviceConfigError(
-                        f"{dev.device_id}: bus {bus_ext} magnitude is already "
-                        "regulated")
-            else:
-                bus_idx = -1
-            rtargets.append(ResolvedTarget(
-                mode=t.mode, setpoint=t.setpoint, branch=t.branch,
-                bus_idx=bus_idx))
-        entries.append(replace(placed, targets=tuple(rtargets),
-                               current_guesses=tuple(dev.current_guess)))
+    for dev in devices:
+        for bus_ext in (dev.target_bus(t) for t in dev.targets
+                        if t.mode is Mode.V_BUS):
+            if bus_ext not in idx:
+                raise DeviceConfigError(
+                    f"{dev.device_id}: unknown target bus {bus_ext}")
+            if regulated[idx[bus_ext]]:
+                raise DeviceConfigError(
+                    f"{dev.device_id}: bus {bus_ext} magnitude is already "
+                    "regulated")
 
     return System(structure=st, frozen_q=frozen_q, s_inj=s_inj,
-                  devices=tuple(entries), pv=pv, pq=~regulated,
+                  devices=tuple(devices), pv=pv, pq=~regulated,
                   v_set=np.where(regulated, st.v_set, 0))
 
 
@@ -222,35 +199,24 @@ def _structure(base_net: Network, placement: tuple) -> Structure:
     """Splice the placed devices, given as (id, branches, z_se) triples,
     into ``base_net`` and build what every pass shares."""
     net = base_net
-    topos = []
-    for device_id, branches, z_se in placement:
-        if any(topo.device_id == device_id for topo in topos):
-            raise DeviceConfigError(f"device id {device_id!r} is repeated")
-        net, topo = insert_series_device(net, device_id, branches, z_se)
-        topos.append(topo)
-    for topo in topos:
-        b = net.bus(topo.sending_bus)
-        if b.kind is BusKind.SLACK:
-            raise TopologyError(
-                f"device {topo.device_id}: sending bus {b.ext_id} is the slack")
-
+    aux_ids = []
+    for _, branches, z_se in placement:
+        net, aux = insert_series_device(net, branches, z_se)
+        aux_ids.append(aux)
     idx = net.index_of
     n = net.n_bus
-    inc_rows = []
     entries = []
-    row = 2 * n
     cur = 0
-    for topo in topos:
-        bentries = []
-        for (i, j), m in zip(topo.original_branches, topo.aux_buses):
-            be = BranchEntry(i_idx=idx[i], m_idx=idx[m], cur_idx=cur, j_ext=j)
-            inc_rows += (be.i_idx, be.m_idx)
-            bentries.append(be)
-            cur += 1
-        entries.append(DeviceEntry(
-            device_id=topo.device_id, branches=tuple(bentries), targets=(),
-            row_start=row, current_guesses=()))
-        row += 2 * len(bentries)    # the exchange row and 2n - 1 targets
+    for (device_id, branches, _), aux in zip(placement, aux_ids):
+        if net.bus(branches[0][0]).kind is BusKind.SLACK:
+            raise TopologyError(f"device {device_id}: sending bus "
+                                f"{branches[0][0]} is the slack")
+        entries.append(tuple(
+            BranchEntry(i_idx=idx[i], m_idx=idx[m], cur_idx=c, j_ext=j)
+            for c, ((i, j), m) in enumerate(zip(branches, aux), cur)))
+        cur += len(branches)
+    inc_rows = [k for bentries in entries for be in bentries
+                for k in (be.i_idx, be.m_idx)]
     incidence = sparse.csr_matrix(
         (np.tile([1.0, -1.0], cur),
          (np.array(inc_rows, dtype=np.intp), np.repeat(np.arange(cur), 2))),
@@ -259,7 +225,7 @@ def _structure(base_net: Network, placement: tuple) -> Structure:
                        format="csr")
     yc.sort_indices()
 
-    displaced = {idx[topo.sending_bus] for topo in topos}
+    displaced = {bentries[0].i_idx for bentries in entries}
     slack = np.array([b.kind is BusKind.SLACK for b in net.buses])
     pv = np.array([b.kind is BusKind.PV and k not in displaced
                    for k, b in enumerate(net.buses)])
@@ -274,7 +240,7 @@ def _structure(base_net: Network, placement: tuple) -> Structure:
             v_set[b] = bus.v_setpoint
     t_rows = np.repeat(np.arange(n), np.diff(yc.indptr))
     st = Structure(
-        net=net, yc=yc, devices=tuple(entries), slack=slack, pv=pv,
+        net=net, yc=yc, branches=tuple(entries), slack=slack, pv=pv,
         s_inj=s_inj, v_set=v_set, t_rows=t_rows,
         t_diag=np.flatnonzero(t_rows == yc.indices))
     for arr in (yc.data, yc.indices, yc.indptr, slack, pv, s_inj, v_set,
@@ -294,17 +260,6 @@ def unpack_state(x: np.ndarray, n_bus: int):
     return z[:n_bus], z[n_bus:]
 
 
-#: control mode -> (row shape, imaginary part?, power p of the divisor |I|)
-MODE_ROWS = {
-    Mode.P_FLOW: ("flow", False, 0),
-    Mode.Q_FLOW: ("flow", True, 0),
-    Mode.Q_INJ: ("exchange", True, 0),
-    Mode.V_SE: ("exchange", True, 1),
-    Mode.X_EQ: ("exchange", True, 2),
-    Mode.V_BUS: ("v_bus", False, 0),
-}
-
-
 @dataclass(frozen=True, eq=False)
 class DeviceRows:
     """The device rows of one :class:`System`, by shape, as index arrays.
@@ -313,10 +268,12 @@ class DeviceRows:
     setpoint.  Product rows are Re or Im of ``u conj(I) / |I|**p``, with I
     a branch current: first the exchange-like rows, ``u = V_m - V_i``, then
     the flow rows, ``u = V_i``.  V_BUS rows are ``|V_b|**2 / 2``.
-    :data:`MODE_ROWS` gives each target's shape; each branch adds one
-    exchange-like row, its share of its device's real power exchange, at
-    the device's first row.  Companion rows (p > 0: V_SE, X_EQ) also need
-    the reciprocal and magnitude series of their current in the history.
+    :data:`~ffheflow.devices.MODE_ROWS` gives each target's shape; each
+    branch adds one exchange-like row, its share of its device's real power
+    exchange, at the device's first row: ``2 * cur_idx`` of its first
+    branch, as each earlier device has two rows per branch.  Companion rows
+    (p > 0: V_SE, X_EQ) also need the reciprocal and magnitude series of
+    their current in the history.
     """
 
     row: np.ndarray     # product rows: device-block row (shares repeat it)
@@ -334,18 +291,19 @@ class DeviceRows:
 
 def _device_rows(sys: System) -> DeviceRows:
     n = sys.n_bus
+    idx = sys.structure.net.index_of
     recs = {"exchange": [], "flow": [], "v_bus": []}
     setpoint = np.zeros(sys.size - 2 * n)
-    for dev in sys.devices:
-        k = dev.row_start - 2 * n
+    for dev, branches in zip(sys.devices, sys.structure.branches):
+        k = 2 * branches[0].cur_idx
         recs["exchange"] += [(k, 0, 0, n + be.cur_idx, be.m_idx, be.i_idx, 0)
-                             for be in dev.branches]
+                             for be in branches]
         for k, t in enumerate(dev.targets, k + 1):
             shape, im, p = MODE_ROWS[t.mode]
-            be = dev.branches[t.branch]
+            be = branches[t.branch]
             a = be.m_idx if shape == "exchange" else be.i_idx
-            recs[shape].append((k, im, p, n + be.cur_idx, a, be.i_idx,
-                                t.bus_idx))
+            bus = idx[dev.target_bus(t)] if shape == "v_bus" else 0
+            recs[shape].append((k, im, p, n + be.cur_idx, a, be.i_idx, bus))
             setpoint[k] = 0.5 * t.setpoint ** 2 if shape == "v_bus" \
                 else t.setpoint
     x, f, v = (np.array(r, dtype=int).reshape(-1, 7).T for r in recs.values())

@@ -5,9 +5,12 @@ These are the scalar kernels the vectorised ``ffheflow.system.residual``,
 ``ffheflow.system.jacobian`` and ``ffheflow.core._history`` replaced: one
 Python loop over buses (and, for the history, over orders), with a dense
 Jacobian accumulated entry by entry.  They read only the spliced network,
-whose dense Y-bus they build afresh, and the device entries of a
-:class:`System`, so they check the vectorised kernels independently of the
-``[Y C]`` operator, index arrays and slices those use.
+whose dense Y-bus they build afresh, and a :class:`System`'s devices with
+their branch entries (``zip(sys.devices, sys.structure.branches)``).  They
+count each device's residual rows themselves and look up a V_BUS target's
+bus by its external id, so they check the vectorised kernels independently
+of the ``[Y C]`` operator, the device-row table and the index arrays and
+slices those use.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ def convolve(a, b, n: int) -> complex:
 def _bus_currents(sys):
     """Per bus: list of (current index, sign) of the device branches."""
     out = [[] for _ in range(sys.n_bus)]
-    for dev in sys.devices:
-        for be in dev.branches:
+    for branches in sys.structure.branches:
+        for be in branches:
             out[be.i_idx].append((be.cur_idx, +1.0))
             out[be.m_idx].append((be.cur_idx, -1.0))
     return out
@@ -39,6 +42,20 @@ def _bus_currents(sys):
 
 def _device_current_sum(bus_currents, I, b) -> complex:
     return sum(s * I[c] for c, s in bus_currents[b])
+
+
+def _device_blocks(sys):
+    """(device, its branch entries, its first residual row) per device: the
+    rows follow the bus rows, two per branch of each earlier device."""
+    row = 2 * sys.n_bus
+    for dev, branches in zip(sys.devices, sys.structure.branches):
+        yield dev, branches, row
+        row += 2 * len(dev.branches)
+
+
+def _target_bus(sys, dev, t) -> int:
+    """Internal index of a V_BUS target's bus."""
+    return sys.net.index_of[dev.target_bus(t)]
 
 
 def _dense_ybus(sys) -> np.ndarray:
@@ -66,14 +83,13 @@ def residual(sys, V, I) -> np.ndarray:
             r[2 * b] = f.real
             r[2 * b + 1] = f.imag
 
-    for dev in sys.devices:
-        row = dev.row_start
-        dv = {k: V[be.m_idx] - V[be.i_idx] for k, be in enumerate(dev.branches)}
+    for dev, branches, row in _device_blocks(sys):
+        dv = {k: V[be.m_idx] - V[be.i_idx] for k, be in enumerate(branches)}
         r[row] = sum((dv[k] * np.conj(I[be.cur_idx])).real
-                     for k, be in enumerate(dev.branches))
+                     for k, be in enumerate(branches))
         for t in dev.targets:
             row += 1
-            be = dev.branches[t.branch]
+            be = branches[t.branch]
             cur = I[be.cur_idx]
             if t.mode is Mode.P_FLOW:
                 r[row] = (V[be.i_idx] * np.conj(cur)).real - t.setpoint
@@ -82,7 +98,8 @@ def residual(sys, V, I) -> np.ndarray:
             elif t.mode is Mode.Q_INJ:
                 r[row] = (dv[t.branch] * np.conj(cur)).imag - t.setpoint
             elif t.mode is Mode.V_BUS:
-                r[row] = 0.5 * (abs(V[t.bus_idx]) ** 2 - t.setpoint ** 2)
+                r[row] = 0.5 * (abs(V[_target_bus(sys, dev, t)]) ** 2
+                                - t.setpoint ** 2)
             elif t.mode is Mode.V_SE:
                 q = (dv[t.branch] * np.conj(cur)).imag
                 r[row] = q / abs(cur) - t.setpoint
@@ -148,9 +165,8 @@ def jacobian(sys, V, I) -> np.ndarray:
             for c, s in bus_currents[b]:
                 asm.add_complex(row, ccol(c), s * cb)
 
-    for dev in sys.devices:
-        row = dev.row_start
-        for be in dev.branches:
+    for dev, branches, row in _device_blocks(sys):
+        for be in branches:
             cI = np.conj(I[be.cur_idx])
             dv = V[be.m_idx] - V[be.i_idx]
             asm.add_re(row, 2 * be.m_idx, cI)
@@ -158,7 +174,7 @@ def jacobian(sys, V, I) -> np.ndarray:
             asm.add_re(row, ccol(be.cur_idx), 0j, dv)
         for t in dev.targets:
             row += 1
-            be = dev.branches[t.branch]
+            be = branches[t.branch]
             cur = I[be.cur_idx]
             cI = np.conj(cur)
             dv = V[be.m_idx] - V[be.i_idx]
@@ -173,8 +189,8 @@ def jacobian(sys, V, I) -> np.ndarray:
                 asm.add_im(row, 2 * be.i_idx, -cI)
                 asm.add_im(row, ccol(be.cur_idx), 0j, dv)
             elif t.mode is Mode.V_BUS:
-                vb = V[t.bus_idx]
-                asm.add_re(row, 2 * t.bus_idx, 0.5 * np.conj(vb), 0.5 * vb)
+                tb = _target_bus(sys, dev, t)
+                asm.add_re(row, 2 * tb, 0.5 * np.conj(V[tb]), 0.5 * V[tb])
             elif t.mode is Mode.V_SE:
                 mag = abs(cur)
                 q = (dv * cI).imag
@@ -235,9 +251,8 @@ def history(sys, n: int, Vs, Is, comp_f, comp_m):
         else:
             h[2 * b + 1] = acc.imag
 
-    for dev in sys.devices:
-        row = dev.row_start
-        for be in dev.branches:
+    for dev, branches, row in _device_blocks(sys):
+        for be in branches:
             dv = Vs[be.m_idx] - Vs[be.i_idx]
             adv = np.abs(Vs[be.m_idx]) + np.abs(Vs[be.i_idx])
             acc, m = cauchy(dv, np.conj(Is[be.cur_idx]), adv)
@@ -245,7 +260,7 @@ def history(sys, n: int, Vs, Is, comp_f, comp_m):
             mag[row] += m
         for t in dev.targets:
             row += 1
-            be = dev.branches[t.branch]
+            be = branches[t.branch]
             c = be.cur_idx
             cI = np.conj(Is[c])
             dv = Vs[be.m_idx] - Vs[be.i_idx]
@@ -260,7 +275,7 @@ def history(sys, n: int, Vs, Is, comp_f, comp_m):
                 acc, mag[row] = cauchy(dv, cI, adv)
                 h[row] = acc.imag
             elif t.mode is Mode.V_BUS:
-                vb = Vs[t.bus_idx]
+                vb = Vs[_target_bus(sys, dev, t)]
                 acc, m = cauchy(vb, np.conj(vb))
                 h[row], mag[row] = 0.5 * acc.real, 0.5 * m
             else:

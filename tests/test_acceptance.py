@@ -167,7 +167,8 @@ def setpoint_error(rep, dev_id="s"):
         elif t.mode is Mode.Q_INJ:
             err = abs(out.s_se.imag - t.setpoint)
         elif t.mode is Mode.V_BUS:
-            err = abs(abs(rep.V[t.bus_idx]) - t.setpoint)
+            bus = rep.system.net.index_of[sysdev.target_bus(t)]
+            err = abs(abs(rep.V[bus]) - t.setpoint)
         elif t.mode is Mode.V_SE:
             err = abs(abs(out.v_se) - t.setpoint)
         else:

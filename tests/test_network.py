@@ -144,9 +144,8 @@ class TestAdmittance:
 class TestInsertDevice:
     def test_sssc_splice(self, mini):
         z_c = 0.01 + 0.01j
-        new, topo = insert_series_device(mini, "d", [(2, 3)], [z_c])
-        assert topo.sending_bus == 2
-        assert topo.aux_buses == (4,)          # max ext id + 1
+        new, aux_ids = insert_series_device(mini, [(2, 3)], [z_c])
+        assert aux_ids == (4,)          # max ext id + 1
         assert new.n_bus == 4
         aux = new.bus(4)
         assert aux.kind is BusKind.AUXILIARY
@@ -160,7 +159,7 @@ class TestInsertDevice:
         assert br.tap == pytest.approx(orig.tap)
 
     def test_charging_split_to_shunts(self, mini):
-        new, _ = insert_series_device(mini, "d", [(1, 2)], [0.01j])
+        new, _ = insert_series_device(mini, [(1, 2)], [0.01j])
         orig = mini.branches[mini.find_branch(1, 2)]
         assert new.bus(1).shunt_b == pytest.approx(
             mini.bus(1).shunt_b + orig.charging_b / 2)
@@ -186,8 +185,8 @@ class TestInsertDevice:
         rng = np.random.default_rng(5)
         V = (1 + 0.05 * rng.standard_normal(3)) \
             * np.exp(0.1j * rng.standard_normal(3))
-        new, topo = insert_series_device(net, "d", [(2, 3)], [0j])
-        m = new.index_of[topo.aux_buses[0]]
+        new, aux = insert_series_device(net, [(2, 3)], [0j])
+        m = new.index_of[aux[0]]
         inj = build_admittance_matrix(new) @ np.append(V, V[1])
         inj[new.index_of[2]] += inj[m]
         gap = inj[:3] - build_admittance_matrix(net) @ V
@@ -195,19 +194,20 @@ class TestInsertDevice:
 
     def test_mismatched_sending_bus(self, mini):
         with pytest.raises(TopologyError, match="share the sending bus"):
-            insert_series_device(mini, "d", [(1, 2), (2, 3)], [0j, 0j])
+            insert_series_device(mini, [(1, 2), (2, 3)], [0j, 0j])
 
     def test_missing_branch(self, mini):
         with pytest.raises(TopologyError, match="no branch"):
-            insert_series_device(mini, "d", [(1, 99)], [0j])
+            insert_series_device(mini, [(1, 99)], [0j])
 
     def test_ipfc_two_aux_buses(self, case118):
-        new, topo = insert_series_device(
-            case118, "ipfc", [(49, 50), (49, 51)], [0.01 + 0.01j] * 2)
-        assert len(topo.aux_buses) == 2
+        branches = [(49, 50), (49, 51)]
+        new, aux = insert_series_device(case118, branches,
+                                        [0.01 + 0.01j] * 2)
+        assert len(aux) == 2
         assert new.n_bus == 120
-        for aux, (_, j) in zip(topo.aux_buses, topo.original_branches):
-            assert new.find_branch(aux, j) >= 0
+        for m, (_, j) in zip(aux, branches):
+            assert new.find_branch(m, j) >= 0
 
 
 def test_load_bundled_case_unknown():

@@ -156,7 +156,7 @@ class TestNewton:
         dev = SsscDevice("s", (101, 102), ControlTarget(Mode.P_FLOW, 0.9))
         sys = build_system(case118, (dev,))
         res = nr_solve(sys)
-        be = sys.devices[0].branches[0]
+        be = sys.structure.branches[0][0]
         s = res.V[be.i_idx] * np.conj(res.I[be.cur_idx])
         assert s.real == pytest.approx(0.9, abs=1e-8)
 

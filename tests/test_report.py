@@ -161,6 +161,7 @@ class TestDeviceStudy:
                 SsscDevice("s", (49, 50), ControlTarget(Mode.P_FLOW, 0.75)))
         with pytest.raises(DeviceConfigError, match="'s' is repeated"):
             run_study(case118, devs, StudyOptions(method="nr"))
+        assert _base_solution.cache_info().misses == 0
 
     @pytest.mark.parametrize("branch", [(999, 50), (49, 999)])
     def test_unknown_bus_rejected_before_any_solve(self, case118, branch):

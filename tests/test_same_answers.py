@@ -1,0 +1,89 @@
+"""The verdicts of ``tools/same_answers.py`` on hand-built answers."""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+from same_answers import _messages, compare  # noqa: E402
+
+KEY = ("49-50/p0.75", "nr")
+STATS = {"nr": (5, 0, True)}
+RAISED = "ConvergenceError: series did not converge (6 terms, mismatch 1e-03)"
+EXTENDED = RAISED[:-1] + "; best 1e-05 at term 1)"
+
+
+def _answer(V=(1.0 + 0.1j, 0.98 - 0.05j), I=(0.7 + 0.2j,), stats=STATS):
+    return {KEY: {"V": np.array(V), "I": np.array(I), "stats": dict(stats)}}
+
+
+def _raise(msg=RAISED):
+    return {KEY: {"raise": msg}}
+
+
+def _one_bit_off():
+    """:func:`_answer` with V[0].real one unit in the last place larger."""
+    out = _answer()
+    V = out[KEY]["V"]
+    V.view(float)[0] = np.nextafter(V[0].real, 2.0)
+    return out
+
+
+def _verdict(here, other, within=None):
+    tally = compare(here, other, within)
+    assert sum(tally.values()) == 1
+    return next(v for v, n in tally.items() if n)
+
+
+def test_bitwise_equal_answers_are_the_same(capsys):
+    assert _verdict(_answer(), _answer()) == "same"
+    assert "V/I bitwise" in capsys.readouterr().out
+
+
+def test_one_bit_of_V_is_a_difference(capsys):
+    assert _verdict(_one_bit_off(), _answer()) == "DIFF"
+    assert "V/I DIFFER" in capsys.readouterr().out
+
+
+def test_other_counts_are_a_difference():
+    other = _answer(stats={"nr": (6, 0, True)})
+    assert _verdict(_answer(), other) == "DIFF"
+
+
+@pytest.mark.parametrize("within, verdict", [(None, "DIFF"), (1e-10, "DIFF"),
+                                             (1e-6, "near")])
+def test_near_only_within_the_bound(within, verdict):
+    moved = _answer(V=(1.0 + 0.1j, 0.98 - 0.05j + 1e-8))
+    assert _verdict(moved, _answer(), within) == verdict
+
+
+def test_near_needs_the_same_converged_flags():
+    moved = _answer(I=(0.7 + 0.2j + 1e-9,), stats={"nr": (5, 0, False)})
+    assert _verdict(moved, _answer(), within=1e-6) == "DIFF"
+
+
+@pytest.mark.parametrize("within", [None, 1.0])
+def test_a_raise_in_one_tree_only_is_a_difference(within, capsys):
+    assert _verdict(_raise(), _answer(), within) == "DIFF"
+    assert _verdict(_answer(), _raise(), within) == "DIFF"
+    assert "raises in one tree only" in capsys.readouterr().out
+
+
+def test_raises_in_both_trees():
+    assert _verdict(_raise(), _raise()) == "same"
+    assert _verdict(_raise(EXTENDED), _raise()) == "same"
+    assert _verdict(_raise("StudyError: other"), _raise()) == "DIFF"
+    assert _verdict(_raise("StudyError: other"), _raise(), 1e-6) == "near"
+
+
+def test_messages():
+    assert _messages(RAISED, RAISED) == (False, "same raise")
+    for a, b in ((RAISED, EXTENDED), (EXTENDED, RAISED)):
+        assert _messages(a, b) == (
+            False, "extended by '; best 1e-05 at term 1'")
+    # an inserted clause that does not start with "; ", and another message
+    assert _messages(RAISED, RAISED[:-1] + " best 1e-05 at term 1)")[0]
+    assert _messages(RAISED, RAISED.replace("6 terms", "7 terms"))[0]
+

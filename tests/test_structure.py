@@ -119,16 +119,17 @@ def _coo_jacobian(sys, V, I):
             dev_vals.extend((a.real + b.real, -a.imag + b.imag))
 
     ccol = lambda c: 2 * n + 2 * c
-    for dev in sys.devices:
-        row = dev.row_start
-        for be in dev.branches:
+    first = 2 * n       # rows counted here: two per branch of each device
+    for dev, branches in zip(sys.devices, sys.structure.branches):
+        row, first = first, first + 2 * len(dev.branches)
+        for be in branches:
             cI = np.conj(I[be.cur_idx])
             add(row, 2 * be.m_idx, cI)
             add(row, 2 * be.i_idx, -cI)
             add(row, ccol(be.cur_idx), 0j, V[be.m_idx] - V[be.i_idx])
         for t in dev.targets:
             row += 1
-            be = dev.branches[t.branch]
+            be = branches[t.branch]
             cur = I[be.cur_idx]
             cI = np.conj(cur)
             dv = V[be.m_idx] - V[be.i_idx]
@@ -137,8 +138,8 @@ def _coo_jacobian(sys, V, I):
                 add(row, 2 * be.i_idx, cI, imag=imag)
                 add(row, ccol(be.cur_idx), 0j, V[be.i_idx], imag=imag)
             elif t.mode is Mode.V_BUS:
-                vb = V[t.bus_idx]
-                add(row, 2 * t.bus_idx, 0.5 * np.conj(vb), 0.5 * vb)
+                tb = sys.net.index_of[dev.target_bus(t)]
+                add(row, 2 * tb, 0.5 * np.conj(V[tb]), 0.5 * V[tb])
             else:
                 div = {Mode.Q_INJ: 1.0, Mode.V_SE: abs(cur),
                        Mode.X_EQ: abs(cur) ** 2}[t.mode]
