@@ -56,27 +56,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-#: JSON type of each numeric or boolean option of a ``--batch`` entry
-ENTRY_TYPES = {"tol": ((int, float), "a number"),
-               "max_terms": (int, "an integer"),
-               "warm_iters": (int, "an integer"),
-               "pade": (bool, "true or false")}
-
-
 def _options(args, entry=None) -> StudyOptions:
     """Study options from the command line, each overridden by the same key
-    of a ``--batch`` entry when given.  An entry value of another JSON type
-    (``"false"`` for a flag, 7.9 or ``true`` for a count) raises
-    ``ValueError`` rather than being coerced."""
+    of a ``--batch`` entry when given.  :class:`StudyOptions` rejects an
+    entry value of another JSON type (``"false"`` for a flag, 7.9 or
+    ``true`` for a count) with ``ValueError`` rather than coercing it."""
     entry = entry or {}
-    for key, (types, name) in ENTRY_TYPES.items():
-        val = entry.get(key)
-        if key in entry and (not isinstance(val, types) or
-                             isinstance(val, bool) and types is not bool):
-            raise ValueError(f"{key} must be {name}, not {val!r}")
     return StudyOptions(
         method=entry.get("method", args.method),
-        tol=float(entry.get("tol", args.tol)),
+        tol=entry.get("tol", args.tol),
         max_terms=entry.get("max_terms", args.max_terms),
         warm_iters=entry.get("warm_iters", args.warm_iters),
         pade=entry.get("pade", args.pade))

@@ -2,20 +2,23 @@
 
 A *study* is one case plus an optional set of series devices, solved to
 convergence with generator reactive limits and device injected-voltage
-limits enforced by outer loops:
+limits enforced by one loop of outer passes, :func:`_passes`, at most
+:data:`MAX_PASSES` in all.  Each pass builds its system, solves it, and:
 
-* generator limits — after each converged solve the reactive output of every
-  voltage-regulating generator is checked against its capability; violators
-  are pinned at the violated limit and the study is re-solved until no new
-  violation appears;
-* device limits — a branch whose injected-voltage magnitude exceeds its
-  configured ceiling has its control target replaced by an
-  injected-voltage-magnitude target pinned at the ceiling.
+* generator limits — if any regulating generator's reactive output is
+  outside its capability, pins each violator at its limit; the next pass
+  starts from this pass's solution;
+* device limits — else, if a branch's injected-voltage magnitude exceeds
+  its ceiling, replaces its target by a magnitude target at the ceiling;
+  the next pass starts again from the study's start with no generator
+  pinned, as one clamped under the old target may not need it now;
+* else builds the report.
 
 Studies with and without devices run one path.  Each pass builds its system
 from the case, the devices and one map of constant-Q pins, which holds the
 clamped generators and the displaced regulators alike.  A device-free study
-has one candidate set of pins, none, and starts flat.
+has one candidate set of pins, none, and starts flat.  Placement errors are
+found by one :func:`build_system` call before any solve.
 
 Device studies are warm-started from the device-free Newton solution of the
 same case.  That pre-solve is shared: it is memoised per (case, Newton
@@ -38,6 +41,7 @@ solution.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
@@ -56,9 +60,8 @@ METHODS = ("ffhe", "nr", "nr-warm-ffhe", "compare")
 #: mismatch floor used when comparing error magnitudes on a log scale
 LOG_FLOOR = 1e-16
 
-#: caps on the generator-limit and injected-voltage relaxation passes
-MAX_LIMIT_PASSES = 12
-MAX_RELAX_PASSES = 5
+#: cap on a study's outer passes, generator-limit and relaxation alike
+MAX_PASSES = 60
 
 
 class StudyError(RuntimeError):
@@ -74,6 +77,14 @@ class StudyOptions:
     pade: bool = False
 
     def __post_init__(self):
+        for key, types, name in (("tol", numbers.Real, "a number"),
+                                 ("max_terms", numbers.Integral, "an integer"),
+                                 ("warm_iters", numbers.Integral, "an integer"),
+                                 ("pade", bool, "true or false")):
+            val = getattr(self, key)     # a boolean is not a number
+            if not isinstance(val, types) or \
+                    isinstance(val, bool) and types is not bool:
+                raise ValueError(f"{key} must be {name}, not {val!r}")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if not 0 < self.tol < np.inf:       # NaN too
@@ -143,17 +154,17 @@ def generator_reactive_output(sys: System, V, I, bus_idx) -> np.ndarray:
     return (V[bus_idx] * np.conj(inet)).imag + q_load
 
 
-def _q_violations(sys: System, V, I, net: Network) -> dict:
+def _q_violations(sys: System, V, I) -> dict:
+    """Ext id -> violated limit of each regulating generator outside its
+    reactive capability."""
     pv = np.flatnonzero(sys.pv)
-    idx = net.index_of
     viol = {}
     for bi, qg in zip(pv, generator_reactive_output(sys, V, I, pv)):
-        ext = sys.structure.net.buses[bi].ext_id
-        orig = net.buses[idx[ext]]
-        if qg > orig.q_max + 1e-9:
-            viol[ext] = orig.q_max
-        elif qg < orig.q_min - 1e-9:
-            viol[ext] = orig.q_min
+        bus = sys.structure.net.buses[bi]
+        if qg > bus.q_max + 1e-9:
+            viol[bus.ext_id] = bus.q_max
+        elif qg < bus.q_min - 1e-9:
+            viol[bus.ext_id] = bus.q_min
     return viol
 
 
@@ -223,38 +234,6 @@ def _solve_method(sys: System, method: str, V0, I0, opts: StudyOptions):
     return res.V, res.I, stats
 
 
-def _limited_solve(net: Network, devices, opts: StudyOptions, frozen_q,
-                   start):
-    """Solve with the generator reactive-limit outer loop; the limits are
-    those of ``net``.
-
-    ``frozen_q`` holds the displaced regulators' constant-Q pins; a
-    generator found outside its limits is pinned at that limit from the next
-    pass on.  ``start`` maps the first pass's system to (V0, I0).  Returns
-    (sys, V, I, stats, clamped).
-    """
-    clamped: dict = {}
-    prev = None
-    for _ in range(MAX_LIMIT_PASSES):
-        sysi = build_system(net, devices, frozen_q={**frozen_q, **clamped})
-        V0, I0 = prev if prev is not None else start(sysi)
-        V, I, stats = _solve_method(sysi, opts.method if opts.method != "compare"
-                                    else "nr", V0, I0, opts)
-        if not stats.converged:
-            raise ConvergenceError(
-                f"series did not converge ({stats.terms} terms, "
-                f"mismatch {stats.mismatch:.3e}; best "
-                f"{stats.best_mismatch:.3e} at term {stats.best_term})")
-        viol = _q_violations(sysi, V, I, net)
-        if not viol:
-            return sysi, V, I, stats, clamped
-        clamped.update(viol)
-        prev = (V, I)
-    raise StudyError(
-        f"generator limit enforcement did not settle in "
-        f"{MAX_LIMIT_PASSES} passes (clamped: {sorted(clamped)})")
-
-
 def _frozen_q_candidates(net: Network, devices, base: StudyReport):
     """Frozen-Q assignment for regulating generators at device sending buses,
     plus fallbacks for voltage-target feasibility."""
@@ -287,6 +266,7 @@ def run_study(net: Network, devices=(), options: StudyOptions | None = None):
 
     if devices:
         _check_devices(net, devices)
+        build_system(net, devices)      # placement errors, before any solve
         # device-free pre-solve of the same case supplies the warm start and
         # the frozen reactive outputs of displaced regulating generators
         base = _base_solution(net, StudyOptions(method="nr", tol=opts.tol))
@@ -298,32 +278,24 @@ def run_study(net: Network, devices=(), options: StudyOptions | None = None):
     last_err = None
     for frozen in candidates:
         try:
-            result = _relaxed_solve(net, devices, opts, frozen, start)
+            report = _passes(net, devices, opts, frozen, start)
             break
         except (ConvergenceError, StudyError) as exc:
             last_err = exc
     else:
         raise StudyError(f"study did not converge: {last_err}")
 
-    sys_, V, I, stats, clamped, outputs, relaxed = result
-    report = StudyReport(
-        converged=True, method=opts.method, system=sys_, V=V, I=I,
-        mismatch=float(np.max(np.abs(residual(sys_, V, I)))),
-        runtime_s=time.perf_counter() - t_start,
-        clamped_generators=clamped,
-        relaxed_branches=relaxed,
-        device_outputs=outputs,
-        frozen_q=frozen,
-        stats={opts.method: stats})
+    report.runtime_s = time.perf_counter() - t_start
     if opts.method == "compare":
         _attach_comparison(report, start, opts)
     return report
 
 
 def _check_devices(net: Network, devices) -> None:
-    """Reject a repeated device id, and a device whose branches name a bus
-    that ``net`` lacks."""
+    """Reject a repeated device id, a device whose branches name a bus that
+    ``net`` lacks, and more devices on a bus pair than it has circuits."""
     seen = set()
+    placed: dict = {}       # bus pair -> ids of the devices on its circuits
     for dev in devices:
         if dev.device_id in seen:
             raise DeviceConfigError(f"device id {dev.device_id!r} is repeated")
@@ -332,6 +304,14 @@ def _check_devices(net: Network, devices) -> None:
             if bus not in net.index_of:
                 raise DeviceConfigError(
                     f"device {dev.device_id}: unknown bus {bus}")
+        for i, j in dev.branches:
+            on = placed.setdefault(frozenset((i, j)), [])
+            if on and on[-1] != dev.device_id and len(on) == sum(
+                    {br.from_bus, br.to_bus} == {i, j} for br in net.branches):
+                raise DeviceConfigError(
+                    f"devices {on[-1]!r} and {dev.device_id!r} are both on "
+                    f"branch {i}-{j}")
+            on.append(dev.device_id)
 
 
 @lru_cache(maxsize=8)
@@ -346,31 +326,45 @@ def _base_solution(net: Network, opts: StudyOptions) -> StudyReport:
     return base
 
 
-def _relaxed_solve(net, devices, opts, frozen, start):
-    """Generator-limit solve wrapped in the injected-voltage relaxation
-    loop.  Returns (sys, V, I, stats, clamped, device outputs, relaxed)."""
-    active = list(devices)
-    relaxed_all = []
-    for _ in range(MAX_RELAX_PASSES):
-        sys_, V, I, stats, clamped = _limited_solve(
-            net, tuple(active), opts, frozen, start)
-        outputs = _collect_outputs(sys_, V, I)
-        active, newly = relax_violations(active, outputs)
-        if not newly:
-            return sys_, V, I, stats, clamped, outputs, tuple(relaxed_all)
-        relaxed_all.extend(newly)
-    raise StudyError(
-        f"injected-voltage limit relaxation cycled for "
-        f"{MAX_RELAX_PASSES} passes ({relaxed_all})")
-
-
-def _collect_outputs(sys: System, V, I) -> dict:
-    outs: dict = {}
-    for dev, branches in zip(sys.devices, sys.structure.branches):
-        outs[dev.device_id] = [
+def _passes(net: Network, devices, opts: StudyOptions, frozen, start):
+    """The study's outer passes (see the module docstring), with the
+    displaced regulators pinned at ``frozen``; ``start`` maps a pass's
+    system to (V0, I0).  Returns the :class:`StudyReport` but its
+    ``runtime_s``."""
+    active, relaxed, clamped, prev = devices, [], {}, None
+    for _ in range(MAX_PASSES):
+        sys_ = build_system(net, active, frozen_q={**frozen, **clamped})
+        V0, I0 = prev or start(sys_)
+        V, I, stats = _solve_method(sys_, opts.method if opts.method != "compare"
+                                    else "nr", V0, I0, opts)
+        if not stats.converged:
+            raise ConvergenceError(
+                f"series did not converge ({stats.terms} terms, "
+                f"mismatch {stats.mismatch:.3e}; best "
+                f"{stats.best_mismatch:.3e} at term {stats.best_term})")
+        viol = _q_violations(sys_, V, I)
+        if viol:
+            clamped.update(viol)
+            prev = (V, I)
+            continue
+        outputs = {dev.device_id: [
             branch_outputs(V[be.i_idx], V[be.m_idx], I[be.cur_idx])
             for be in branches]
-    return outs
+            for dev, branches in zip(sys_.devices, sys_.structure.branches)}
+        active, newly = relax_violations(active, outputs)
+        if newly:
+            relaxed.extend(newly)
+            clamped, prev = {}, None
+            continue
+        return StudyReport(
+            converged=True, method=opts.method, system=sys_, V=V, I=I,
+            mismatch=float(np.max(np.abs(residual(sys_, V, I)))),
+            runtime_s=0.0, clamped_generators=clamped,
+            relaxed_branches=tuple(relaxed), device_outputs=outputs,
+            frozen_q=frozen, stats={opts.method: stats})
+    raise StudyError(
+        f"limits did not settle in {MAX_PASSES} passes (clamped: "
+        f"{sorted(clamped)}, relaxed: {relaxed})")
 
 
 def _attach_comparison(report: StudyReport, start, opts: StudyOptions):

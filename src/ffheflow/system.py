@@ -22,7 +22,7 @@ indices, divisor power and setpoint by shape; :func:`residual`,
 per shape instead of a loop over devices and targets.
 
 Assembly is split by what changes.  A :class:`Structure` holds what the
-case and the device placement (each device's id, branches and coupling
+case and the device placement (each device's branches and coupling
 impedances) fix: the spliced network, the bus-current operator ``[Y C]``,
 each device's :class:`BranchEntry` tuple (its branches in internal bus and
 current indices) and the per-bus arrays.  It is memoised per (case,
@@ -74,7 +74,7 @@ class BranchEntry:
 class Structure:
     """What a case and a device placement fix, shared by every pass.
 
-    The placement is each device's id, branches and coupling impedances.
+    The placement is each device's branches and coupling impedances.
     Built by :func:`_structure`, which memoises it; its arrays are
     read-only.
     """
@@ -153,7 +153,7 @@ def build_system(base_net: Network, devices=(), *,
     """Assemble one pass's solve structure for ``devices`` in ``base_net``.
 
     The splice and ``[Y C]`` depend only on the case and the device
-    placement (ids, branches, coupling impedances), so they come from a
+    placement (branches, coupling impedances), so they come from a
     memoised :class:`Structure`; a pass adds only the bus kinds, the
     injections and the devices with their targets.
 
@@ -166,8 +166,7 @@ def build_system(base_net: Network, devices=(), *,
     """
     frozen_q = dict(frozen_q or {})
     st = _structure(base_net, tuple(
-        (dev.device_id, tuple(map(tuple, dev.branches)), tuple(dev.z_se))
-        for dev in devices))
+        (tuple(map(tuple, dev.branches)), tuple(dev.z_se)) for dev in devices))
     idx = st.net.index_of
     pv = st.pv.copy()
     s_inj = st.s_inj.copy()
@@ -179,6 +178,10 @@ def build_system(base_net: Network, devices=(), *,
     regulated = pv | st.slack
 
     for dev in devices:
+        sending = dev.branches[0][0]
+        if st.slack[idx[sending]]:
+            raise TopologyError(f"device {dev.device_id}: sending bus "
+                                f"{sending} is the slack")
         for bus_ext in (dev.target_bus(t) for t in dev.targets
                         if t.mode is Mode.V_BUS):
             if bus_ext not in idx:
@@ -196,21 +199,18 @@ def build_system(base_net: Network, devices=(), *,
 
 @lru_cache(maxsize=8)
 def _structure(base_net: Network, placement: tuple) -> Structure:
-    """Splice the placed devices, given as (id, branches, z_se) triples,
-    into ``base_net`` and build what every pass shares."""
+    """Splice the placed devices, given as (branches, z_se) pairs, into
+    ``base_net`` and build what every pass shares."""
     net = base_net
     aux_ids = []
-    for _, branches, z_se in placement:
+    for branches, z_se in placement:
         net, aux = insert_series_device(net, branches, z_se)
         aux_ids.append(aux)
     idx = net.index_of
     n = net.n_bus
     entries = []
     cur = 0
-    for (device_id, branches, _), aux in zip(placement, aux_ids):
-        if net.bus(branches[0][0]).kind is BusKind.SLACK:
-            raise TopologyError(f"device {device_id}: sending bus "
-                                f"{branches[0][0]} is the slack")
+    for (branches, _), aux in zip(placement, aux_ids):
         entries.append(tuple(
             BranchEntry(i_idx=idx[i], m_idx=idx[m], cur_idx=c, j_ext=j)
             for c, ((i, j), m) in enumerate(zip(branches, aux), cur)))

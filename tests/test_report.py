@@ -1,14 +1,16 @@
 """Study orchestration tests: limits, warm starts, metrics."""
 
+import re
+
 import numpy as np
 import pytest
 
-from ffheflow import load_bundled_case
+from ffheflow import load_bundled_case, report
 from ffheflow.devices import (ControlTarget, DeviceConfigError, Mode,
                               SeriesDevice, SsscDevice)
-from ffheflow.network import BusKind
+from ffheflow.network import BusKind, TopologyError
 from ffheflow.report import (StudyError, StudyOptions, _base_solution,
-                             error_improvement_pct, run_study,
+                             _check_devices, error_improvement_pct, run_study,
                              runtime_improvement_pct)
 from ffheflow.system import build_system
 from test_newton import two_bus
@@ -33,6 +35,22 @@ class TestOptions:
             StudyOptions(max_terms=0)
         with pytest.raises(ValueError):
             StudyOptions(warm_iters=0)
+
+    @pytest.mark.parametrize("key, bad", [
+        ("pade", "false"), ("pade", 1), ("max_terms", 7.9),
+        ("max_terms", True), ("warm_iters", "3"), ("warm_iters", 2.0),
+        ("tol", "1e-8"), ("tol", False), ("tol", None)])
+    def test_field_of_another_type(self, key, bad):
+        # checked where the options are made, not only in a --batch entry
+        with pytest.raises(ValueError, match=f"^{key} must be (a number|an "
+                           f"integer|true or false), not "
+                           f"{re.escape(repr(bad))}$"):
+            StudyOptions(method="ffhe", **{key: bad})
+
+    def test_fields_of_the_right_type(self):
+        opts = StudyOptions(tol=1, max_terms=np.int64(30), warm_iters=2,
+                            pade=True)
+        assert (opts.tol, opts.max_terms, opts.pade) == (1, 30, True)
 
 
 class TestBaseStudy:
@@ -171,6 +189,43 @@ class TestDeviceStudy:
             run_study(case118, (dev,), StudyOptions(method="nr"))
         assert _base_solution.cache_info().misses == 0
 
+    @pytest.mark.parametrize("devs, error, message", [
+        ((SsscDevice("s", (101, 102),
+                     ControlTarget(Mode.V_BUS, 1.0, bus=999)),),
+         DeviceConfigError, "s: unknown target bus 999"),
+        ((SsscDevice("s", (69, 70), ControlTarget(Mode.P_FLOW, 0.5)),),
+         TopologyError, "device s: sending bus 69 is the slack"),
+        ((SsscDevice("s", (101, 102),
+                     ControlTarget(Mode.V_BUS, 1.0, bus=100)),),
+         DeviceConfigError, "s: bus 100 magnitude is already regulated"),
+        ((SeriesDevice("i", ((49, 50), (49, 50)),
+                       (ControlTarget(Mode.P_FLOW, 0.75, branch=0),
+                        ControlTarget(Mode.P_FLOW, 0.75, branch=1),
+                        ControlTarget(Mode.Q_FLOW, 0.03, branch=1))),),
+         TopologyError, "device stacking on branch 49-50"),
+        ((SsscDevice("a", (49, 50), ControlTarget(Mode.P_FLOW, 0.75)),
+          SsscDevice("b", (50, 49), ControlTarget(Mode.P_FLOW, -0.75))),
+         DeviceConfigError, "devices 'a' and 'b' are both on branch 50-49"),
+    ], ids=["unknown-target-bus", "slack-sending-bus", "regulated-target",
+            "ipfc-branch-twice", "two-devices-one-branch"])
+    def test_placement_error_before_any_solve(self, case118, devs, error,
+                                              message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            run_study(case118, devs, StudyOptions(method="nr"))
+        assert _base_solution.cache_info().misses == 0
+
+    def test_devices_on_parallel_circuits(self, case118):
+        # 49-54 has two circuits: one device on each, not a third
+        a, b, c = (SsscDevice(i, (49, 54), ControlTarget(Mode.P_FLOW, 0.3))
+                   for i in "abc")
+        _check_devices(case118, (a, b))
+        placed = build_system(case118, (a, b)).structure.branches
+        assert placed[0][0].m_idx != placed[1][0].m_idx
+        with pytest.raises(DeviceConfigError,
+                           match="^devices 'b' and 'c' are both on branch "
+                                 "49-54$"):
+            _check_devices(case118, (a, b, c))
+
     def test_ipfc_vse_target_over_rating_raises(self, case118):
         # solves, then finds |V_se| = 0.050 on branch 1: its v_se target
         # pins only the part in quadrature with the current
@@ -214,6 +269,40 @@ class TestDeviceStudy:
         assert "ffhe" not in rep.stats
         assert rep.stats["nr-warm-ffhe"].converged
         assert rep.comparison["voltage_gap"] < 1e-6
+
+
+class TestPassLoop:
+    """The outer passes: a generator outside its limits is pinned and the
+    study re-solved from there; a branch over its rating is relaxed and
+    the study started again with no generator pinned."""
+
+    def test_relaxation_starts_again_unpinned(self, case118, base_nr,
+                                              monkeypatch):
+        pins = []
+
+        def recording(net, devices=(), *, frozen_q=None):
+            if devices and frozen_q is not None:
+                pins.append(sorted(frozen_q))
+            return build_system(net, devices, frozen_q=frozen_q)
+
+        monkeypatch.setattr(report, "build_system", recording)
+        dev = SsscDevice("s", (101, 102), ControlTarget(Mode.P_FLOW, 0.9),
+                         v_se_max=0.3)
+        rep = run_study(case118, (dev,), StudyOptions(method="nr"))
+        base = set(base_nr.clamped_generators)
+        assert 100 not in base
+        assert pins == [[], sorted(base | {100}), [], sorted(base)]
+        assert rep.relaxed_branches == (("s", 0),)
+        assert set(rep.clamped_generators) == base
+
+    def test_cap_on_the_passes(self, case118, monkeypatch):
+        # the base case pins its generators in one pass and settles in a
+        # second
+        monkeypatch.setattr(report, "MAX_PASSES", 1)
+        with pytest.raises(StudyError,
+                           match=r"^study did not converge: limits did not "
+                                 r"settle in 1 passes \(clamped: \[19, "):
+            run_study(case118, (), StudyOptions(method="nr"))
 
 
 class TestBaseSolutionMemo:

@@ -15,8 +15,14 @@ RAISED = "ConvergenceError: series did not converge (6 terms, mismatch 1e-03)"
 EXTENDED = RAISED[:-1] + "; best 1e-05 at term 1)"
 
 
-def _answer(V=(1.0 + 0.1j, 0.98 - 0.05j), I=(0.7 + 0.2j,), stats=STATS):
-    return {KEY: {"V": np.array(V), "I": np.array(I), "stats": dict(stats)}}
+LIMITS = {"clamped": {19: -0.08, 100: 1.55}, "frozen_q": {49: 1.1565},
+          "relaxed": (("s", 0),), "mismatch": 3.1e-12}
+
+
+def _answer(V=(1.0 + 0.1j, 0.98 - 0.05j), I=(0.7 + 0.2j,), stats=STATS,
+            **limits):
+    return {KEY: {"V": np.array(V), "I": np.array(I), "stats": dict(stats),
+                  "limits": {**LIMITS, **limits}}}
 
 
 def _raise(msg=RAISED):
@@ -62,6 +68,32 @@ def test_near_only_within_the_bound(within, verdict):
 def test_near_needs_the_same_converged_flags():
     moved = _answer(I=(0.7 + 0.2j + 1e-9,), stats={"nr": (5, 0, False)})
     assert _verdict(moved, _answer(), within=1e-6) == "DIFF"
+
+
+@pytest.mark.parametrize("limits", [
+    {"clamped": {19: -0.08, 100: np.nextafter(1.55, 2.0)}},
+    {"clamped": {19: -0.08}},
+    {"frozen_q": {49: 1.1566}},
+    {"frozen_q": {}},
+    {"relaxed": ()},
+    {"mismatch": np.nextafter(3.1e-12, 1.0)}],
+    ids=["pinned-q", "clamped-set", "frozen-q", "frozen-set", "relaxed",
+         "mismatch"])
+def test_other_settled_limits_are_a_difference(limits, capsys):
+    assert _verdict(_answer(**limits), _answer()) == "DIFF"
+    key = next(iter(limits))
+    assert f"; {key} " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("limits, verdict", [
+    ({"clamped": {19: -0.08, 100: 1.56}, "frozen_q": {49: 1.1566},
+      "mismatch": 4e-12}, "near"),
+    ({"clamped": {19: -0.08}}, "DIFF"),
+    ({"frozen_q": {}}, "DIFF"),
+    ({"relaxed": ()}, "DIFF")])
+def test_near_needs_the_same_clamps_pins_and_relaxations(limits, verdict):
+    moved = _answer(V=(1.0 + 0.1j, 0.98 - 0.05j + 1e-8), **limits)
+    assert _verdict(moved, _answer(), within=1e-6) == verdict
 
 
 @pytest.mark.parametrize("within", [None, 1.0])

@@ -45,6 +45,13 @@ class TestStructureMemo:
                 is not plain.structure
         assert _structure.cache_info().misses == 3
 
+    def test_device_ids_share_one_structure(self, case118):
+        a, b = (SsscDevice(i, (49, 50), P_FLOW) for i in ("a", "b"))
+        assert build_system(case118, (a,)).structure \
+            is build_system(case118, (b,)).structure
+        info = _structure.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
     def test_pass_pins_leave_the_structure_alone(self, case118):
         plain = build_system(case118, (_sssc(),))
         frozen = build_system(case118, (_sssc(),), frozen_q={12: -0.2})

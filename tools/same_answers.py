@@ -11,18 +11,23 @@ import path.  Both run the scenarios of this checkout's
 ``ffhe``, ``compare`` and ``ffhe`` with ``pade``.  Per scenario/method
 pair the report gives whether ``V`` and ``I`` are bitwise equal, the
 largest |dV| and |dI|, each method's (iterations, terms, converged), and
-the message of a study that raises.
+the message of a study that raises.  It also compares what the limit
+passes settled on: the clamped generators with their pinned Q, the
+displaced regulators' ``frozen_q``, the relaxed branches and the
+mismatch.
 
 The exit status is 1 on any difference: V or I not bitwise equal, other
-counts, a study that raises in one tree only, or another raise message.
+counts, other settled limits or mismatch, a study that raises in one
+tree only, or another raise message.
 A message that only appends a clause (``"; ..."``) to the other tree's is
 reported as extended and is not a difference.
 
 For a change that moves the iterates by design, ``--within DV`` reports a
 differing pair as ``near``, not a difference, when both trees raise, or
-when neither raises, every method's converged flag agrees, and V and I
-differ by at most DV.  The counts and raise messages are printed as
-before.
+when neither raises, every method's converged flag agrees, the same
+generators are clamped and pinned and the same branches relaxed, and V
+and I differ by at most DV.  The counts, the pinned Q values, the
+mismatch and the raise messages are printed as before.
 """
 
 from __future__ import annotations
@@ -73,7 +78,11 @@ def _worker(records: dict) -> dict:
             out[label, name] = {
                 "V": np.array(rep.V), "I": np.array(rep.I),
                 "stats": {m: (st.iterations, st.terms, st.converged)
-                          for m, st in rep.stats.items()}}
+                          for m, st in rep.stats.items()},
+                "limits": {"clamped": dict(rep.clamped_generators),
+                           "frozen_q": dict(rep.frozen_q),
+                           "relaxed": tuple(rep.relaxed_branches),
+                           "mismatch": rep.mismatch}}
     return out
 
 
@@ -113,6 +122,13 @@ def _converged(stats: dict) -> dict:
     return {m: s[2] for m, s in stats.items()}
 
 
+def _settled(limits: dict) -> tuple:
+    """Which generators are clamped and pinned, and which branches relaxed,
+    without the pinned values."""
+    return (sorted(limits["clamped"]), sorted(limits["frozen_q"]),
+            limits["relaxed"])
+
+
 def compare(here: dict, other: dict, within: float | None = None) -> dict:
     """Print one line per pair; return the number of pairs per verdict:
     ``same``, ``near`` (only with ``within``) and ``DIFF``."""
@@ -130,14 +146,18 @@ def compare(here: dict, other: dict, within: float | None = None) -> dict:
             bits = (np.array_equal(h["V"], o["V"])
                     and np.array_equal(h["I"], o["I"]))
             counts = h["stats"] == o["stats"]
-            diff = not (bits and counts)
+            moved = [k for k in h["limits"] if h["limits"][k] != o["limits"][k]]
+            diff = not (bits and counts) or bool(moved)
             dv, di = _max_gap(h["V"], o["V"]), _max_gap(h["I"], o["I"])
             near = (within is not None and max(dv, di) <= within
-                    and _converged(h["stats"]) == _converged(o["stats"]))
+                    and _converged(h["stats"]) == _converged(o["stats"])
+                    and _settled(h["limits"]) == _settled(o["limits"]))
             note = (f"V/I {'bitwise' if bits else 'DIFFER'} "
                     f"(max |dV| {dv:.1e}, |dI| {di:.1e}); "
                     + ", ".join(f"{m} {s}" for m, s in h["stats"].items())
-                    + ("" if counts else f" vs {o['stats']}"))
+                    + ("" if counts else f" vs {o['stats']}")
+                    + "".join(f"; {k} {h['limits'][k]} vs {o['limits'][k]}"
+                              for k in moved))
         verdict = "same" if not diff else "near" if near else "DIFF"
         tally[verdict] += 1
         print(f"{verdict:<4}  {label:<16} {method:<13} {note}")
