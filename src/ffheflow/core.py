@@ -9,10 +9,12 @@ J = dR/dx evaluated at x0 — the same Jacobian the Newton solver uses.  Order
 quadratic (and, for magnitude-normalised device rows, rational) terms.
 The coefficients of the state ``z = [V; I]`` are one array, beside those
 of the bus currents ``[Y C] z``; each order's history is a set of Cauchy
-products over the order axis, formed from forward and reversed coefficient
-slices for all buses at once, and for the device rows as one array
-expression per shape of ``System.rows`` (``system.DeviceRows``), whatever
-the number of devices.  The solution is read off at a = 1 from
+products over the order axis (``series.cauchy``), formed from forward and
+reversed coefficient slices for all buses at once, and for the device rows
+as one array expression per shape of ``System.rows``
+(``system.DeviceRows``), whatever the number of devices; after each
+order's solve, one row-wise call per companion series advances every
+magnitude-normalised row.  The solution is read off at a = 1 from
 the partial sums, or with ``pade`` from the degree-reduced Pade approximant
 of ``series.pade_at_one``, by one ``series.evaluate_at_one`` call per order.
 """
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .newton import _nudge_zero_currents
-from .series import (evaluate_at_one, magnitude_coefficient,
+from .series import (cauchy, evaluate_at_one, magnitude_coefficient,
                      reciprocal_coefficient)
 from .system import System, jacobian, lu_factor, lu_solve, residual
 
@@ -46,11 +48,6 @@ class FfheResult:
     i_series: np.ndarray
     best_term: int = 0         # term with the lowest mismatch, counted over
     best_mismatch: float = np.inf   # all stages, and that mismatch
-
-
-def _cauchy(a, b):
-    """Per row k, ``a[k] @ b[k]``, summed as the 1-D ``@`` sums it."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def _history(sys: System, n: int, Zs, Ws, Fs, Ms, Ts) -> np.ndarray:
@@ -81,26 +78,26 @@ def _history(sys: System, n: int, Zs, Ws, Fs, Ms, Ts) -> np.ndarray:
     if rows.row.size:
         U, C = Zs[rows.a, :n], Zs[rows.c, :n]
         U[:rows.b.size] -= Zs[rows.b, :n]
-        prod = _cauchy(U[:, fwd], np.conj(C[:, rev]))
+        prod = cauchy(U[:, fwd], np.conj(C[:, rev]))
         val = np.where(rows.im, prod.imag, prod.real)
         if rows.z.size:
             # companion rows: dv times the reciprocal current F (X_EQ), or
             # |I|/I via F and M (V_SE); products written out as in residual
             dv, I, F, M = U[rows.z], C[rows.z], Fs[:, :n], Ms[:, :n]
             d0, f0, m0 = dv[:, 0], F[:, 0], M[:, 0]
-            hist_f = -_cauchy(F[:, fwd], I[:, rev]) / I[:, 0]
-            dvf = _cauchy(dv[:, fwd], F[:, rev])
+            hist_f = -cauchy(F[:, fwd], I[:, rev]) / I[:, 0]
+            dvf = cauchy(dv[:, fwd], F[:, rev])
             x_eq = dvf.imag + (d0.real * hist_f.imag + d0.imag * hist_f.real)
-            hist_m = (_cauchy(I[:, fwd], np.conj(I[:, rev])).real
-                      - _cauchy(M[:, fwd], M[:, rev])) / (2.0 * m0)
-            t_hist = m0 * dvf.imag + _cauchy(M[:, fwd], Ts[:, rev]).imag
+            hist_m = (cauchy(I[:, fwd], np.conj(I[:, rev])).real
+                      - cauchy(M[:, fwd], M[:, rev])) / (2.0 * m0)
+            t_hist = m0 * dvf.imag + cauchy(M[:, fwd], Ts[:, rev]).imag
             v_se = (t_hist + (d0.real * f0.imag + d0.imag * f0.real) * hist_m
                     + ((d0.real * m0) * hist_f.imag
                        + (d0.imag * m0) * hist_f.real))
             val[rows.z] = np.where(rows.pow[rows.z] == 2, x_eq, v_se)
         dev = np.bincount(rows.row, val, minlength=rows.setpoint.size)
         vb = Vs[rows.v_bus, :n]
-        dev[rows.v_row] = 0.5 * _cauchy(vb[:, fwd], np.conj(vb[:, rev])).real
+        dev[rows.v_row] = 0.5 * cauchy(vb[:, fwd], np.conj(vb[:, rev])).real
         h[2 * n_bus:] = dev
     return h
 
@@ -145,12 +142,12 @@ def _single_stage(sys: System, C, D, tol, n_max, pade) -> FfheResult:
             rhs = -_history(sys, order, Zs, Ws, Fs, Ms, Ts)
         Zs[:, order] = lu_solve(lu, rhs).view(complex)
         Ws[:, order] = sys.yc @ Zs[:, order]
-        for k, c in enumerate(comp):
-            Fs[k, order] = reciprocal_coefficient(Fs[k], Is[c], order)
-            Ms[k, order] = magnitude_coefficient(Ms[k], Is[c], order)
-            # np.convolve's dot: the reversed F contiguous, as it copies it
-            Ts[k, order] = ((Zs[dm[k], :order + 1] - Zs[di[k], :order + 1])
-                            @ Fs[k, order::-1].copy())
+        if comp.size:
+            Ic = Is[comp, :order + 1]
+            Fs[:, order] = reciprocal_coefficient(Fs, Ic, order)
+            Ms[:, order] = magnitude_coefficient(Ms, Ic, order)
+            Ts[:, order] = cauchy(Zs[dm, :order + 1] - Zs[di, :order + 1],
+                                  Fs[:, order::-1])
 
         z = evaluate_at_one(Zs[:, :order + 1], pade)
         V, I = z[:n], z[n:]
@@ -180,8 +177,9 @@ def ffhe_solve(sys: System, C: np.ndarray, D: np.ndarray, tol: float = 1e-8,
                n_max: int = 60, pade: bool = False) -> FfheResult:
     """Expand the embedded system around reference state (C, D).
 
-    Every entry of C must be nonzero; currents appearing in magnitude-
-    normalised control rows must be nonzero in D.
+    Every entry of C must be nonzero.  The currents of magnitude-normalised
+    control rows are nudged to at least ``newton.CURRENT_NUDGE`` in
+    magnitude at each stage's start and at each walk-back candidate.
 
     A series that cannot reach a = 1 is evaluated at the largest a < 1 that
     still lowers the mismatch and a fresh embedding is expanded from that
@@ -216,7 +214,7 @@ def ffhe_solve(sys: System, C: np.ndarray, D: np.ndarray, tol: float = 1e-8,
             for a in (1.0, 0.9, 0.75, 0.5, 0.3, 0.15, 0.05):
                 powers = a ** np.arange(trunc + 1)
                 Va = vs @ powers
-                Ia = is_ @ powers
+                Ia = _nudge_zero_currents(sys, is_ @ powers)
                 mis_a = float(np.max(np.abs(residual(sys, Va, Ia))))
                 if np.isfinite(mis_a) and mis_a < best_mis:
                     best_state = (Va, Ia)

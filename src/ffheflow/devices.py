@@ -16,7 +16,8 @@ import math
 import numbers
 from dataclasses import dataclass, replace
 
-from .series import EPS_ZERO
+#: smallest current guess a magnitude-normalised control mode accepts
+EPS_ZERO = 1e-9
 
 #: current magnitude below which the equivalent reactance is reported infinite
 I_REPORT_ZERO = 1e-6

@@ -144,9 +144,13 @@ def warm_start(sys: System, iterations: int = 3, tol: float = 1e-8,
 
 
 def _nudge_zero_currents(sys: System, I: np.ndarray) -> np.ndarray:
-    """Keep currents used by magnitude-normalised rows away from zero."""
-    for c in sys.rows.companions:
-        if abs(I[c]) < CURRENT_NUDGE:
-            I[c] = CURRENT_NUDGE if I[c] == 0 else \
-                I[c] / abs(I[c]) * CURRENT_NUDGE
+    """Keep currents used by magnitude-normalised rows away from zero: one
+    below ``CURRENT_NUDGE`` in magnitude is scaled up to it, keeping its
+    phase (a zero current becomes ``CURRENT_NUDGE``)."""
+    c = sys.rows.companions
+    mag = np.hypot(I[c].real, I[c].imag)
+    small = mag < CURRENT_NUDGE
+    c, mag = c[small], mag[small]
+    I[c] = np.divide(I[c], mag, out=np.ones(c.size, complex),
+                     where=mag != 0) * CURRENT_NUDGE
     return I

@@ -1,9 +1,11 @@
 """Power-series algebra in the embedding parameter.
 
 All series are plain sequences of coefficients ``c[0..n]`` representing
-``sum(c[d] * alpha**d)``.  The reciprocal and magnitude recurrences are the
+``sum(c[d] * alpha**d)``; an array of shape ``(..., k)`` holds one series
+per row.  Every Cauchy-product coefficient is one ``cauchy`` row dot over
+all rows at once.  The reciprocal and magnitude recurrences are the
 order-by-order companions used by the injected-voltage and equivalent-
-reactance control modes.
+reactance control modes, one call per order for every companion row.
 """
 
 from __future__ import annotations
@@ -11,59 +13,44 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import toeplitz
 
-#: smallest leading coefficient for which reciprocal/magnitude companions
-#: are considered well defined
-EPS_ZERO = 1e-9
-
 #: singular values of the Pade denominator block below this fraction of its
 #: largest count as zero; also the relative size at which the denominator
 #: is taken to vanish at alpha = 1
 PADE_RTOL = 1e-12
 
 
-class SeriesOrderError(ValueError):
-    """A coefficient beyond the available order was requested."""
+def cauchy(a, b):
+    """Per row, the dot ``a[..., :] @ b[..., :]`` over the last axis, as a
+    stacked matmul: the 1-D ``@`` summation, for all rows at once."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-class SingularSeriesError(ZeroDivisionError):
-    """Leading coefficient too small for a reciprocal/magnitude recurrence."""
+def reciprocal_coefficient(f, i_series, n: int):
+    """Order-n coefficients of the reciprocals of the rows of ``i_series``.
 
-
-def reciprocal_coefficient(f, i_series, n: int) -> complex:
-    """Order-n coefficient of the reciprocal of ``i_series``.
-
-    ``f`` holds the reciprocal coefficients through order n-1; the returned
-    value makes the Cauchy product of the two series vanish at order n.
+    ``f`` holds the reciprocal coefficients through order n-1 (more are
+    ignored); the returned values make the Cauchy product of each pair of
+    rows vanish at order n.  Arrays of shape ``(..., k)`` give one value
+    per row; a 1-D pair is one series.
     """
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    if len(f) < n or len(i_series) <= n:
-        raise SeriesOrderError(f"insufficient coefficients for order {n}")
-    lead = i_series[0]
-    if abs(lead) <= EPS_ZERO:
-        raise SingularSeriesError("reciprocal of a series with ~zero leading "
-                                  "coefficient (zero current guess?)")
-    return -sum(f[d] * i_series[n - d] for d in range(n)) / lead
+    f, i = np.asarray(f), np.asarray(i_series)
+    return -cauchy(f[..., :n], i[..., n:0:-1]) / i[..., 0]
 
 
-def magnitude_coefficient(m, i_series, n: int) -> float:
-    """Order-n coefficient of the magnitude series of ``i_series``.
+def magnitude_coefficient(m, i_series, n: int):
+    """Order-n coefficients of the magnitude series of the rows of
+    ``i_series``.
 
     Defined by the Cauchy-square identity |I|(a) * |I|(a) = I(a) * conj-I(a),
     where conj-I has coefficient-wise conjugated entries.  ``m`` holds the
-    magnitude coefficients through order n-1 (m[0] = |i_series[0]|).
+    magnitude coefficients through order n-1 (m[..., 0] = |i_series[..., 0]|).
+    Shapes as for :func:`reciprocal_coefficient`.
     """
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    if len(m) < n or len(i_series) <= n:
-        raise SeriesOrderError(f"insufficient coefficients for order {n}")
-    lead = abs(i_series[0])
-    if lead <= EPS_ZERO:
-        raise SingularSeriesError("magnitude series of a series with ~zero "
-                                  "leading coefficient")
-    cross = sum(i_series[d] * np.conj(i_series[n - d]) for d in range(n + 1))
-    self_sq = sum(m[d] * m[n - d] for d in range(1, n))
-    return float((cross.real - self_sq) / (2.0 * lead))
+    m, i = np.asarray(m), np.asarray(i_series)
+    cross = cauchy(i[..., :n + 1], np.conj(i[..., n::-1])).real
+    self_sq = cauchy(m[..., 1:n], m[..., n - 1:0:-1])
+    lead = i[..., 0]
+    return (cross - self_sq) / (2.0 * np.hypot(lead.real, lead.imag))
 
 
 def evaluate_at_one(coeffs, pade: bool = False):

@@ -1,10 +1,12 @@
 """Per-bus reference residual, Jacobian and series history, and the scalar
-Cauchy product, kept as test oracles.
+Cauchy product and companion recurrences, kept as test oracles.
 
 These are the scalar kernels the vectorised ``ffheflow.system.residual``,
 ``ffheflow.system.jacobian`` and ``ffheflow.core._history`` replaced: one
 Python loop over buses (and, for the history, over orders), with a dense
-Jacobian accumulated entry by entry.  They read only the spliced network,
+Jacobian accumulated entry by entry.  The reciprocal and magnitude
+recurrences are the one-series forms that ``ffheflow.series`` replaced by
+row-wise ones, with the guards that those dropped.  They read only the spliced network,
 whose dense Y-bus they build afresh, and a :class:`System`'s devices with
 their branch entries (``zip(sys.devices, sys.structure.branches)``).  They
 count each device's residual rows themselves and look up a V_BUS target's
@@ -17,9 +19,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from ffheflow.devices import Mode
+from ffheflow.devices import EPS_ZERO, Mode
 from ffheflow.network import BusKind, build_admittance_matrix
-from ffheflow.series import SeriesOrderError
+
+
+class SeriesOrderError(ValueError):
+    """A coefficient beyond the available order was requested."""
+
+
+class SingularSeriesError(ZeroDivisionError):
+    """Leading coefficient too small for a reciprocal/magnitude recurrence."""
 
 
 def convolve(a, b, n: int) -> complex:
@@ -28,6 +37,43 @@ def convolve(a, b, n: int) -> complex:
         raise SeriesOrderError(
             f"order {n} requested, have {len(a) - 1} and {len(b) - 1}")
     return sum(a[d] * b[n - d] for d in range(n + 1))
+
+
+def reciprocal_coefficient(f, i_series, n: int) -> complex:
+    """Order-n coefficient of the reciprocal of ``i_series``.
+
+    ``f`` holds the reciprocal coefficients through order n-1; the returned
+    value makes the Cauchy product of the two series vanish at order n.
+    """
+    if n < 1:
+        raise ValueError("order must be >= 1")
+    if len(f) < n or len(i_series) <= n:
+        raise SeriesOrderError(f"insufficient coefficients for order {n}")
+    lead = i_series[0]
+    if abs(lead) <= EPS_ZERO:
+        raise SingularSeriesError("reciprocal of a series with ~zero leading "
+                                  "coefficient (zero current guess?)")
+    return -sum(f[d] * i_series[n - d] for d in range(n)) / lead
+
+
+def magnitude_coefficient(m, i_series, n: int) -> float:
+    """Order-n coefficient of the magnitude series of ``i_series``.
+
+    Defined by the Cauchy-square identity |I|(a) * |I|(a) = I(a) * conj-I(a),
+    where conj-I has coefficient-wise conjugated entries.  ``m`` holds the
+    magnitude coefficients through order n-1 (m[0] = |i_series[0]|).
+    """
+    if n < 1:
+        raise ValueError("order must be >= 1")
+    if len(m) < n or len(i_series) <= n:
+        raise SeriesOrderError(f"insufficient coefficients for order {n}")
+    lead = abs(i_series[0])
+    if lead <= EPS_ZERO:
+        raise SingularSeriesError("magnitude series of a series with ~zero "
+                                  "leading coefficient")
+    cross = sum(i_series[d] * np.conj(i_series[n - d]) for d in range(n + 1))
+    self_sq = sum(m[d] * m[n - d] for d in range(1, n))
+    return float((cross.real - self_sq) / (2.0 * lead))
 
 
 def _bus_currents(sys):

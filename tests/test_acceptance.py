@@ -234,7 +234,7 @@ SOLVE_COUNTS = {
     "101-102/q0": ((5, 0), (3, 1), 5),
     "101-102/qse0.3": ((5, 0), (3, 1), 5),
     "101-102/v0.9": ((6, 0), (3, 1), 6),
-    "101-102/vse0.1": ((5, 0), (3, 1), 469),
+    "101-102/vse0.1": ((5, 0), (3, 1), 210),
     "101-102/x0.1": ((5, 0), (3, 1), 5),
     "49/c1": ((5, 0), (3, 1), 5),
     "49/c2": ((5, 0), (3, 1), 5),

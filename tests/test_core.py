@@ -142,6 +142,27 @@ class TestConvergence:
         assert res.terms == 1
         assert res.mismatch == np.inf
 
+    @pytest.mark.filterwarnings("error")
+    def test_walk_back_nudges_its_candidates(self, case118, monkeypatch):
+        # a stage whose current series (0.1, -0.1) sums to 0 at a = 1: the
+        # walk-back must evaluate that candidate nudged, as the next stage
+        # would start from it, not divide 0 by 0 in the v_se row's |I|
+        dev = SsscDevice("s", (101, 102), ControlTarget(Mode.V_SE, 0.1))
+        sys = build_system(case118, (dev,))
+        starts = []
+
+        def stage(sys, C, D, tol, n_max, pade):
+            starts.append(D.copy())
+            vs = np.column_stack([C, np.zeros_like(C)])
+            is_ = np.array([[0.1, -0.1]], dtype=complex)
+            return core.FfheResult(C, D, 1, 1.0, False, vs, is_, 1, 1.0)
+
+        monkeypatch.setattr(core, "_single_stage", stage)
+        res = ffhe_solve(sys, *flat_start(sys))
+        assert not res.converged
+        assert res.terms == len(starts)
+        assert all(abs(d[0]) >= newton.CURRENT_NUDGE for d in starts)
+
     def test_unconverged_series_carries_its_best_mismatch(self, case118):
         # truncation at four orders fails; the result keeps the lowest
         # mismatch of any partial sum, not the last one
