@@ -3,22 +3,35 @@
 A *study* is one case plus an optional set of series devices, solved to
 convergence with generator reactive limits and device injected-voltage
 limits enforced by one loop of outer passes, :func:`_passes`, at most
-:data:`MAX_PASSES` in all.  Each pass builds its system, solves it, and:
+:data:`MAX_PASSES` in all.  A device study's first pass starts with the
+device-free study's clamped generators already pinned at their limits.
+Each pass builds its system, solves it, and:
 
 * generator limits — if any regulating generator's reactive output is
   outside its capability, pins each violator at its limit; the next pass
   starts from this pass's solution;
+* release — else, if a pinned generator's bus voltage lies beyond its
+  setpoint on the side its clamp cannot hold (pinned at ``q_max`` with
+  |V| above the setpoint, or at ``q_min`` with |V| below it, by more than
+  :data:`RELEASE_MARGIN`), lets it regulate again; the next pass starts
+  from this pass's solution.  A bus is released at most once between
+  relaxations, so the passes cannot cycle;
 * device limits — else, if a branch's injected-voltage magnitude exceeds
   its ceiling, replaces its target by a magnitude target at the ceiling;
-  the next pass starts again from the study's start with no generator
-  pinned, as one clamped under the old target may not need it now;
-* else builds the report.
+  the next pass starts again from the study's start and its first clamps,
+  as one clamped under the old target may not need it now;
+* else builds the report, whose clamps hold their generators on the side
+  of the setpoint that a clamp can hold.
 
 Studies with and without devices run one path.  Each pass builds its system
 from the case, the devices and one map of constant-Q pins, which holds the
 clamped generators and the displaced regulators alike.  A device-free study
-has one candidate set of pins, none, and starts flat.  Placement errors are
-found by one :func:`build_system` call before any solve.
+has one candidate: no pins, a flat start.  A device study tries each
+frozen-Q set of its displaced regulators (see below) from the device-free
+clamps, then each again with no generator pinned; the first candidate that
+settles gives the report, and if none does the :class:`StudyError` names
+each candidate with its reason.  Placement errors are found by one
+:func:`build_system` call before any solve.
 
 Device studies are warm-started from the device-free Newton solution of the
 same case.  That pre-solve is shared: it is memoised per (case, Newton
@@ -62,6 +75,10 @@ LOG_FLOOR = 1e-16
 
 #: cap on a study's outer passes, generator-limit and relaxation alike
 MAX_PASSES = 60
+
+#: how far (p.u.) a clamped generator's bus voltage must lie beyond its
+#: setpoint, on the side its clamp cannot hold, before the clamp is released
+RELEASE_MARGIN = 1e-6
 
 
 class StudyError(RuntimeError):
@@ -267,28 +284,40 @@ def run_study(net: Network, devices=(), options: StudyOptions | None = None):
     if devices:
         _check_devices(net, devices)
         build_system(net, devices)      # placement errors, before any solve
-        # device-free pre-solve of the same case supplies the warm start and
-        # the frozen reactive outputs of displaced regulating generators
+        # device-free pre-solve of the same case supplies the warm start, the
+        # frozen reactive outputs of displaced regulating generators and the
+        # clamps the first pass starts from
         base = _base_solution(net, StudyOptions(method="nr", tol=opts.tol))
-        candidates = _frozen_q_candidates(net, devices, base)
+        frozen_sets = _frozen_q_candidates(net, devices, base)
+        clamps = {b: q for b, q in base.clamped_generators.items()
+                  if b not in frozen_sets[0]}     # the sets share their keys
+        candidates = [(frozen, c) for c in (clamps, {})
+                      for frozen in frozen_sets]
         start = partial(_device_start, base=base)
     else:
-        candidates, start = [{}], flat_start
+        candidates, start = [({}, {})], flat_start
 
-    last_err = None
-    for frozen in candidates:
+    failures = []
+    for frozen, clamps in candidates:
         try:
-            report = _passes(net, devices, opts, frozen, start)
+            report = _passes(net, devices, opts, start, frozen, clamps)
             break
         except (ConvergenceError, StudyError) as exc:
-            last_err = exc
+            failures.append(f"{exc} [{_candidate(frozen, clamps)}]")
     else:
-        raise StudyError(f"study did not converge: {last_err}")
+        raise StudyError("study did not converge: " + "; ".join(failures))
 
     report.runtime_s = time.perf_counter() - t_start
     if opts.method == "compare":
         _attach_comparison(report, start, opts)
     return report
+
+
+def _candidate(frozen: dict, clamps: dict) -> str:
+    """One candidate's start and frozen set, for an error message."""
+    pins = ", ".join(f"{b}: {q:.6g}" for b, q in frozen.items())
+    start = f"{len(clamps)} base clamps" if clamps else "unclamped"
+    return f"{start}, frozen {{{pins}}}"
 
 
 def _check_devices(net: Network, devices) -> None:
@@ -326,12 +355,28 @@ def _base_solution(net: Network, opts: StudyOptions) -> StudyReport:
     return base
 
 
-def _passes(net: Network, devices, opts: StudyOptions, frozen, start):
+def _wrong_side(net: Network, V, clamped: dict) -> set:
+    """Clamped generators whose bus voltage lies beyond its setpoint on the
+    side the clamp cannot hold: pinned at ``q_max`` above the setpoint, or
+    at ``q_min`` below it, by more than :data:`RELEASE_MARGIN`."""
+    out = set()
+    for ext, q in clamped.items():
+        bus = net.bus(ext)
+        above = abs(V[net.index_of[ext]]) - bus.v_setpoint
+        if (above if q == bus.q_max else -above) > RELEASE_MARGIN:
+            out.add(ext)
+    return out
+
+
+def _passes(net: Network, devices, opts: StudyOptions, start, frozen,
+            clamps):
     """The study's outer passes (see the module docstring), with the
-    displaced regulators pinned at ``frozen``; ``start`` maps a pass's
-    system to (V0, I0).  Returns the :class:`StudyReport` but its
+    displaced regulators pinned at ``frozen`` and the generators in
+    ``clamps`` pinned at their limits from the first pass; ``start`` maps a
+    pass's system to (V0, I0).  Returns the :class:`StudyReport` but its
     ``runtime_s``."""
-    active, relaxed, clamped, prev = devices, [], {}, None
+    active, relaxed, prev = devices, [], None
+    clamped, released = dict(clamps), set()
     for _ in range(MAX_PASSES):
         sys_ = build_system(net, active, frozen_q={**frozen, **clamped})
         V0, I0 = prev or start(sys_)
@@ -347,6 +392,12 @@ def _passes(net: Network, devices, opts: StudyOptions, frozen, start):
             clamped.update(viol)
             prev = (V, I)
             continue
+        wrong = _wrong_side(net, V, clamped) - released
+        if wrong:           # each bus once, so the passes cannot cycle
+            released |= wrong
+            clamped = {b: q for b, q in clamped.items() if b not in wrong}
+            prev = (V, I)
+            continue
         outputs = {dev.device_id: [
             branch_outputs(V[be.i_idx], V[be.m_idx], I[be.cur_idx])
             for be in branches]
@@ -354,7 +405,7 @@ def _passes(net: Network, devices, opts: StudyOptions, frozen, start):
         active, newly = relax_violations(active, outputs)
         if newly:
             relaxed.extend(newly)
-            clamped, prev = {}, None
+            clamped, released, prev = dict(clamps), set(), None
             continue
         return StudyReport(
             converged=True, method=opts.method, system=sys_, V=V, I=I,

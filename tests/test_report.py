@@ -9,9 +9,10 @@ from ffheflow import load_bundled_case, report
 from ffheflow.devices import (ControlTarget, DeviceConfigError, Mode,
                               SeriesDevice, SsscDevice)
 from ffheflow.network import BusKind, TopologyError
+from ffheflow.newton import ConvergenceError, flat_start
 from ffheflow.report import (StudyError, StudyOptions, _base_solution,
-                             _check_devices, error_improvement_pct, run_study,
-                             runtime_improvement_pct)
+                             _check_devices, _passes, error_improvement_pct,
+                             run_study, runtime_improvement_pct)
 from ffheflow.system import build_system
 from test_newton import two_bus
 
@@ -165,7 +166,9 @@ class TestDeviceStudy:
             (ControlTarget(Mode.P_FLOW, 0.75, branch=0),
              ControlTarget(Mode.P_FLOW, 0.75, branch=1),
              ControlTarget(Mode.Q_FLOW, 0.03, branch=1)))
-        rep = run_study(case118, (dev,), StudyOptions(method="nr"))
+        # the exchange row is solved to tol, and Newton may stop just
+        # below it: solve two decades under the 1e-9 asserted here
+        rep = run_study(case118, (dev,), StudyOptions(method="nr", tol=1e-10))
         o0, o1 = rep.device_outputs["i"]
         assert o0.s_se.real + o1.s_se.real == pytest.approx(0.0, abs=1e-9)
         assert o0.s_line.real == pytest.approx(0.75, abs=1e-8)
@@ -273,27 +276,87 @@ class TestDeviceStudy:
 
 class TestPassLoop:
     """The outer passes: a generator outside its limits is pinned and the
-    study re-solved from there; a branch over its rating is relaxed and
-    the study started again with no generator pinned."""
+    study re-solved from there; a pinned generator whose bus voltage lies on
+    the wrong side of its setpoint is released; a branch over its rating is
+    relaxed and the study started again from the base study's clamps."""
 
-    def test_relaxation_starts_again_unpinned(self, case118, base_nr,
-                                              monkeypatch):
+    @staticmethod
+    def record_pins(monkeypatch):
+        """Each pass's sorted pinned buses, from a wrapped build_system."""
         pins = []
 
         def recording(net, devices=(), *, frozen_q=None):
-            if devices and frozen_q is not None:
+            if frozen_q is not None:
                 pins.append(sorted(frozen_q))
             return build_system(net, devices, frozen_q=frozen_q)
 
         monkeypatch.setattr(report, "build_system", recording)
-        dev = SsscDevice("s", (101, 102), ControlTarget(Mode.P_FLOW, 0.9),
-                         v_se_max=0.3)
-        rep = run_study(case118, (dev,), StudyOptions(method="nr"))
+        return pins
+
+    def test_relaxation_starts_again_unpinned(self, case118, base_nr,
+                                              monkeypatch):
+        # only the base clamps are pinned again after the relaxation: bus
+        # 100, clamped under the target given up, is not
         base = set(base_nr.clamped_generators)
         assert 100 not in base
-        assert pins == [[], sorted(base | {100}), [], sorted(base)]
-        assert rep.relaxed_branches == (("s", 0),)
-        assert set(rep.clamped_generators) == base
+        dev = SsscDevice("s", (101, 102), ControlTarget(Mode.P_FLOW, 0.9),
+                         v_se_max=0.3)
+        _base_solution(case118, StudyOptions(method="nr"))
+        pins = self.record_pins(monkeypatch)
+        for method in ("nr", "nr-warm-ffhe"):
+            pins.clear()
+            rep = run_study(case118, (dev,), StudyOptions(method=method))
+            assert pins == [sorted(base), sorted(base | {100}),
+                            sorted(base)], method
+            assert rep.relaxed_branches == (("s", 0),)
+            assert set(rep.clamped_generators) == base
+
+    @pytest.mark.parametrize("ext, side", [(1, "q_max"), (6, "q_min")])
+    def test_wrong_side_clamp_is_released(self, case118, base_nr,
+                                          monkeypatch, ext, side):
+        # bus 1 needs -0.03 of its [-0.05, 0.15] and bus 6 0.16 of its
+        # [-0.13, 0.5]: pinned at the other limit, each drives its voltage
+        # past the setpoint on the side that limit cannot hold
+        base = base_nr.clamped_generators
+        assert ext not in base
+        pins = self.record_pins(monkeypatch)
+        limit = getattr(case118.bus(ext), side)
+        rep = _passes(case118, (), StudyOptions(method="nr"), flat_start,
+                      {}, {**base, ext: limit})
+        assert pins == [sorted({*base, ext}), sorted(base)]
+        assert rep.clamped_generators == base
+        assert abs(rep.voltage(ext)) == \
+            pytest.approx(case118.bus(ext).v_setpoint, abs=1e-7)
+
+    @pytest.mark.parametrize("devices", [
+        (), (SsscDevice("s", (49, 50), ControlTarget(Mode.Q_FLOW, 0.0)),)],
+        ids=["device-free", "sssc"])
+    def test_limits_settle_at_a_loose_tol(self, case118, devices,
+                                          monkeypatch):
+        # at tol 1 every pass stops at its start, so the clamps and releases
+        # are decided on unsolved voltages: each bus is released at most
+        # once, and the first candidate settles
+        outcomes = []
+
+        def counting(*args):
+            try:
+                rep = _passes(*args)
+            except (ConvergenceError, StudyError) as exc:
+                outcomes.append(exc)
+                raise
+            outcomes.append(rep)
+            return rep
+
+        _base_solution(case118, StudyOptions(method="nr", tol=1))
+        monkeypatch.setattr(report, "_passes", counting)
+        pins = self.record_pins(monkeypatch)
+        for method in ("nr", "nr-warm-ffhe"):
+            outcomes.clear()
+            pins.clear()
+            rep = run_study(case118, devices, StudyOptions(method=method,
+                                                           tol=1))
+            assert outcomes == [rep], method
+            assert len(pins) < report.MAX_PASSES
 
     def test_cap_on_the_passes(self, case118, monkeypatch):
         # the base case pins its generators in one pass and settles in a
@@ -303,6 +366,37 @@ class TestPassLoop:
                            match=r"^study did not converge: limits did not "
                                  r"settle in 1 passes \(clamped: \[19, "):
             run_study(case118, (), StudyOptions(method="nr"))
+
+
+class TestCandidates:
+    """The displaced regulators' frozen-Q candidates, each started from the
+    base study's clamps, then each again with no generator pinned."""
+
+    def test_error_names_every_failed_candidate(self, case118, base_nr,
+                                                monkeypatch):
+        tried = []
+
+        def failing(net, devices, opts, start, frozen, clamps):
+            tried.append(frozen[49])
+            error = ConvergenceError if len(tried) % 2 else StudyError
+            raise error(f"reason {len(tried)}")
+
+        _base_solution(case118, StudyOptions(method="nr"))
+        monkeypatch.setattr(report, "_passes", failing)
+        # a voltage target on the displaced bus 49: its generator is frozen
+        # at its device-free output, or else at either limit
+        dev = SsscDevice("s", (49, 50), ControlTarget(Mode.V_BUS, 1.0))
+        with pytest.raises(StudyError) as info:
+            run_study(case118, (dev,), StudyOptions(method="nr"))
+        bus = case118.bus(49)
+        (q0,) = report.generator_reactive_output(
+            base_nr.system, base_nr.V, base_nr.I, [case118.index_of[49]])
+        assert tried == [q0, bus.q_min, bus.q_max] * 2
+        base = f"{len(base_nr.clamped_generators)} base clamps"
+        starts = [base] * 3 + ["unclamped"] * 3
+        assert str(info.value) == "study did not converge: " + "; ".join(
+            f"reason {n} [{start}, frozen {{49: {q:.6g}}}]"
+            for n, (start, q) in enumerate(zip(starts, tried), 1))
 
 
 class TestBaseSolutionMemo:
@@ -345,6 +439,16 @@ class TestBaseSolutionMemo:
         run_study(case118, (self.DEV,), StudyOptions(method="nr", **change))
         info = _base_solution.cache_info()
         assert (info.hits, info.misses) == (0, 2)
+
+    def test_study_leaves_the_base_clamps_alone(self, case118):
+        # 49-50/q0 clamps bus 56 besides the base clamps it starts from
+        base = _base_solution(case118, self.NR)
+        before = dict(base.clamped_generators)
+        dev = SsscDevice("s", (49, 50), ControlTarget(Mode.Q_FLOW, 0.0))
+        rep = run_study(case118, (dev,), self.NR)
+        assert _base_solution.cache_info().hits == 1
+        assert set(rep.clamped_generators) == set(before) | {56}
+        assert base.clamped_generators == before
 
     def test_cached_arrays_are_read_only(self, case118):
         run_study(case118, (self.DEV,), self.NR)

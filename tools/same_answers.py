@@ -1,4 +1,5 @@
-"""Compare the answers of two checkouts on the 18 benchmark scenarios.
+"""Compare the answers of two checkouts on the 18 benchmark scenarios and
+on a slice of ``ladder-944`` studies.
 
 Run from the root of a checkout, against another one (say, a
 ``git archive`` of its parent)::
@@ -6,10 +7,18 @@ Run from the root of a checkout, against another one (say, a
     python3 tools/same_answers.py <other-checkout>
 
 Each tree runs in its own subprocess, with only its own ``src`` on the
-import path.  Both run the scenarios of this checkout's
-``perfbench/scenarios.py`` on case118 under ``nr``, ``nr-warm-ffhe``,
-``ffhe``, ``compare`` and ``ffhe`` with ``pade``.  Per scenario/method
-pair the report gives whether ``V`` and ``I`` are bitwise equal, the
+import path.  Both run the same corpus, taken from this checkout's
+``perfbench``:
+
+* the scenarios of ``perfbench/scenarios.py`` on case118 under ``nr``,
+  ``nr-warm-ffhe``, ``ffhe``, ``compare`` and ``ffhe`` with ``pade`` (90
+  pairs);
+* the ``ladder-944`` studies of ``perfbench/ladder.py`` (8 tiled case118
+  copies, one seeded SSSC each) for seeds 1-12 under ``nr`` and
+  ``nr-warm-ffhe`` (24 pairs, labelled ``ladder/<seed>``).
+
+The whole corpus takes ~1 min on a 2-vCPU machine, both trees at once.
+Per pair the report gives whether ``V`` and ``I`` are bitwise equal, the
 largest |dV| and |dI|, each method's (iterations, terms, converged), and
 the message of a study that raises.  It also compares what the limit
 passes settled on: the clamped generators with their pinned Q, the
@@ -18,7 +27,8 @@ mismatch.
 
 The exit status is 1 on any difference: V or I not bitwise equal, other
 counts, other settled limits or mismatch, a study that raises in one
-tree only, or another raise message.
+tree only, or another raise message.  The last lines give each corpus's
+tally, the pairs that raise in each tree, and the wall time.
 A message that only appends a clause (``"; ..."``) to the other tree's is
 reported as extended and is not a difference.
 
@@ -38,6 +48,7 @@ import os
 import pickle
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +60,8 @@ METHODS = (("nr", {"method": "nr"}),
            ("ffhe", {"method": "ffhe"}),
            ("compare", {"method": "compare"}),
            ("ffhe+pade", {"method": "ffhe", "pade": True}))
+LADDER_SEEDS = range(1, 13)
+LADDER_METHODS = ("nr", "nr-warm-ffhe")
 
 
 def _scenarios() -> dict:
@@ -59,30 +72,39 @@ def _scenarios() -> dict:
 
 
 def _worker(records: dict) -> dict:
-    """Every scenario/method pair of the ``ffheflow`` in ``./src``."""
+    """Every pair of the corpus, solved by the ``ffheflow`` in ``./src``."""
     import ffheflow as ff
 
     src = Path.cwd().resolve() / "src"
     if not Path(ff.__file__ or "").resolve().is_relative_to(src):
         raise SystemExit(f"imported {ff.__file__}, not the one in {src}")
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import ladder
+
     net = ff.load_bundled_case()
+    studies = [((label, name), net, tuple(ff.load_devices(json.dumps(recs))),
+                opts)
+               for label, recs in records.items() for name, opts in METHODS]
+    tiled = ladder.tile_case(ff, net)
+    for seed in LADDER_SEEDS:
+        devices = ladder.ladder_devices(ff, ladder.draw_targets(seed))
+        studies += [((f"ladder/{seed}", name), tiled, devices,
+                     {"method": name}) for name in LADDER_METHODS]
     out = {}
-    for label, recs in records.items():
-        devices = tuple(ff.load_devices(json.dumps(recs)))
-        for name, opts in METHODS:
-            try:
-                rep = ff.run_study(net, devices, ff.StudyOptions(**opts))
-            except (ff.StudyError, ff.ConvergenceError) as exc:
-                out[label, name] = {"raise": f"{type(exc).__name__}: {exc}"}
-                continue
-            out[label, name] = {
-                "V": np.array(rep.V), "I": np.array(rep.I),
-                "stats": {m: (st.iterations, st.terms, st.converged)
-                          for m, st in rep.stats.items()},
-                "limits": {"clamped": dict(rep.clamped_generators),
-                           "frozen_q": dict(rep.frozen_q),
-                           "relaxed": tuple(rep.relaxed_branches),
-                           "mismatch": rep.mismatch}}
+    for key, case, devices, opts in studies:
+        try:
+            rep = ff.run_study(case, devices, ff.StudyOptions(**opts))
+        except (ff.StudyError, ff.ConvergenceError) as exc:
+            out[key] = {"raise": f"{type(exc).__name__}: {exc}"}
+            continue
+        out[key] = {
+            "V": np.array(rep.V), "I": np.array(rep.I),
+            "stats": {m: (st.iterations, st.terms, st.converged)
+                      for m, st in rep.stats.items()},
+            "limits": {"clamped": dict(rep.clamped_generators),
+                       "frozen_q": dict(rep.frozen_q),
+                       "relaxed": tuple(rep.relaxed_branches),
+                       "mismatch": rep.mismatch}}
     return out
 
 
@@ -183,13 +205,25 @@ def main(argv=None) -> int:
     for tree in trees:
         if not (tree / "src" / "ffheflow").is_dir():
             p.error(f"{tree} has no src/ffheflow")
+    t0 = time.perf_counter()
     records = _scenarios()
     procs = [_run_tree(tree, records) for tree in trees]
     here, other = (_collect(proc, records) for proc in procs)
-    tally = compare(here, other, args.within)
-    print(f"{tally['same']} of {len(here)} pairs the same, "
-          f"{tally['near']} near, {tally['DIFF']} differ")
-    return 1 if tally["DIFF"] else 0
+    differ = 0
+    for corpus, keys in (("scenario", [k for k in here if k[0] in records]),
+                         ("ladder-944", [k for k in here
+                                         if k[0] not in records])):
+        tally = compare({k: here[k] for k in keys},
+                        {k: other[k] for k in keys}, args.within)
+        differ += tally["DIFF"]
+        print(f"{corpus}: {tally['same']} of {len(keys)} pairs the same, "
+              f"{tally['near']} near, {tally['DIFF']} differ")
+    for tree, answers in zip(trees, (here, other)):
+        raised = [f"{label} {method}" for (label, method), a in
+                  answers.items() if "raise" in a]
+        print(f"raise in {tree}: {len(raised)}: {', '.join(raised)}")
+    print(f"wall time {time.perf_counter() - t0:.0f} s")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
