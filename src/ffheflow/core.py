@@ -8,15 +8,17 @@ J = dR/dx evaluated at x0 — the same Jacobian the Newton solver uses.  Order
 1 reproduces a Newton step; higher orders add the polynomial history of the
 quadratic (and, for magnitude-normalised device rows, rational) terms.
 The coefficients of the state ``z = [V; I]`` are one array, beside those
-of the bus currents ``[Y C] z``; each order's history is a set of Cauchy
-products over the order axis (``series.cauchy``), formed from forward and
-reversed coefficient slices for all buses at once, and for the device rows
-as one array expression per shape of ``System.rows``
-(``system.DeviceRows``), whatever the number of devices; after each
-order's solve, one row-wise call per companion series advances every
-magnitude-normalised row.  The solution is read off at a = 1 from
-the partial sums, or with ``pade`` from the degree-reduced Pade approximant
-of ``series.pade_at_one``, by one ``series.evaluate_at_one`` call per order.
+of the bus currents ``[Y C] z``.  The equations are linear in the order-n
+unknowns, so order n's history is every row's order-n coefficient while
+they are still zero: full Cauchy products over the order axis
+(``series.cauchy``) for all buses at once, and for the device rows one
+array expression per shape of ``System.rows`` (``system.DeviceRows``),
+whatever the number of devices.  One row-wise call per companion series
+brings every magnitude-normalised row's reciprocal and magnitude current
+series to order n on those zeros, before the history, and again on the
+solution.  The solution is read off at a = 1 from the partial sums, or
+with ``pade`` from the degree-reduced Pade approximant of
+``series.pade_at_one``, by one ``series.evaluate_at_one`` call per order.
 """
 
 from __future__ import annotations
@@ -50,56 +52,53 @@ class FfheResult:
     best_mismatch: float = np.inf   # all stages, and that mismatch
 
 
-def _history(sys: System, n: int, Zs, Ws, Fs, Ms, Ts) -> np.ndarray:
-    """Order-n polynomial history of the embedded equations (n >= 2).
-
-    ``Zs``, ``Ws``, ``Fs`` and ``Ms`` are the coefficients of z, ``[Y C] z``
-    and the reciprocal and magnitude series of ``sys.rows.companions``;
-    ``Ts`` those of each companion row's injected voltage times F.
-    Every term is a Cauchy product ``sum(a[d] * b[n - d], d=1..n-1)``, the
-    dot of ``a[1:n]`` with ``b[n-1:0:-1]``, for all buses at once and for
-    all device rows of one shape at once.
+def _history(sys: System, n: int, Zs, Ws, Ms, Ts) -> np.ndarray:
+    """Order-n polynomial history of the embedded equations (n >= 2): each
+    row's order-n coefficient while ``Zs[:, n]`` and ``Ws[:, n]``, those of
+    z and ``[Y C] z``, are still zero, every product one Cauchy product
+    ``sum(a[d] * b[n - d], d=0..n)``.  ``Ms`` and ``Ts`` hold each
+    companion row's M and T through order n on those zeros
+    (:func:`_companions`).
     """
     n_bus = sys.n_bus
-    Vs = Zs[:n_bus]
+    Vs = Zs[:n_bus, :n + 1]
     h = np.zeros(sys.size)
-    fwd, rev = slice(1, n), slice(n - 1, 0, -1)
-    acc = np.einsum("bd,bd->b", np.conj(Vs[:, fwd]), Ws[:, rev])
+    acc = cauchy(np.conj(Vs), Ws[:, n::-1])
     h_re, h_im = h[0:2 * n_bus:2], h[1:2 * n_bus:2]     # views into h
     h_re[:] = acc.real
     h_im[:] = acc.imag
     pv = sys.pv
-    h_im[pv] = 0.5 * np.einsum("bd,bd->b", Vs[pv, fwd],
-                               np.conj(Vs[pv, rev])).real
-    h_re[sys.slack] = 0.0
-    h_im[sys.slack] = 0.0
+    h_im[pv] = 0.5 * cauchy(Vs[pv], np.conj(Vs[pv, ::-1])).real
+    h_re[sys.slack] = h_im[sys.slack] = 0.0
 
     rows = sys.rows
     if rows.row.size:
-        U, C = Zs[rows.a, :n], Zs[rows.c, :n]
-        U[:rows.b.size] -= Zs[rows.b, :n]
-        prod = cauchy(U[:, fwd], np.conj(C[:, rev]))
+        U, C = Zs[rows.a, :n + 1], Zs[rows.c, :n + 1]
+        U[:rows.b.size] -= Zs[rows.b, :n + 1]
+        prod = cauchy(U, np.conj(C[:, ::-1]))
         val = np.where(rows.im, prod.imag, prod.real)
         if rows.z.size:
-            # companion rows: dv times the reciprocal current F (X_EQ), or
-            # |I|/I via F and M (V_SE); products written out as in residual
-            dv, I, F, M = U[rows.z], C[rows.z], Fs[:, :n], Ms[:, :n]
-            d0, f0, m0 = dv[:, 0], F[:, 0], M[:, 0]
-            hist_f = -cauchy(F[:, fwd], I[:, rev]) / I[:, 0]
-            dvf = cauchy(dv[:, fwd], F[:, rev])
-            x_eq = dvf.imag + (d0.real * hist_f.imag + d0.imag * hist_f.real)
-            hist_m = (cauchy(I[:, fwd], np.conj(I[:, rev])).real
-                      - cauchy(M[:, fwd], M[:, rev])) / (2.0 * m0)
-            t_hist = m0 * dvf.imag + cauchy(M[:, fwd], Ts[:, rev]).imag
-            v_se = (t_hist + (d0.real * f0.imag + d0.imag * f0.real) * hist_m
-                    + ((d0.real * m0) * hist_f.imag
-                       + (d0.imag * m0) * hist_f.real))
-            val[rows.z] = np.where(rows.pow[rows.z] == 2, x_eq, v_se)
+            # companion rows: Im T (X_EQ) or Im M T (V_SE), T = (V_m - V_i) F
+            val[rows.z] = Ts[:, n].imag
+            vse = rows.pow[rows.z] == 1
+            val[rows.z[vse]] = cauchy(Ms[vse, :n + 1], Ts[vse, n::-1]).imag
         dev = np.bincount(rows.row, val, minlength=rows.setpoint.size)
-        vb = Vs[rows.v_bus, :n]
-        dev[rows.v_row] = 0.5 * cauchy(vb[:, fwd], np.conj(vb[:, rev])).real
+        vb = Vs[rows.v_bus]
+        dev[rows.v_row] = 0.5 * cauchy(vb, np.conj(vb[:, ::-1])).real
         h[2 * n_bus:] = dev
     return h
+
+
+def _companions(sys: System, n: int, Zs, Fs, Ms, Ts) -> None:
+    """Write order n of each companion row's reciprocal current F = 1/I,
+    magnitude M = |I| and T = (V_m - V_i) F, from ``Zs`` through order n."""
+    rows, z = sys.rows, sys.rows.z
+    if z.size:
+        Ic = Zs[rows.c[z], :n + 1]
+        Fs[:, n] = reciprocal_coefficient(Fs, Ic, n)
+        Ms[:, n] = magnitude_coefficient(Ms, Ic, n)
+        Ts[:, n] = cauchy(Zs[rows.a[z], :n + 1] - Zs[rows.b[z], :n + 1],
+                          Fs[:, n::-1])
 
 
 def _single_stage(sys: System, C, D, tol, n_max, pade) -> FfheResult:
@@ -115,13 +114,14 @@ def _single_stage(sys: System, C, D, tol, n_max, pade) -> FfheResult:
     Is[:, 0] = D
     Ws[:, 0] = sys.yc @ Zs[:, 0]
 
-    comp = sys.rows.companions
+    rows = sys.rows
+    comp = rows.companions
     Fs = np.zeros((comp.size, n_max + 1), dtype=complex)
     Ms = np.zeros((comp.size, n_max + 1))
     Fs[:, 0] = 1.0 / D[comp]
     Ms[:, 0] = np.hypot(D.real, D.imag)[comp]
-    Ts = np.zeros_like(Fs)          # orders >= 1 of dv F, dv = V_m - V_i
-    dm, di = sys.rows.a[sys.rows.z], sys.rows.b[sys.rows.z]
+    Ts = np.zeros_like(Fs)
+    Ts[:, 0] = (Zs[rows.a[rows.z], 0] - Zs[rows.b[rows.z], 0]) * Fs[:, 0]
 
     base_res = residual(sys, C, D)
     best = np.inf
@@ -138,16 +138,12 @@ def _single_stage(sys: System, C, D, tol, n_max, pade) -> FfheResult:
     for order in range(1, n_max + 1):
         if order == 1:
             rhs = -base_res
-        else:
-            rhs = -_history(sys, order, Zs, Ws, Fs, Ms, Ts)
+        else:       # the companions' order n on the zero unknowns
+            _companions(sys, order, Zs, Fs, Ms, Ts)
+            rhs = -_history(sys, order, Zs, Ws, Ms, Ts)
         Zs[:, order] = lu_solve(lu, rhs).view(complex)
         Ws[:, order] = sys.yc @ Zs[:, order]
-        if comp.size:
-            Ic = Is[comp, :order + 1]
-            Fs[:, order] = reciprocal_coefficient(Fs, Ic, order)
-            Ms[:, order] = magnitude_coefficient(Ms, Ic, order)
-            Ts[:, order] = cauchy(Zs[dm, :order + 1] - Zs[di, :order + 1],
-                                  Fs[:, order::-1])
+        _companions(sys, order, Zs, Fs, Ms, Ts)     # and on the solution
 
         z = evaluate_at_one(Zs[:, :order + 1], pade)
         V, I = z[:n], z[n:]

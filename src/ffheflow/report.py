@@ -142,13 +142,17 @@ class StudyReport:
         return self.V[self.system.structure.net.index_of[ext_id]]
 
     def branch_flow(self, i: int, j: int) -> complex:
-        """Sending-end complex power on branch i-j (device branches via the
-        device current)."""
+        """Complex power at bus i into branch i-j.  At a device's sending
+        bus that is the device current's; at its receiving bus, the flow
+        into the spliced branch from the auxiliary bus."""
         net = self.system.structure.net
         for branches in self.system.structure.branches:
             for be in branches:
-                if (net.buses[be.i_idx].ext_id, be.j_ext) == (i, j):
+                ends = (net.buses[be.i_idx].ext_id, be.j_ext)
+                if ends == (i, j):
                     return self.V[be.i_idx] * np.conj(self.I[be.cur_idx])
+                if ends == (j, i):
+                    return self.branch_flow(i, net.buses[be.m_idx].ext_id)
         bidx = net.find_branch(i, j)
         br = net.branches[bidx]
         ys = 1.0 / br.series_impedance

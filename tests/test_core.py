@@ -7,7 +7,7 @@ import pytest
 from conftest import random_sssc_study
 from ffheflow import core, newton
 from ffheflow.core import _single_stage, ffhe_solve
-from ffheflow.devices import ControlTarget, Mode, SsscDevice
+from ffheflow.devices import ControlTarget, Mode, SeriesDevice, SsscDevice
 from ffheflow.network import Branch, Bus, BusKind, Network
 from ffheflow.newton import flat_start, nr_solve, warm_start
 from ffheflow.system import build_system, residual
@@ -194,52 +194,86 @@ class TestConvergence:
         assert res.terms == 0
 
 
-def embedded_residual_gap(sys, x0, alpha, n_max=12):
-    """max |R(x_N(alpha)) - (1 - alpha) R(x0)| for the truncated series."""
-    C, D = x0
-    res = _single_stage(sys, C, D, tol=1e-30, n_max=n_max, pade=False)
-    powers = alpha ** np.arange(res.v_series.shape[1])
-    Va = res.v_series @ powers
-    Ia = res.i_series @ powers if res.i_series.size else \
-        np.zeros(0, complex)
-    lhs = residual(sys, Va, Ia)
-    rhs = (1.0 - alpha) * residual(sys, C, D)
+#: truncation order N of the order test, and the gap that counts as the
+#: residual's own rounding: case118's residual rows near a solution carry
+#: ~1e-13 of it
+ORDERS = 4
+ROUNDING = 1e-12
+
+
+def series_coefficients(sys, x0, n_max):
+    """The coefficients of z = [V; I] through order ``n_max`` around x0."""
+    res = _single_stage(sys, *x0, tol=1e-30, n_max=n_max, pade=False)
+    assert res.terms == n_max
+    return np.vstack([res.v_series, res.i_series])
+
+
+def embedded_residual_gap(sys, x0, zs, alpha):
+    """max |R(x_N(alpha)) - (1 - alpha) R(x0)| for the series coefficients
+    ``zs`` of z = [V; I]."""
+    za = zs @ alpha ** np.arange(zs.shape[1])
+    n = sys.n_bus
+    lhs = residual(sys, za[:n], za[n:])
+    rhs = (1.0 - alpha) * residual(sys, *x0)
     return float(np.max(np.abs(lhs - rhs)))
+
+
+def assert_gap_falls_by_order(sys, x0, n=ORDERS) -> float:
+    """The series cut at n orders misses the homotopy by O(alpha**(n+1)),
+    so halving alpha cuts the gap by at least 2**n, up to rounding.
+
+    alpha is a quarter of the root-test radius of the coefficients, at most
+    0.1, so the first omitted term leads the gap.  Returns the gap.
+    """
+    zs = series_coefficients(sys, x0, n)
+    mag = np.max(np.abs(zs), axis=0)
+    radius = min((mag[1] / mag[k]) ** (1 / (k - 1)) for k in range(2, n + 1))
+    alpha = min(0.1, radius / 4)
+    gap, half = (embedded_residual_gap(sys, x0, zs, a)
+                 for a in (alpha, alpha / 2))
+    assert half <= gap / 2 ** n + ROUNDING, (alpha, gap, half)
+    return gap
+
+
+def assert_order_from_warm_starts(sys):
+    """The order test from warm starts of 1, 2 and 3 Newton steps, chord
+    steps included, at least one of them above rounding."""
+    gaps = [assert_gap_falls_by_order(sys, warm_start(sys, iterations=k)[:2])
+            for k in (1, 2, 3)]
+    assert max(gaps) > ROUNDING
 
 
 class TestEmbeddedResidualProperty:
     """The truncated series satisfies the homotopy R(x(a)) = (1-a) R(x0)
-    up to the truncation order, so the gap at small a is negligible."""
+    up to its truncation order.  Each test also checks that some gap it
+    saw lies above rounding, so the order was really measured."""
 
     def test_base_case(self, case118):
         sys = build_system(case118)
-        x0 = flat_start(sys)
-        assert embedded_residual_gap(sys, x0, 0.05) < 1e-10
+        assert assert_gap_falls_by_order(sys, flat_start(sys)) > ROUNDING
 
     def test_gap_at_zero_is_zero(self, case118):
         sys = build_system(case118)
         x0 = flat_start(sys)
-        assert embedded_residual_gap(sys, x0, 0.0) < 1e-14
+        zs = series_coefficients(sys, x0, 12)
+        assert embedded_residual_gap(sys, x0, zs, 0.0) < 1e-14
 
     @pytest.mark.parametrize("mode,sp", [
         (Mode.P_FLOW, 0.3), (Mode.Q_FLOW, 0.1), (Mode.Q_INJ, 0.05),
         (Mode.V_BUS, 1.0), (Mode.V_SE, 0.1), (Mode.X_EQ, 0.15)])
     def test_each_device_mode(self, case118, mode, sp):
         dev = SsscDevice("s", (101, 102), ControlTarget(mode, sp))
-        sys = build_system(case118, (dev,))
-        # a couple of Newton steps keep the expansion point inside the
-        # series' disc of convergence, so the tail at a = 0.05 is negligible
-        x0 = warm_start(sys, iterations=2)[:2]
-        assert embedded_residual_gap(sys, x0, 0.05) < 1e-10
+        assert_order_from_warm_starts(build_system(case118, (dev,)))
 
-    def test_random_small_systems(self, monkeypatch):
-        # the expansion point is two full damped Newton steps, each
-        # factorising at its own point: with no chord step accepted, the
-        # warm start takes exactly those
-        monkeypatch.setattr(newton, "CONTRACTION", 0.0)
+    def test_ipfc_with_v_se_and_x_eq_targets(self, case118):
+        dev = SeriesDevice("i", ((49, 50), (49, 51)),
+                           (ControlTarget(Mode.V_SE, 0.05, branch=0),
+                            ControlTarget(Mode.X_EQ, 0.05, branch=1),
+                            ControlTarget(Mode.P_FLOW, 0.5, branch=1)))
+        assert_order_from_warm_starts(build_system(case118, (dev,)))
+
+    def test_random_small_systems(self):
         rng = np.random.default_rng(2024)
         for _ in range(8):
             net, dev = random_sssc_study(rng)
-            sys = build_system(net, (dev,))
-            x0 = warm_start(sys, iterations=2)[:2]
-            assert embedded_residual_gap(sys, x0, 0.05) < 1e-10
+            assert_order_from_warm_starts(build_system(net, (dev,)))

@@ -144,6 +144,18 @@ class TestDeviceStudy:
         assert out.s_line.real == pytest.approx(0.9, abs=1e-8)
         assert rep.branch_flow(101, 102) == pytest.approx(out.s_line)
 
+    def test_receiving_end_flow_closes_the_branch_balance(self, case118):
+        # what enters the device branch at both ends and from the series
+        # source is its loss in the line and the coupling impedance, up to
+        # the current balance at the auxiliary bus: the solve tolerance
+        dev = SsscDevice("s", (49, 50), ControlTarget(Mode.P_FLOW, 0.75))
+        rep = run_study(case118, (dev,), StudyOptions(method="nr"))
+        (out,) = rep.device_outputs["s"]
+        z = case118.branches[case118.find_branch(49, 50)].series_impedance
+        loss = abs(out.i_se) ** 2 * (z + dev.z_se[0])
+        total = rep.branch_flow(49, 50) + rep.branch_flow(50, 49) + out.s_se
+        assert abs(total - loss) < StudyOptions().tol
+
     def test_sending_pv_frozen(self, case118):
         dev = SsscDevice("s", (49, 50), ControlTarget(Mode.P_FLOW, 0.75))
         rep = run_study(case118, (dev,), StudyOptions(method="nr"))

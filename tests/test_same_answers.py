@@ -38,7 +38,7 @@ def _one_bit_off():
 
 
 def _verdict(here, other, within=None):
-    tally = compare(here, other, within)
+    tally, _ = compare(here, other, within)
     assert sum(tally.values()) == 1
     return next(v for v, n in tally.items() if n)
 
@@ -119,3 +119,20 @@ def test_messages():
     assert _messages(RAISED, RAISED[:-1] + " best 1e-05 at term 1)")[0]
     assert _messages(RAISED, RAISED.replace("6 terms", "7 terms"))[0]
 
+
+
+def test_near_gap_is_the_largest_over_converged_near_pairs(capsys):
+    """Two near pairs and a pair that raises in both trees: the gap is the
+    largest |dV| and |dI| of the two that converge, each on its own."""
+    base = _answer()[KEY]
+    here = {("a", "nr"): {**base, "V": base["V"] + 1e-9},
+            ("b", "nr"): {**base, "I": base["I"] + 2e-10},
+            ("c", "nr"): {"raise": "StudyError: other"},
+            ("d", "nr"): base}
+    other = {("a", "nr"): base, ("b", "nr"): base,
+             ("c", "nr"): {"raise": RAISED}, ("d", "nr"): base}
+    tally, (dv, di) = compare(here, other, within=1e-6)
+    assert tally == {"same": 1, "near": 3, "DIFF": 0}
+    assert (dv, di) == pytest.approx((1e-9, 2e-10), rel=1e-6)
+    assert compare(here, other)[1] == (0.0, 0.0)
+    capsys.readouterr()

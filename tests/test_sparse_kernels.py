@@ -151,10 +151,10 @@ HISTORY_ORDERS = range(2, 13)
 
 
 def _series_state(rng, sys, n):
-    """Random coefficients through order n, with nonzero leading terms near
-    a perturbed flat start, and the reciprocal and magnitude companions
-    from their recurrences.  Order n is filled too: the order-n history
-    must not read it."""
+    """Random coefficients through order n - 1, with nonzero leading terms
+    near a perturbed flat start, and order n zero, as the history sees it.
+    The reciprocal and magnitude companions, and T = (V_m - V_i) F, run
+    through order n from their recurrences on those zeros."""
     V0, I0 = _perturbed_state(rng, sys)
     decay = rng.uniform(0.2, 0.6) ** np.arange(n + 1)
 
@@ -164,6 +164,7 @@ def _series_state(rng, sys, n):
 
     Vs, Is = draw(sys.n_bus), draw(sys.n_currents)
     Vs[:, 0], Is[:, 0] = V0, I0
+    Vs[:, n] = Is[:, n] = 0.0
     comp_f, comp_m = {}, {}
     for c in sys.rows.companions:
         f = np.zeros(n + 1, dtype=complex)
@@ -187,7 +188,6 @@ def _assert_history_matches_oracle(rng, sys):
         comp, rows = sys.rows.companions, sys.rows
         dv = Zs[rows.a[rows.z]] - Zs[rows.b[rows.z]]
         h = _history(sys, n, Zs, sys.yc @ Zs,
-                     np.array([comp_f[c] for c in comp]).reshape(-1, n + 1),
                      np.array([comp_m[c] for c in comp]).reshape(-1, n + 1),
                      np.array([np.convolve(d, comp_f[c])[:n + 1]
                                for d, c in zip(dv, comp)]).reshape(-1, n + 1))

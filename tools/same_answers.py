@@ -37,7 +37,9 @@ differing pair as ``near``, not a difference, when both trees raise, or
 when neither raises, every method's converged flag agrees, the same
 generators are clamped and pinned and the same branches relaxed, and V
 and I differ by at most DV.  The counts, the pinned Q values, the
-mismatch and the raise messages are printed as before.
+mismatch and the raise messages are printed as before, and each corpus's
+tally also gives the largest |dV| and |dI| over its near pairs that
+converge in both trees.
 """
 
 from __future__ import annotations
@@ -151,10 +153,13 @@ def _settled(limits: dict) -> tuple:
             limits["relaxed"])
 
 
-def compare(here: dict, other: dict, within: float | None = None) -> dict:
-    """Print one line per pair; return the number of pairs per verdict:
-    ``same``, ``near`` (only with ``within``) and ``DIFF``."""
+def compare(here: dict, other: dict,
+            within: float | None = None) -> tuple[dict, tuple]:
+    """Print one line per pair; return the number of pairs per verdict,
+    ``same``, ``near`` (only with ``within``) and ``DIFF``, and the largest
+    |dV| and |dI| over the near pairs where neither tree raises."""
     tally = dict.fromkeys(("same", "near", "DIFF"), 0)
+    near_gap = (0.0, 0.0)
     for key in here:
         h, o = here[key], other[key]
         label, method = key
@@ -182,8 +187,10 @@ def compare(here: dict, other: dict, within: float | None = None) -> dict:
                               for k in moved))
         verdict = "same" if not diff else "near" if near else "DIFF"
         tally[verdict] += 1
+        if verdict == "near" and "raise" not in h:
+            near_gap = (max(near_gap[0], dv), max(near_gap[1], di))
         print(f"{verdict:<4}  {label:<16} {method:<13} {note}")
-    return tally
+    return tally, near_gap
 
 
 def main(argv=None) -> int:
@@ -213,11 +220,12 @@ def main(argv=None) -> int:
     for corpus, keys in (("scenario", [k for k in here if k[0] in records]),
                          ("ladder-944", [k for k in here
                                          if k[0] not in records])):
-        tally = compare({k: here[k] for k in keys},
-                        {k: other[k] for k in keys}, args.within)
+        tally, (dv, di) = compare({k: here[k] for k in keys},
+                                  {k: other[k] for k in keys}, args.within)
         differ += tally["DIFF"]
         print(f"{corpus}: {tally['same']} of {len(keys)} pairs the same, "
-              f"{tally['near']} near, {tally['DIFF']} differ")
+              f"{tally['near']} near (max |dV| {dv:.1e}, |dI| {di:.1e} "
+              f"where both converge), {tally['DIFF']} differ")
     for tree, answers in zip(trees, (here, other)):
         raised = [f"{label} {method}" for (label, method), a in
                   answers.items() if "raise" in a]
