@@ -2,7 +2,14 @@
 
 One study per invocation (``--case`` plus optional ``--devices``), or a
 ``--batch`` file of independent studies, run one after another in the
-order listed.  Exit codes: 0 converged, 2 diverged, 1 bad input.
+order listed.  ``--report json`` writes each report as one JSON object on
+one line; a batch prints a ``=== label`` line before each.  Exit codes:
+0 converged, 2 diverged, 1 bad input.
+
+Cases are read through :func:`~ffheflow.network.parse_case`, which is
+memoised: batch entries that read the same case text share one
+:class:`~ffheflow.network.Network` instance, and with it the study memos.
+That instance is shared; do not modify it.
 """
 
 from __future__ import annotations
@@ -174,7 +181,7 @@ def format_text(rep: StudyReport) -> str:
 
 def _emit(rep: StudyReport, kind: str) -> None:
     if kind == "json":
-        print(json.dumps(report_dict(rep), indent=2, allow_nan=False))
+        print(json.dumps(report_dict(rep), allow_nan=False))
     else:
         print(format_text(rep))
 

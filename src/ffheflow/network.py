@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import sparse
@@ -124,7 +124,21 @@ def _read_table(name: str, body: str) -> list:
 
 
 def parse_case(text: str, name: str = "") -> Network:
-    """Parse a MATPOWER-style case body into a per-unit :class:`Network`."""
+    """Parse a MATPOWER-style case body into a per-unit :class:`Network`.
+
+    A bus of type 2 (PV) with no in-service generator is read as PQ, as
+    MATPOWER's ``bustypes`` does.
+
+    Memoised on ``(text, name)`` (the 8 most recent): equal text and name
+    give the same :class:`Network` instance, so studies of a re-read case
+    hit the study memos by identity.  The result is shared; do not modify
+    it.  A parse error is raised on every call, not memoised.
+    """
+    return _parse_case(text, name)
+
+
+@lru_cache(maxsize=8)
+def _parse_case(text: str, name: str) -> Network:
     m = _SCALAR_RE.search(text)
     if m is None:
         raise ParseError("missing mpc.baseMVA")
@@ -163,6 +177,8 @@ def parse_case(text: str, name: str = "") -> Network:
         if btype not in _BUS_KIND:
             raise ParseError(f"bus {ext_id}: unknown type {btype}")
         kind = _BUS_KIND[btype]
+        if kind is BusKind.PV and ext_id not in gen_v:
+            kind = BusKind.PQ
         vset = gen_v.get(ext_id, row[7] if len(row) > 7 else 1.0)
         buses.append(Bus(
             ext_id=ext_id,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ffheflow import load_bundled_case, report, system
+from ffheflow import load_bundled_case, network, report, system
 from ffheflow.devices import ControlTarget, Mode, SsscDevice, branch_outputs
 from ffheflow.network import Branch, Bus, BusKind, Network
 from ffheflow.newton import nr_solve
@@ -19,8 +19,10 @@ def case118():
 
 @pytest.fixture(autouse=True)
 def fresh_memos():
-    """Start every test with empty study memos (the device-free pre-solve
-    and the per-placement structure), so no test sees what another left."""
+    """Start every test with empty memos (the parsed cases, the device-free
+    pre-solve and the per-placement structure), so no test sees what
+    another left."""
+    network._parse_case.cache_clear()
     report._base_solution.cache_clear()
     system._structure.cache_clear()
 

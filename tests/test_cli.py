@@ -6,10 +6,11 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from ffheflow import load_bundled_case
+from ffheflow import load_bundled_case, load_devices
 from ffheflow.cli import (EXIT_DIVERGED, EXIT_INPUT, EXIT_OK, build_parser,
                           format_text, main, report_dict)
-from ffheflow.report import MethodStats, StudyReport
+from ffheflow.network import Network
+from ffheflow.report import MethodStats, StudyOptions, StudyReport, run_study
 from ffheflow.system import build_system
 
 
@@ -263,6 +264,61 @@ class TestBatch:
         stats = json.loads(capsys.readouterr().out.split("\n", 1)[1])
         assert stats["stats"]["nr-warm-ffhe"]["iterations"] <= 2
 
+    def test_batch_entries_share_the_parsed_case(
+            self, case_path, sssc_path, tmp_path, capsys, monkeypatch):
+        # every entry reads the same case text: one Network instance, so
+        # the study memos hit by identity and never compare by content
+        calls = []
+        eq = Network.__eq__
+
+        def counted(self, other):
+            calls.append(1)
+            return eq(self, other)
+
+        monkeypatch.setattr(Network, "__eq__", counted)
+        batch = tmp_path / "batch.json"
+        batch.write_text(json.dumps([
+            {"label": "base", "case": str(case_path), "method": "nr"},
+            {"label": "sssc", "case": str(case_path),
+             "devices": str(sssc_path), "method": "nr"},
+            {"label": "again", "case": str(case_path),
+             "devices": str(sssc_path), "method": "nr"}]))
+        assert main(["--batch", str(batch)]) == EXIT_OK
+        assert capsys.readouterr().out.count("=== ") == 3
+        assert calls == []
+
+    def test_batch_json_agrees_with_the_library(self, case_path, tmp_path,
+                                                capsys):
+        records = {
+            "base": [],
+            "sssc": [{"type": "sssc", "branch": [49, 50],
+                      "mode": "p_flow", "setpoint": 0.75}],
+            "ipfc": [{"type": "ipfc", "branches": [[49, 50], [49, 51]],
+                      "targets": [
+                          {"branch": 0, "mode": "p_flow", "setpoint": 0.75},
+                          {"branch": 1, "mode": "p_flow", "setpoint": 0.75},
+                          {"branch": 1, "mode": "q_flow", "setpoint": 0.03}]}]}
+        entries = []
+        for label, recs in records.items():
+            entry = {"label": label, "case": str(case_path)}
+            if recs:
+                entry["devices"] = str(tmp_path / f"{label}.json")
+                (tmp_path / f"{label}.json").write_text(json.dumps(recs))
+            entries.append(entry)
+        batch = tmp_path / "batch.json"
+        batch.write_text(json.dumps(entries))
+        assert main(["--batch", str(batch), "--report", "json"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[::2] == [f"=== {label}" for label in records]
+        assert len(lines) == 2 * len(records)
+        net = load_bundled_case()
+        for label, line in zip(records, lines[1::2]):
+            devices = tuple(load_devices(json.dumps(records[label])))
+            rep = run_study(net, devices, StudyOptions())
+            want = json.loads(json.dumps(report_dict(rep)))
+            assert _without_runtime(json.loads(line)) == \
+                _without_runtime(want)
+
     def test_batch_not_json(self, tmp_path, capsys):
         bad = tmp_path / "batch.json"
         bad.write_text("nope")
@@ -272,6 +328,14 @@ class TestBatch:
         bad = tmp_path / "batch.json"
         bad.write_text("{}")
         assert main(["--batch", str(bad)]) == EXIT_INPUT
+
+
+def _without_runtime(doc: dict) -> dict:
+    """A JSON report without its wall-clock ``runtime_s`` fields."""
+    doc = {k: v for k, v in doc.items() if k != "runtime_s"}
+    doc["stats"] = {m: {k: v for k, v in st.items() if k != "runtime_s"}
+                    for m, st in doc["stats"].items()}
+    return doc
 
 
 class TestMethodConvergence:

@@ -1,9 +1,11 @@
 """Case parsing, admittance matrix, and device-splicing tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from ffheflow import load_bundled_case
+from ffheflow import load_bundled_case, run_study, StudyOptions
 from ffheflow.network import (Branch, Bus, BusKind, Network, ParseError,
                               TopologyError, build_admittance_matrix,
                               insert_series_device, parse_case)
@@ -94,6 +96,52 @@ class TestParse:
             parse_case(bad)
 
 
+    def test_pv_bus_without_an_in_service_generator_is_pq(self):
+        # MATPOWER's bustypes: a type-2 bus needs an in-service generator
+        text = MINI_CASE.replace("3 80 10 150 -150 1.05 100 1",
+                                 "3 80 10 150 -150 1.05 100 0")
+        net = parse_case(text, name="mini")
+        b3 = net.bus(3)
+        assert b3.kind is BusKind.PQ
+        assert (b3.p_gen, b3.q_min, b3.q_max) == (0.0, -np.inf, np.inf)
+        # the study does not pin |V3| at the generator's 1.05: it solves
+        # the case with bus 3 written as PQ
+        rep = run_study(net, (), StudyOptions(method="nr"))
+        pq_text = text.replace("3 2  0  0 0 5", "3 1  0  0 0 5")
+        pq = run_study(parse_case(pq_text), (), StudyOptions(method="nr"))
+        assert rep.converged
+        assert abs(rep.voltage(3)) == pytest.approx(0.9645, abs=1e-4)
+        assert np.array_equal(rep.V, pq.V)
+
+
+class TestParseMemo:
+    """Equal case text and name give one shared :class:`Network`."""
+
+    def test_equal_text_and_name_give_the_identical_network(self, mini):
+        net = parse_case(MINI_CASE, name="mini")
+        assert parse_case(MINI_CASE, "mini") is net
+        assert parse_case(text=MINI_CASE, name="mini") is net
+        copy = MINI_CASE[:40] + MINI_CASE[40:]     # equal, not the same
+        assert copy is not MINI_CASE
+        assert parse_case(copy, name="mini") is net
+        assert parse_case(MINI_CASE) is parse_case(MINI_CASE, "")
+
+    def test_another_name_gives_another_instance(self):
+        net = parse_case(MINI_CASE, name="mini")
+        other = parse_case(MINI_CASE, name="other")
+        assert other is not net
+        assert other.buses == net.buses and other.name == "other"
+
+    def test_bundled_case_is_interned(self):
+        assert load_bundled_case() is load_bundled_case()
+
+    def test_parse_error_raised_on_every_call(self):
+        bad = MINI_CASE.replace("50 20", "50 oops")
+        for _ in range(3):
+            with pytest.raises(ParseError, match="row"):
+                parse_case(bad, name="mini")
+
+
 class TestNetworkInvariants:
     def test_exactly_one_slack_required(self):
         with pytest.raises(TopologyError, match="slack"):
@@ -105,7 +153,7 @@ class TestNetworkInvariants:
 
     def test_index_and_hash_kept_equality_by_content(self, mini):
         assert mini.index_of is mini.index_of
-        copy = parse_case(MINI_CASE, name="mini")
+        copy = replace(mini)
         assert copy is not mini
         assert copy == mini and hash(copy) == hash(mini)
         assert Network(mini.buses, mini.branches[:1], mini.base_mva) != mini

@@ -1,11 +1,12 @@
 """Study orchestration tests: limits, warm starts, metrics."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ffheflow import load_bundled_case, report
+from ffheflow import report
 from ffheflow.devices import (ControlTarget, DeviceConfigError, Mode,
                               SeriesDevice, SsscDevice)
 from ffheflow.network import BusKind, TopologyError
@@ -433,7 +434,7 @@ class TestBaseSolutionMemo:
         assert cold.clamped_generators == warm.clamped_generators
 
     def test_reparsed_case_hits(self, case118):
-        copy = load_bundled_case()
+        copy = replace(case118)
         assert copy is not case118
         run_study(case118, (self.DEV,), self.NR)
         run_study(copy, (self.DEV,), self.NR)

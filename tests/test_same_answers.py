@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
-from same_answers import _messages, compare  # noqa: E402
+from same_answers import (_corpus, _messages, _random_fields,  # noqa: E402
+                          _random_study, compare)
+import ffheflow  # noqa: E402
+from conftest import random_sssc_study  # noqa: E402
 
 KEY = ("49-50/p0.75", "nr")
 STATS = {"nr": (5, 0, True)}
@@ -136,3 +139,18 @@ def test_near_gap_is_the_largest_over_converged_near_pairs(capsys):
     assert (dv, di) == pytest.approx((1e-9, 2e-10), rel=1e-6)
     assert compare(here, other)[1] == (0.0, 0.0)
     capsys.readouterr()
+
+
+def test_corpus_of_a_label():
+    assert _corpus("49-50/p0.75") == "scenario"
+    assert _corpus("100/c1") == "scenario"
+    assert _corpus("base") == "scenario"
+    assert _corpus("ladder/3") == "ladder-944"
+    assert _corpus("random/57") == "random-sssc"
+
+
+def test_random_draw_survives_its_plain_fields():
+    for k in (0, 57):
+        net, dev = random_sssc_study(np.random.default_rng(k))
+        assert _random_study(ffheflow, _random_fields(net, dev)) == \
+            (net, (dev,))

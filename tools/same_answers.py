@@ -1,5 +1,5 @@
-"""Compare the answers of two checkouts on the 18 benchmark scenarios and
-on a slice of ``ladder-944`` studies.
+"""Compare the answers of two checkouts on the 18 benchmark scenarios, on
+a slice of ``ladder-944`` studies and on random small SSSC studies.
 
 Run from the root of a checkout, against another one (say, a
 ``git archive`` of its parent)::
@@ -8,16 +8,22 @@ Run from the root of a checkout, against another one (say, a
 
 Each tree runs in its own subprocess, with only its own ``src`` on the
 import path.  Both run the same corpus, taken from this checkout's
-``perfbench``:
+``perfbench`` and ``tests/conftest.py``:
 
 * the scenarios of ``perfbench/scenarios.py`` on case118 under ``nr``,
   ``nr-warm-ffhe``, ``ffhe``, ``compare`` and ``ffhe`` with ``pade`` (90
   pairs);
 * the ``ladder-944`` studies of ``perfbench/ladder.py`` (8 tiled case118
   copies, one seeded SSSC each) for seeds 1-12 under ``nr`` and
-  ``nr-warm-ffhe`` (24 pairs, labelled ``ladder/<seed>``).
+  ``nr-warm-ffhe`` (24 pairs, labelled ``ladder/<seed>``);
+* the ``tests/conftest.random_sssc_study`` draws 0-199 under ``nr`` and
+  ``nr-warm-ffhe`` (400 pairs, labelled ``random/<k>``).  Draw k is
+  ``random_sssc_study(np.random.default_rng(k))``, drawn once, by this
+  checkout, and handed to both trees as plain fields, so both solve the
+  same network and device.
 
-The whole corpus takes ~1 min on a 2-vCPU machine, both trees at once.
+The whole corpus takes ~50 s on a 2-vCPU machine, both trees at once;
+drawing the 200 random studies takes ~3 s of that.
 Per pair the report gives whether ``V`` and ``I`` are bitwise equal, the
 largest |dV| and |dI|, each method's (iterations, terms, converged), and
 the message of a study that raises.  It also compares what the limit
@@ -64,6 +70,8 @@ METHODS = (("nr", {"method": "nr"}),
            ("ffhe+pade", {"method": "ffhe", "pade": True}))
 LADDER_SEEDS = range(1, 13)
 LADDER_METHODS = ("nr", "nr-warm-ffhe")
+RANDOM_DRAWS = range(200)
+RANDOM_METHODS = ("nr", "nr-warm-ffhe")
 
 
 def _scenarios() -> dict:
@@ -73,7 +81,47 @@ def _scenarios() -> dict:
     return {label: device_records(label) for label in LABELS}
 
 
-def _worker(records: dict) -> dict:
+def _random_draws() -> dict:
+    """``random/<k>`` -> draw k of ``random_sssc_study`` as (network
+    fields, bus fields, branch fields, device record), drawn by this
+    checkout's ``ffheflow``."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+    import ffheflow as ff
+    from conftest import random_sssc_study
+
+    draws = {}
+    for k in RANDOM_DRAWS:
+        net, dev = random_sssc_study(np.random.default_rng(k))
+        fields = _random_fields(net, dev)
+        if _random_study(ff, fields) != (net, (dev,)):
+            raise SystemExit(f"draw {k} does not survive its plain fields")
+        draws[f"random/{k}"] = fields
+    return draws
+
+
+def _random_fields(net, dev) -> tuple:
+    """One random draw, a network and an SSSC with one target, as plain
+    fields that either tree's ``ffheflow`` can rebuild."""
+    (target,) = dev.targets
+    return ({"base_mva": net.base_mva, "name": net.name},
+            [{**vars(b), "kind": b.kind.value} for b in net.buses],
+            [vars(br) for br in net.branches],
+            {"type": "sssc", "id": dev.device_id,
+             "branch": list(dev.branches[0]),
+             "mode": target.mode.value, "setpoint": target.setpoint})
+
+
+def _random_study(ff, fields) -> tuple:
+    """(network, devices) from the plain fields of one random draw."""
+    net, buses, branches, record = fields
+    case = ff.Network(
+        buses=tuple(ff.Bus(**{**b, "kind": ff.BusKind(b["kind"])})
+                    for b in buses),
+        branches=tuple(ff.Branch(**br) for br in branches), **net)
+    return case, tuple(ff.load_devices(json.dumps([record])))
+
+
+def _worker(corpus: dict) -> dict:
     """Every pair of the corpus, solved by the ``ffheflow`` in ``./src``."""
     import ffheflow as ff
 
@@ -86,12 +134,17 @@ def _worker(records: dict) -> dict:
     net = ff.load_bundled_case()
     studies = [((label, name), net, tuple(ff.load_devices(json.dumps(recs))),
                 opts)
-               for label, recs in records.items() for name, opts in METHODS]
+               for label, recs in corpus["scenarios"].items()
+               for name, opts in METHODS]
     tiled = ladder.tile_case(ff, net)
     for seed in LADDER_SEEDS:
         devices = ladder.ladder_devices(ff, ladder.draw_targets(seed))
         studies += [((f"ladder/{seed}", name), tiled, devices,
                      {"method": name}) for name in LADDER_METHODS]
+    for label, fields in corpus["random"].items():
+        case, devices = _random_study(ff, fields)
+        studies += [((label, name), case, devices, {"method": name})
+                    for name in RANDOM_METHODS]
     out = {}
     for key, case, devices, opts in studies:
         try:
@@ -110,7 +163,7 @@ def _worker(records: dict) -> dict:
     return out
 
 
-def _run_tree(tree: Path, records: dict):
+def _run_tree(tree: Path):
     """Start the worker on ``tree``'s ``src``; returns the process."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     return subprocess.Popen(
@@ -118,8 +171,8 @@ def _run_tree(tree: Path, records: dict):
         cwd=tree, env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
 
 
-def _collect(proc, records: dict) -> dict:
-    out, _ = proc.communicate(pickle.dumps(records))
+def _collect(proc, corpus: dict) -> dict:
+    out, _ = proc.communicate(pickle.dumps(corpus))
     if proc.returncode:
         raise SystemExit(f"worker in {proc.args} exited {proc.returncode}")
     return pickle.loads(out)
@@ -193,6 +246,12 @@ def compare(here: dict, other: dict,
     return tally, near_gap
 
 
+def _corpus(label: str) -> str:
+    """The corpus a pair's label belongs to."""
+    return {"ladder": "ladder-944", "random": "random-sssc"}.get(
+        label.split("/")[0], "scenario")
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("other", type=Path, nargs="?",
@@ -203,8 +262,8 @@ def main(argv=None) -> int:
     p.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.worker:
-        records = pickle.loads(sys.stdin.buffer.read())
-        sys.stdout.buffer.write(pickle.dumps(_worker(records)))
+        corpus = pickle.loads(sys.stdin.buffer.read())
+        sys.stdout.buffer.write(pickle.dumps(_worker(corpus)))
         return 0
     if args.other is None:
         p.error("the other checkout is required")
@@ -213,17 +272,16 @@ def main(argv=None) -> int:
         if not (tree / "src" / "ffheflow").is_dir():
             p.error(f"{tree} has no src/ffheflow")
     t0 = time.perf_counter()
-    records = _scenarios()
-    procs = [_run_tree(tree, records) for tree in trees]
-    here, other = (_collect(proc, records) for proc in procs)
+    procs = [_run_tree(tree) for tree in trees]
+    corpus = {"scenarios": _scenarios(), "random": _random_draws()}
+    here, other = (_collect(proc, corpus) for proc in procs)
     differ = 0
-    for corpus, keys in (("scenario", [k for k in here if k[0] in records]),
-                         ("ladder-944", [k for k in here
-                                         if k[0] not in records])):
+    for name in ("scenario", "ladder-944", "random-sssc"):
+        keys = [k for k in here if _corpus(k[0]) == name]
         tally, (dv, di) = compare({k: here[k] for k in keys},
                                   {k: other[k] for k in keys}, args.within)
         differ += tally["DIFF"]
-        print(f"{corpus}: {tally['same']} of {len(keys)} pairs the same, "
+        print(f"{name}: {tally['same']} of {len(keys)} pairs the same, "
               f"{tally['near']} near (max |dV| {dv:.1e}, |dI| {di:.1e} "
               f"where both converge), {tally['DIFF']} differ")
     for tree, answers in zip(trees, (here, other)):
