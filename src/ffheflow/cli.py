@@ -86,7 +86,14 @@ def _run_one(case_path: Path, devices_path, opts: StudyOptions) -> StudyReport:
 
 
 def report_dict(rep: StudyReport) -> dict:
-    """The JSON report of a study; a non-finite float is written as null."""
+    """The JSON report of a study.
+
+    The fields that can be non-finite, and only those, are written as null
+    (strict parsers reject ``Infinity`` and ``NaN``): each device branch's
+    ``x_eq`` (infinite at zero current), each method's mismatch and the
+    study's (NaN when nothing ran), and the ``comparison`` values (an
+    infinite ``voltage_gap``).  A non-finite float anywhere else is a
+    defect, and ``json.dumps(..., allow_nan=False)`` raises on it."""
     net = rep.system.net
     buses = {}
     for b, bus in enumerate(net.buses):
@@ -97,20 +104,21 @@ def report_dict(rep: StudyReport) -> dict:
             "v_deg": float(np.degrees(cmath.phase(v))),
         }
     devices = {
-        dev_id: [out.as_dict() for out in outs]
+        dev_id: [{**out.as_dict(), "x_eq": _finite_or_null(out.x_eq)}
+                 for out in outs]
         for dev_id, outs in rep.device_outputs.items()
     }
     stats = {
         name: {"converged": st.converged, "iterations": st.iterations,
-               "terms": st.terms, "mismatch": st.mismatch,
+               "terms": st.terms, "mismatch": _finite_or_null(st.mismatch),
                "runtime_s": st.runtime_s}
         for name, st in rep.stats.items()
     }
-    return _finite_or_null({
+    return {
         "converged": rep.converged,
         "method": rep.method,
         "case": net.name,
-        "mismatch": rep.mismatch,
+        "mismatch": _finite_or_null(rep.mismatch),
         "runtime_s": rep.runtime_s,
         "clamped_generators": {str(k): v
                                for k, v in rep.clamped_generators.items()},
@@ -119,19 +127,14 @@ def report_dict(rep: StudyReport) -> dict:
         "buses": buses,
         "devices": devices,
         "stats": stats,
-        "comparison": rep.comparison,
-    })
+        "comparison": {k: _finite_or_null(v)
+                       for k, v in rep.comparison.items()},
+    }
 
 
-def _finite_or_null(obj):
-    """``obj`` with every non-finite float (an infinite ``x_eq`` or
-    ``voltage_gap``, a NaN mismatch) replaced by None, which JSON writes as
-    ``null``: strict parsers reject ``Infinity`` and ``NaN``."""
-    if isinstance(obj, dict):
-        return {k: _finite_or_null(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_finite_or_null(v) for v in obj]
-    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+def _finite_or_null(x: float):
+    """``x``, or None (JSON ``null``) when it is not finite."""
+    return x if math.isfinite(x) else None
 
 
 def format_text(rep: StudyReport) -> str:

@@ -131,7 +131,7 @@ def _single_stage(sys: System, C, D, tol, n_max, pade) -> FfheResult:
     if mis <= tol:
         return FfheResult(C, D, 0, mis, True, Vs[:, :1], Is[:, :1], 0, mis)
     try:
-        lu = lu_factor(jacobian(sys, C, D))
+        lu = lu_factor(jacobian(sys, C, D), sys.pattern)
     except np.linalg.LinAlgError:
         return FfheResult(C, D, 0, mis, False, Vs[:, :1], Is[:, :1], 0, mis)
 

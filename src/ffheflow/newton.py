@@ -94,7 +94,7 @@ def _newton(sys: System, V0, I0, tol: float, max_steps: int):
             _step(sys, V, I, r, lu, CONTRACTION * mis, 1)
         if stepped is None:
             try:
-                lu = lu_factor(jacobian(sys, V, I))
+                lu = lu_factor(jacobian(sys, V, I), sys.pattern)
             except np.linalg.LinAlgError:
                 break
             stepped = _step(sys, V, I, r, lu, mis, MAX_BACKTRACKS)

@@ -171,22 +171,20 @@ def generator_reactive_output(sys: System, V, I, bus_idx) -> np.ndarray:
     ``bus_idx`` (an array of them), from one network matvec."""
     bus_idx = np.asarray(bus_idx, dtype=np.intp)
     inet = (sys.yc @ np.concatenate([V, I]))[bus_idx]
-    q_load = np.array([sys.structure.net.buses[b].q_load for b in bus_idx])
-    return (V[bus_idx] * np.conj(inet)).imag + q_load
+    return (V[bus_idx] * np.conj(inet)).imag + sys.structure.q_load[bus_idx]
 
 
 def _q_violations(sys: System, V, I) -> dict:
     """Ext id -> violated limit of each regulating generator outside its
     reactive capability."""
+    st = sys.structure
     pv = np.flatnonzero(sys.pv)
-    viol = {}
-    for bi, qg in zip(pv, generator_reactive_output(sys, V, I, pv)):
-        bus = sys.structure.net.buses[bi]
-        if qg > bus.q_max + 1e-9:
-            viol[bus.ext_id] = bus.q_max
-        elif qg < bus.q_min - 1e-9:
-            viol[bus.ext_id] = bus.q_min
-    return viol
+    qg = generator_reactive_output(sys, V, I, pv)
+    q_min, q_max = st.q_min[pv], st.q_max[pv]
+    over = qg > q_max + 1e-9
+    hit = over | (qg < q_min - 1e-9)
+    return {st.net.buses[b].ext_id: q for b, q in zip(
+        pv[hit].tolist(), np.where(over, q_max, q_min)[hit].tolist())}
 
 
 #: current-seed amplification for voltage-magnitude control, which needs a

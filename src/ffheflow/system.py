@@ -31,19 +31,28 @@ placement) in a small bounded cache, and its arrays are read-only.  A
 it: the bus masks after the constant-Q pins, the scheduled injections and
 setpoints, the :class:`~ffheflow.devices.SeriesDevice` objects the pass
 solves (relaxed targets included) and, built on first use, the device-row
-table and the Jacobian's fixed CSC pattern.  So a generator-limit
-or relaxation pass neither re-splices the devices nor rebuilds the Y-bus,
-and every Newton Jacobian, series stage and ``compare`` solve on one
-System refills one pattern, as in the fixed-structure Jacobian of MATPOWER
-and pandapower.
+table.  So a generator-limit or relaxation pass neither re-splices the
+devices nor rebuilds the Y-bus.
+
+The Jacobian's fixed CSC :class:`JacobianPattern` depends only on the
+structure, the PV mask and the device-row layout (not the setpoints), and
+is memoised on those in a second bounded cache: the passes and studies
+that share them share one pattern, and every Newton Jacobian, series
+stage and ``compare`` solve refills it, as in the fixed-structure Jacobian
+of MATPOWER and pandapower.  The pattern also holds SuperLU's column order,
+computed once when the pattern is built; every factorisation of the
+pattern takes its columns in that order, so SuperLU reuses the symbolic
+ordering instead of recomputing it per Jacobian (as KLU does across
+refactorisations: Davis and Palamadai Natarajan, "Algorithm 907: KLU",
+ACM TOMS 2010).
 
 The bus rows are complex-matrix expressions over those index arrays: the
 injections ``S = diag(conj V) [Y C] z``, with ``C`` the sparse +-1
 incidence of device currents on buses, and their derivatives after
 Zimmerman ("AC Power Flows, Generalized OPF Costs and their Derivatives
 using Complex Matrix Notation", MATPOWER TN2, 2010).  The Jacobian is a
-``scipy.sparse`` CSC matrix, factorised by SuperLU (:func:`lu_factor`) for
-Newton steps and series orders alike.
+``scipy.sparse`` CSC matrix, factorised by SuperLU in its pattern's column
+order (:func:`lu_factor`) for Newton steps and series orders alike.
 """
 
 from __future__ import annotations
@@ -90,6 +99,9 @@ class Structure:
     t_rows: np.ndarray  # row of each stored entry of ``yc``, the bus rows'
                         # complex-variable Jacobian triplets
     t_diag: np.ndarray  # the triplets on the diagonal, one per bus in order
+    q_load: np.ndarray  # per bus: reactive load, and the generators'
+    q_min: np.ndarray   # reactive limits (-inf, inf where none)
+    q_max: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,8 +115,8 @@ class System:
     frozen_q: dict      # ext id -> pinned Q of the PV buses made constant-Q
     s_inj: np.ndarray   # complex scheduled injection per bus (PV: real part)
     devices: tuple      # SeriesDevice, with this pass's targets
-    pv: np.ndarray      # voltage-regulating buses,
-    pq: np.ndarray      # and the rest but the slack (PQ and auxiliary buses)
+    pv: np.ndarray      # voltage-regulating buses (the rest but the
+                        # slack are PQ and auxiliary buses)
     v_set: np.ndarray   # slack: complex setpoint; PV: magnitude; else 0
 
     @property
@@ -145,7 +157,11 @@ class System:
 
     @cached_property
     def pattern(self) -> "JacobianPattern":
-        return _jacobian_pattern(self)
+        """The Jacobian's pattern, shared through a bounded memo by every
+        System with this structure, PV mask and device-row layout."""
+        rw = self.rows
+        return _jacobian_pattern(self.structure, self.pv.tobytes(), *(
+            getattr(rw, name).tobytes() for name in _PATTERN_ROWS))
 
 
 def build_system(base_net: Network, devices=(), *,
@@ -193,7 +209,7 @@ def build_system(base_net: Network, devices=(), *,
                     "regulated")
 
     return System(structure=st, frozen_q=frozen_q, s_inj=s_inj,
-                  devices=tuple(devices), pv=pv, pq=~regulated,
+                  devices=tuple(devices), pv=pv,
                   v_set=np.where(regulated, st.v_set, 0))
 
 
@@ -239,12 +255,15 @@ def _structure(base_net: Network, placement: tuple) -> Structure:
         elif bus.kind is BusKind.PV:
             v_set[b] = bus.v_setpoint
     t_rows = np.repeat(np.arange(n), np.diff(yc.indptr))
+    q_load, q_min, q_max = (np.array([getattr(b, f) for b in net.buses])
+                            for f in ("q_load", "q_min", "q_max"))
     st = Structure(
         net=net, yc=yc, branches=tuple(entries), slack=slack, pv=pv,
         s_inj=s_inj, v_set=v_set, t_rows=t_rows,
-        t_diag=np.flatnonzero(t_rows == yc.indices))
+        t_diag=np.flatnonzero(t_rows == yc.indices),
+        q_load=q_load, q_min=q_min, q_max=q_max)
     for arr in (yc.data, yc.indices, yc.indptr, slack, pv, s_inj, v_set,
-                t_rows, st.t_diag):
+                t_rows, st.t_diag, q_load, q_min, q_max):
         arr.setflags(write=False)
     return st
 
@@ -306,7 +325,8 @@ def _device_rows(sys: System) -> DeviceRows:
             recs[shape].append((k, im, p, n + be.cur_idx, a, be.i_idx, bus))
             setpoint[k] = 0.5 * t.setpoint ** 2 if shape == "v_bus" \
                 else t.setpoint
-    x, f, v = (np.array(r, dtype=int).reshape(-1, 7).T for r in recs.values())
+    x, f, v = (np.array(r, dtype=np.intp).reshape(-1, 7).T
+               for r in recs.values())
     row, im, p, c, a = np.concatenate([x[:5], f[:5]], axis=1)
     z = np.flatnonzero(p)
     return DeviceRows(row=row, im=im == 1, a=a, b=x[5], c=c, pow=p, z=z,
@@ -346,7 +366,7 @@ def residual(sys: System, V: np.ndarray, I: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class JacobianPattern:
-    """Fixed CSC pattern of one :class:`System`'s Jacobian.
+    """Fixed CSC pattern of a Jacobian, and SuperLU's column order for it.
 
     :func:`jacobian` computes its values as one vector in a fixed triplet
     order; ``scatter`` maps each value to its slot in the CSC ``data``,
@@ -356,6 +376,13 @@ class JacobianPattern:
     ``a du + b d(conj u)``: a product row has terms at u's buses and at I,
     divided by ``|I|**p``, and a companion row one more at I for the
     divisor's own derivative; a V_BUS row has one term at its bus.
+
+    SuperLU's column order (COLAMD, then the elimination tree's postorder)
+    depends on the pattern alone, so it is computed once, here, and
+    :func:`lu_factor` hands SuperLU each Jacobian's columns already in that
+    order.  ``perm_c`` is SuperLU's own: column j of J goes to position
+    ``perm_c[j]``.  Built by :func:`_jacobian_pattern`, which memoises it;
+    its arrays are read-only.
     """
 
     re: np.ndarray      # bus triplets with a real row (every bus but slack)
@@ -366,23 +393,39 @@ class JacobianPattern:
     scatter: np.ndarray  # triplet -> slot in data
     indices: np.ndarray
     indptr: np.ndarray
+    perm_c: np.ndarray  # SuperLU's column order
+    take: np.ndarray    # the slots of ``data`` in that column order,
+    lu_indices: np.ndarray  # and the reordered matrix's row indices
+    lu_indptr: np.ndarray   # and column pointers
 
 
-def _jacobian_pattern(sys: System) -> JacobianPattern:
-    n, size = sys.n_bus, sys.size
-    rw = sys.rows
-    nx = rw.b.size
-    d_rows = 2 * n + np.concatenate([rw.row, rw.row[:nx], rw.row, rw.v_row,
-                                     rw.row[rw.z]])
-    d_cols = np.concatenate([rw.a, rw.b, rw.c, rw.v_bus, rw.c[rw.z]])
-    d_im = np.concatenate([rw.im, rw.im[:nx], rw.im,
-                           np.zeros(rw.v_row.size + rw.z.size, dtype=bool)])
+#: the :class:`DeviceRows` index arrays that, with the structure and the PV
+#: mask, fix the Jacobian's pattern (``im`` is boolean, the rest intp)
+_PATTERN_ROWS = ("im", "row", "a", "b", "c", "z", "v_row", "v_bus")
 
-    tr, tc = sys.structure.t_rows, sys.yc.indices
-    re = np.flatnonzero(~sys.slack[tr])
-    im = np.flatnonzero(sys.pq[tr])
-    pv = np.flatnonzero(sys.pv)
-    slack = np.flatnonzero(sys.slack)
+
+@lru_cache(maxsize=32)
+def _jacobian_pattern(st: Structure, pv_mask: bytes,
+                      *layout: bytes) -> JacobianPattern:
+    """The pattern of a System on ``st`` with PV mask ``pv_mask`` and the
+    device rows' :data:`_PATTERN_ROWS` arrays ``layout``, all given as
+    bytes so that equal inputs share one pattern."""
+    pv_mask = np.frombuffer(pv_mask, dtype=bool)
+    row_im = np.frombuffer(layout[0], dtype=bool)
+    row, a, b, c, z, v_row, v_bus = (np.frombuffer(x, dtype=np.intp)
+                                     for x in layout[1:])
+    n, size = st.net.n_bus, 2 * st.yc.shape[1]
+    nx = b.size
+    d_rows = 2 * n + np.concatenate([row, row[:nx], row, v_row, row[z]])
+    d_cols = np.concatenate([a, b, c, v_bus, c[z]])
+    d_im = np.concatenate([row_im, row_im[:nx], row_im,
+                           np.zeros(v_row.size + z.size, dtype=bool)])
+
+    tr, tc = st.t_rows, st.yc.indices
+    re = np.flatnonzero(~st.slack[tr])
+    im = np.flatnonzero(~(pv_mask | st.slack)[tr])    # PQ and auxiliary
+    pv = np.flatnonzero(pv_mask)
+    slack = np.flatnonzero(st.slack)
     rows = np.concatenate([
         2 * tr[re], 2 * tr[re], 2 * tr[im] + 1, 2 * tr[im] + 1,
         2 * pv + 1, 2 * pv + 1, 2 * slack, 2 * slack + 1, d_rows, d_rows])
@@ -391,11 +434,41 @@ def _jacobian_pattern(sys: System) -> JacobianPattern:
         2 * pv, 2 * pv + 1, 2 * slack, 2 * slack + 1,
         2 * d_cols, 2 * d_cols + 1])
     slots, scatter = np.unique(cols * size + rows, return_inverse=True)
+    indices = (slots % size).astype(np.int32)
     indptr = np.zeros(size + 1, dtype=np.int32)
     np.cumsum(np.bincount(slots // size, minlength=size), out=indptr[1:])
-    return JacobianPattern(
+
+    perm_c = _column_order(indices, indptr)
+    order = np.argsort(perm_c)      # J's column at each position
+    counts = np.diff(indptr)[order]
+    lu_indptr = np.zeros_like(indptr)
+    np.cumsum(counts, out=lu_indptr[1:])
+    take = np.repeat(indptr[order] - lu_indptr[:-1], counts) \
+        + np.arange(indices.size, dtype=np.int32)
+    pat = JacobianPattern(
         re=re, im=im, pv=pv, n_slack=slack.size, d_im=d_im, scatter=scatter,
-        indices=(slots % size).astype(np.int32), indptr=indptr)
+        indices=indices, indptr=indptr, perm_c=perm_c, take=take,
+        lu_indices=indices[take], lu_indptr=lu_indptr)
+    for arr in (re, im, pv, d_im, scatter, indices, indptr, perm_c, take,
+                pat.lu_indices, lu_indptr):
+        arr.setflags(write=False)
+    return pat
+
+
+def _column_order(indices, indptr) -> np.ndarray:
+    """SuperLU's default column order for a CSC pattern: COLAMD, then the
+    elimination tree's postorder, both of which read only the pattern.  So
+    it is taken from ``splu`` of the pattern filled with random values,
+    which are nonsingular unless the pattern is structurally singular.  A
+    pattern whose every Jacobian is singular keeps its natural order."""
+    size = indptr.size - 1
+    values = np.random.default_rng(0).uniform(1.0, 2.0, indices.size)
+    try:
+        lu = splu(sparse.csc_matrix((values, indices, indptr),
+                                    shape=(size, size)))
+    except RuntimeError:
+        return np.arange(size, dtype=np.int32)
+    return lu.perm_c.copy()     # a view would keep the factor alive
 
 
 def jacobian(sys: System, V: np.ndarray, I: np.ndarray) -> sparse.csc_matrix:
@@ -451,17 +524,26 @@ def _device_terms(rows: DeviceRows, z):
     return a, b
 
 
-def lu_factor(J: sparse.csc_matrix):
-    """SuperLU factorisation of a Jacobian from :func:`jacobian`.
+def lu_factor(J: sparse.csc_matrix, pattern: JacobianPattern):
+    """SuperLU factorisation of a Jacobian from :func:`jacobian` with the
+    given ``pattern``, as a handle for :func:`lu_solve`.
 
+    J's columns are taken in the pattern's column order and factorised in
+    that order (``permc_spec="NATURAL"``), with SuperLU's default partial
+    pivoting, so the ordering is not recomputed for every Jacobian.
     Raises ``np.linalg.LinAlgError`` when the matrix is exactly singular.
     """
+    Jc = sparse.csc_matrix(
+        (J.data[pattern.take], pattern.lu_indices, pattern.lu_indptr),
+        shape=J.shape)
     try:
-        return splu(J)
+        return splu(Jc, permc_spec="NATURAL"), pattern.perm_c
     except RuntimeError as exc:
         raise np.linalg.LinAlgError(str(exc)) from None
 
 
 def lu_solve(lu, rhs: np.ndarray) -> np.ndarray:
-    """Solve with a factorisation from :func:`lu_factor`."""
-    return lu.solve(rhs)
+    """Solve with a factorisation from :func:`lu_factor`: the reordered
+    matrix's solution, with its entries put back in J's column order."""
+    factor, perm_c = lu
+    return factor.solve(rhs)[perm_c]

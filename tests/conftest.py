@@ -20,11 +20,12 @@ def case118():
 @pytest.fixture(autouse=True)
 def fresh_memos():
     """Start every test with empty memos (the parsed cases, the device-free
-    pre-solve and the per-placement structure), so no test sees what
-    another left."""
+    pre-solve, the per-placement structure and the Jacobian patterns), so
+    no test sees what another left."""
     network._parse_case.cache_clear()
     report._base_solution.cache_clear()
     system._structure.cache_clear()
+    system._jacobian_pattern.cache_clear()
 
 
 def random_network(rng: np.random.Generator, n_bus: int | None = None,

@@ -9,6 +9,7 @@ import pytest
 from ffheflow import load_bundled_case, load_devices
 from ffheflow.cli import (EXIT_DIVERGED, EXIT_INPUT, EXIT_OK, build_parser,
                           format_text, main, report_dict)
+from ffheflow.devices import branch_outputs
 from ffheflow.network import Network
 from ffheflow.report import MethodStats, StudyOptions, StudyReport, run_study
 from ffheflow.system import build_system
@@ -363,10 +364,37 @@ class TestMethodConvergence:
         report.stats["ffhe"] = MethodStats()        # mismatch NaN
         report.comparison = {"voltage_gap": np.inf, "delta_e_pct": 1.0,
                              "delta_t_pct": 2.0}
+        report.mismatch = np.nan
+        # a zero current: x_eq is infinite
+        report.device_outputs = {"s": [branch_outputs(1.0, 1.01, 0j),
+                                       branch_outputs(1.0, 1.01, 0.5j)]}
         doc = json.loads(json.dumps(report_dict(report), allow_nan=False))
         assert doc["stats"]["ffhe"]["mismatch"] is None
+        assert doc["stats"]["nr"]["mismatch"] == 1e-9
         assert doc["comparison"]["voltage_gap"] is None
         assert doc["comparison"]["delta_e_pct"] == 1.0
+        assert doc["mismatch"] is None
+        first, second = doc["devices"]["s"]
+        assert first["x_eq"] is None
+        assert second["x_eq"] == pytest.approx(-0.02)
+        assert first["v_se_mag"] == pytest.approx(0.01)
+
+    @pytest.mark.parametrize("field", ["runtime_s", "v_mag", "s_se",
+                                       "nr_runtime"])
+    def test_non_finite_elsewhere_raises(self, report, field):
+        """Only the fields that can be non-finite are nulled: a NaN
+        anywhere else is a defect, and the strict encoder raises on it."""
+        if field == "runtime_s":
+            report.runtime_s = np.nan
+        elif field == "v_mag":
+            report.V[3] = np.nan
+        elif field == "s_se":
+            report.device_outputs = {
+                "s": [branch_outputs(1.0, complex(np.nan, 0), 0.5j)]}
+        else:
+            report.stats["nr"].runtime_s = np.inf
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            json.dumps(report_dict(report), allow_nan=False)
 
     def test_text_marks_the_unconverged_method(self, report):
         lines = {line.split(":")[0]: line

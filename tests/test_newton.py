@@ -134,9 +134,9 @@ def factorisations(monkeypatch):
     count = [0]
     lu_factor = newton.lu_factor
 
-    def counted(J):
+    def counted(J, pattern):
         count[0] += 1
-        return lu_factor(J)
+        return lu_factor(J, pattern)
 
     monkeypatch.setattr(newton, "lu_factor", counted)
     return count

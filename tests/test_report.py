@@ -75,6 +75,28 @@ class TestBaseStudy:
             assert abs(abs(base_nr.voltage(ext))
                        - case118.bus(ext).v_setpoint) > 1e-6
 
+    def test_q_violations_match_each_generator_limit(self, case118):
+        """On an unclamped solve every regulating generator outside its
+        capability maps to the limit it crosses (by more than 1e-9), in bus
+        order, and no other bus is listed."""
+        sys_ = build_system(case118)
+        res = report.nr_solve(sys_)
+        viol = report._q_violations(sys_, res.V, res.I)
+        pv = np.flatnonzero(sys_.pv)
+        q = report.generator_reactive_output(sys_, res.V, res.I, pv)
+        expected = {}
+        for b, qg in zip(pv, q):
+            bus = case118.buses[b]
+            if qg > bus.q_max + 1e-9:
+                expected[bus.ext_id] = bus.q_max
+            elif qg < bus.q_min - 1e-9:
+                expected[bus.ext_id] = bus.q_min
+        assert {q for q in expected.values() if q > 0} and \
+            {q for q in expected.values() if q < 0}    # both sides occur
+        assert list(viol.items()) == list(expected.items())
+        assert all(type(k) is int and type(v) is float
+                   for k, v in viol.items())
+
     def test_unclamped_pv_magnitudes_hold(self, base_nr, case118):
         from ffheflow.network import BusKind
         for bus in case118.buses:

@@ -133,7 +133,7 @@ def test_factorisation_solves_the_jacobian(case118):
     V, I = _perturbed_state(np.random.default_rng(2), sys)
     J = jacobian(sys, V, I)
     r = residual(sys, V, I)
-    x = lu_solve(lu_factor(J), r)
+    x = lu_solve(lu_factor(J, sys.pattern), r)
     assert np.max(np.abs(J @ x - r)) < 1e-10
 
 
@@ -142,7 +142,7 @@ def test_singular_jacobian_raises_linalg_error():
     sys = build_system(net)
     V = np.zeros(sys.n_bus, dtype=complex)    # every PQ row vanishes
     with pytest.raises(np.linalg.LinAlgError):
-        lu_factor(jacobian(sys, V, np.zeros(0, complex)))
+        lu_factor(jacobian(sys, V, np.zeros(0, complex)), sys.pattern)
 
 
 # ------------------------------------------------------------ series history

@@ -1,12 +1,17 @@
-"""The memoised per-placement structure and the fixed-pattern Jacobian."""
+"""The memoised per-placement structure, the fixed-pattern Jacobian and
+its memoised pattern with SuperLU's column order."""
 
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse.linalg import splu
 
+from ffheflow import system
 from ffheflow.devices import ControlTarget, Mode, SeriesDevice, SsscDevice
 from ffheflow.report import StudyOptions, run_study
-from ffheflow.system import _structure, build_system, jacobian
+from ffheflow.system import (_column_order, _jacobian_pattern, _structure,
+                             build_system, jacobian, lu_factor, lu_solve,
+                             residual)
 
 P_FLOW = ControlTarget(Mode.P_FLOW, 0.75)
 
@@ -104,7 +109,7 @@ def _coo_jacobian(sys, V, I):
     b[diag] = (sys.yc @ np.concatenate([V, I]))[t_rows[diag]]
     p, q = a + b, a - b
     re = ~sys.slack[t_rows]
-    im = sys.pq[t_rows]
+    im = ~(sys.pv | sys.slack)[t_rows]
     pv = np.flatnonzero(sys.pv)
     slack = np.flatnonzero(sys.slack)
     rows = [2 * t_rows[re], 2 * t_rows[re],
@@ -175,16 +180,20 @@ def _assert_same_csc(J, ref):
     assert np.array_equal(J.data, ref.data)
 
 
-@pytest.mark.parametrize("mode", list(Mode))
-def test_filled_jacobian_equals_the_coo_reference(case118, mode):
+def _modes_devices(mode):
+    """An SSSC and a two-branch IPFC, each with a ``mode`` target."""
     sp = 1.0 if mode is Mode.V_BUS else 0.1
-    devices = (
+    return (
         SsscDevice("s", (101, 102), ControlTarget(mode, sp)),
         SeriesDevice("i", ((49, 50), (49, 51)),
                      (ControlTarget(mode, sp, branch=0),
                       ControlTarget(Mode.P_FLOW, 0.7, branch=1),
                       ControlTarget(Mode.Q_FLOW, 0.1, branch=1))))
-    sys = build_system(case118, devices)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_filled_jacobian_equals_the_coo_reference(case118, mode):
+    sys = build_system(case118, _modes_devices(mode))
     rng = np.random.default_rng(7)
     for _ in range(3):      # one pattern, refilled at each state
         V, I = _random_state(rng, sys)
@@ -200,3 +209,106 @@ def test_filled_jacobian_after_a_pv_clamp(case118):
     J = jacobian(clamped, V, I)
     _assert_same_csc(J, _coo_jacobian(clamped, V, I))
     assert not np.array_equal(J.indices, jacobian(plain, V, I).indices)
+
+
+# ------------------------------------ shared patterns and their column order
+
+
+@pytest.fixture
+def default_splu_calls(monkeypatch):
+    """Counts ``splu`` calls that let SuperLU choose the column order."""
+    calls = []
+
+    def counted(A, permc_spec=None, **kwargs):
+        if permc_spec is None:
+            calls.append(A.shape)
+        return splu(A, permc_spec=permc_spec, **kwargs)
+
+    monkeypatch.setattr(system, "splu", counted)
+    return calls
+
+
+class TestPatternMemo:
+    def test_equal_inputs_share_one_pattern(self, case118):
+        a = build_system(case118, (_sssc(),))
+        b = build_system(case118, (_sssc(ControlTarget(Mode.P_FLOW, 0.5)),))
+        assert a is not b and a.rows is not b.rows
+        assert a.pattern is b.pattern
+        info = _jacobian_pattern.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
+    @pytest.mark.parametrize("other", [
+        dict(frozen_q={12: -0.2}),                          # PV mask
+        dict(devices=(_sssc(ControlTarget(Mode.Q_FLOW, 0.0)),)),  # rows
+        dict(devices=(_sssc(branch=(101, 102)),)),          # structure
+    ])
+    def test_other_inputs_get_another(self, case118, other):
+        plain = build_system(case118, (_sssc(),))
+        kw = {"devices": (_sssc(),), **other}
+        sys_ = build_system(case118, kw.pop("devices"), **kw)
+        assert sys_.pattern is not plain.pattern
+        assert _jacobian_pattern.cache_info().misses == 2
+        V, I = _random_state(np.random.default_rng(3), sys_)
+        _assert_same_csc(jacobian(sys_, V, I), _coo_jacobian(sys_, V, I))
+
+    def test_pattern_arrays_are_read_only(self, case118):
+        pat = build_system(case118, (_sssc(),)).pattern
+        for name in ("re", "im", "pv", "d_im", "scatter", "indices",
+                     "indptr", "perm_c", "take", "lu_indices",
+                     "lu_indptr"):
+            assert not getattr(pat, name).flags.writeable, name
+
+    def test_rerun_adds_no_pattern_and_no_ordering(self, case118,
+                                                   default_splu_calls):
+        devs = (SeriesDevice("i", ((49, 50), (49, 51)), (
+            ControlTarget(Mode.P_FLOW, 0.75, branch=0),
+            ControlTarget(Mode.P_FLOW, 0.75, branch=1),
+            ControlTarget(Mode.Q_FLOW, 0.03, branch=1))),)
+        opts = StudyOptions(method="compare")
+        cold = run_study(case118, devs, opts)
+        info = _jacobian_pattern.cache_info()
+        # one default-order factorisation per pattern, when it is built
+        assert len(default_splu_calls) == info.misses >= 2
+        warm = run_study(case118, devs, opts)
+        assert _jacobian_pattern.cache_info().misses == info.misses
+        assert len(default_splu_calls) == info.misses
+        assert warm.system.pattern is cold.system.pattern
+        assert cold.V.tobytes() == warm.V.tobytes()
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_column_order_is_superlus_own(case118, mode):
+    """The pattern's order is the one SuperLU picks itself for every
+    Jacobian of the pattern, and a factorisation in that order solves
+    ``J x = r`` as a default ``splu`` does."""
+    sys_ = build_system(case118, _modes_devices(mode))
+    pat = sys_.pattern
+    rng = np.random.default_rng(11)
+    for _ in range(2):      # the pattern's first factorisation, and a later
+        V, I = _random_state(rng, sys_)
+        J, r = jacobian(sys_, V, I), residual(sys_, V, I)
+        ref = splu(J)
+        assert np.array_equal(pat.perm_c, ref.perm_c)
+        x = lu_solve(lu_factor(J, pat), r)
+        x_ref = ref.solve(r)
+        assert np.max(np.abs(x - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))
+        assert np.max(np.abs(J @ x - r)) <= 1e-10 * np.max(np.abs(r))
+
+
+def test_singular_jacobian_raises_on_every_factorisation(case118):
+    sys_ = build_system(case118, (_sssc(),))
+    V = np.zeros(sys_.n_bus, dtype=complex)     # every PQ row vanishes
+    J = jacobian(sys_, V, np.ones(sys_.n_currents, dtype=complex))
+    for _ in range(2):
+        with pytest.raises(np.linalg.LinAlgError):
+            lu_factor(J, sys_.pattern)
+    V, I = _random_state(np.random.default_rng(5), sys_)
+    J, r = jacobian(sys_, V, I), residual(sys_, V, I)
+    x = lu_solve(lu_factor(J, sys_.pattern), r)
+    assert np.max(np.abs(J @ x - r)) <= 1e-10 * np.max(np.abs(r))
+
+
+def test_structurally_singular_pattern_keeps_natural_order():
+    indptr = np.array([0, 2, 2, 3], dtype=np.int32)     # column 1 is empty
+    indices = np.array([0, 2, 1], dtype=np.int32)
+    assert np.array_equal(_column_order(indices, indptr), np.arange(3))
