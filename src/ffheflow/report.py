@@ -26,11 +26,11 @@ Each pass builds its system, solves it, and:
 Studies with and without devices run one path.  Each pass builds its system
 from the case, the devices and one map of constant-Q pins, which holds the
 clamped generators and the displaced regulators alike.  A device-free study
-has one candidate: no pins, a flat start.  A device study tries each
-frozen-Q set of its displaced regulators (see below) from the device-free
-clamps, then each again with no generator pinned; the first candidate that
-settles gives the report, and if none does the :class:`StudyError` names
-each candidate with its reason.  Placement errors are found by one
+has one start: no pins, a flat start.  A device study holds its displaced
+regulators at one frozen-Q map (see below) and starts from the device-free
+clamps, if there are any, then with no generator pinned; the first start
+that settles gives the report, and if none does the :class:`StudyError`
+names each start with its reason.  Placement errors are found by one
 :func:`build_system` call before any solve.
 
 Device studies are warm-started from the device-free Newton solution of the
@@ -46,10 +46,10 @@ state (receiving-bus voltage, zero current), which is the branch of the
 solution manifold such a target is meant to select.
 
 When a generator shares its bus with a device sending end it can no longer
-regulate the voltage there; it is pinned at its solved device-free output.
-If a voltage-magnitude target on that same bus makes the frozen value
-infeasible, the generator is re-pinned at the reactive limit that admits a
-solution.
+regulate the voltage there; it is pinned at its solved device-free output,
+unless a voltage-magnitude target holds that bus at or below the
+generator's setpoint: then it is pinned at its ``q_min``, which pulls the
+voltage the same way as the device, where that limit is finite.
 """
 
 from __future__ import annotations
@@ -253,9 +253,10 @@ def _solve_method(sys: System, method: str, V0, I0, opts: StudyOptions):
     return res.V, res.I, stats
 
 
-def _frozen_q_candidates(net: Network, devices, base: StudyReport):
-    """Frozen-Q assignment for regulating generators at device sending buses,
-    plus fallbacks for voltage-target feasibility."""
+def _frozen_q(net: Network, devices, base: StudyReport) -> dict:
+    """Constant Q of each regulating generator at a device sending bus: its
+    device-free output, or, under a voltage target on its bus at or below
+    its setpoint, its finite ``q_min``."""
     idx = net.index_of
     displaced = list(dict.fromkeys(
         i for dev in devices for (i, _j) in dev.branches
@@ -263,18 +264,14 @@ def _frozen_q_candidates(net: Network, devices, base: StudyReport):
     q = generator_reactive_output(base.system, base.V, base.I,
                                   [idx[i] for i in displaced])
     frozen = dict(zip(displaced, q.tolist()))
-    vbus_targets = {dev.target_bus(t) for dev in devices
-                    for t in dev.targets if t.mode is Mode.V_BUS}
-    candidates = [dict(frozen)]
-    for b in sorted(frozen):
-        if b in vbus_targets:
-            bus = net.bus(b)
-            for lim in (bus.q_min, bus.q_max):
-                if np.isfinite(lim):
-                    alt = dict(frozen)
-                    alt[b] = float(lim)
-                    candidates.append(alt)
-    return candidates
+    for dev in devices:
+        for t in dev.targets:
+            b = dev.target_bus(t)
+            if t.mode is Mode.V_BUS and b in frozen:
+                bus = net.bus(b)
+                if t.setpoint <= bus.v_setpoint and np.isfinite(bus.q_min):
+                    frozen[b] = float(bus.q_min)
+    return frozen
 
 
 def run_study(net: Network, devices=(), options: StudyOptions | None = None):
@@ -290,22 +287,21 @@ def run_study(net: Network, devices=(), options: StudyOptions | None = None):
         # frozen reactive outputs of displaced regulating generators and the
         # clamps the first pass starts from
         base = _base_solution(net, StudyOptions(method="nr", tol=opts.tol))
-        frozen_sets = _frozen_q_candidates(net, devices, base)
+        frozen = _frozen_q(net, devices, base)
         clamps = {b: q for b, q in base.clamped_generators.items()
-                  if b not in frozen_sets[0]}     # the sets share their keys
-        candidates = [(frozen, c) for c in (clamps, {})
-                      for frozen in frozen_sets]
+                  if b not in frozen}
+        starts = (clamps, {}) if clamps else ({},)
         start = partial(_device_start, base=base)
     else:
-        candidates, start = [({}, {})], flat_start
+        frozen, starts, start = {}, ({},), flat_start
 
     failures = []
-    for frozen, clamps in candidates:
+    for clamps in starts:
         try:
             report = _passes(net, devices, opts, start, frozen, clamps)
             break
         except (ConvergenceError, StudyError) as exc:
-            failures.append(f"{exc} [{_candidate(frozen, clamps)}]")
+            failures.append(f"{exc} [{_start_label(frozen, clamps)}]")
     else:
         raise StudyError("study did not converge: " + "; ".join(failures))
 
@@ -315,8 +311,8 @@ def run_study(net: Network, devices=(), options: StudyOptions | None = None):
     return report
 
 
-def _candidate(frozen: dict, clamps: dict) -> str:
-    """One candidate's start and frozen set, for an error message."""
+def _start_label(frozen: dict, clamps: dict) -> str:
+    """One start's clamps and frozen map, for an error message."""
     pins = ", ".join(f"{b}: {q:.6g}" for b, q in frozen.items())
     start = f"{len(clamps)} base clamps" if clamps else "unclamped"
     return f"{start}, frozen {{{pins}}}"

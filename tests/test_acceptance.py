@@ -236,8 +236,7 @@ def test_clamps_meet_complementarity(study, case118, label, method):
 #: refactor is seen to do the same work: (iterations, terms) under nr and
 #: under nr-warm-ffhe, chord steps with a held factorisation counted as
 #: iterations, then the series terms under ffhe (where that study raises,
-#: 49-50/v1.0 and 101-102/vse0.1, the count its first candidate's error
-#: reports)
+#: 49-50/v1.0 and 101-102/vse0.1, a count its error reports)
 SOLVE_COUNTS = {
     "base": ((5, 0), (3, 1), 5),
     "49-50/p0.75": ((7, 0), (3, 1), 13),
@@ -275,9 +274,9 @@ def test_solve_counts(study, label):
 
 
 def test_failed_series_reports_its_best_mismatch(study):
-    """49-50/v1.0 under ffhe raises at a last mismatch of ~1e+42, but
-    every frozen-Q candidate's series came closest at its first order: the
-    error names that best mismatch and its term."""
+    """49-50/v1.0 under ffhe raises at a last mismatch of ~1e+34, but the
+    series came closest at its first order from both starts: the error
+    names that best mismatch and its term."""
     with pytest.raises(StudyError) as info:
         study("49-50/v1.0", "ffhe")
     found = re.search(r"\((\d+) terms, mismatch (\S+); best (\S+) at term "

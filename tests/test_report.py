@@ -1,11 +1,14 @@
 """Study orchestration tests: limits, warm starts, metrics."""
 
 import re
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ffheflow
 from ffheflow import report
 from ffheflow.devices import (ControlTarget, DeviceConfigError, Mode,
                               SeriesDevice, SsscDevice)
@@ -16,6 +19,9 @@ from ffheflow.report import (StudyError, StudyOptions, _base_solution,
                              run_study, runtime_improvement_pct)
 from ffheflow.system import build_system
 from test_newton import two_bus
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import ladder  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -370,7 +376,7 @@ class TestPassLoop:
                                           monkeypatch):
         # at tol 1 every pass stops at its start, so the clamps and releases
         # are decided on unsolved voltages: each bus is released at most
-        # once, and the first candidate settles
+        # once, and the first start settles
         outcomes = []
 
         def counting(*args):
@@ -404,11 +410,30 @@ class TestPassLoop:
 
 
 class TestCandidates:
-    """The displaced regulators' frozen-Q candidates, each started from the
-    base study's clamps, then each again with no generator pinned."""
+    """A device study holds each displaced regulator at one constant Q and
+    tries it from the base study's clamps, then with no generator pinned."""
 
-    def test_error_names_every_failed_candidate(self, case118, base_nr,
-                                                monkeypatch):
+    @pytest.mark.parametrize("target, unlimited, pin", [
+        (1.0, (), "q_min"), (1.025, (), "q_min"), (1.05, (), "q0"),
+        (1.0, (49,), "q0"), (1.0, "all", "q0")],
+        ids=["below", "at", "above", "below-unbounded", "no-base-clamps"])
+    def test_error_names_every_failed_candidate(self, case118, monkeypatch,
+                                                target, unlimited, pin):
+        # a voltage target on the displaced bus 49 (setpoint 1.025) at or
+        # below the setpoint pins its generator at q_min; above it, or
+        # where q_min is infinite, the generator keeps its device-free
+        # output.  The buses in ``unlimited`` lose their reactive limits;
+        # with none left the base study clamps nothing, and the one start
+        # left is tried once
+        net = replace(case118, buses=tuple(
+            replace(b, q_min=-np.inf, q_max=np.inf)
+            if unlimited == "all" or b.ext_id in unlimited else b
+            for b in case118.buses))
+        bus = net.bus(49)
+        assert bus.v_setpoint == 1.025
+        base = _base_solution(net, StudyOptions(method="nr"))
+        (q0,) = report.generator_reactive_output(
+            base.system, base.V, base.I, [net.index_of[49]])
         tried = []
 
         def failing(net, devices, opts, start, frozen, clamps):
@@ -416,22 +441,57 @@ class TestCandidates:
             error = ConvergenceError if len(tried) % 2 else StudyError
             raise error(f"reason {len(tried)}")
 
-        _base_solution(case118, StudyOptions(method="nr"))
         monkeypatch.setattr(report, "_passes", failing)
-        # a voltage target on the displaced bus 49: its generator is frozen
-        # at its device-free output, or else at either limit
-        dev = SsscDevice("s", (49, 50), ControlTarget(Mode.V_BUS, 1.0))
+        dev = SsscDevice("s", (49, 50), ControlTarget(Mode.V_BUS, target))
         with pytest.raises(StudyError) as info:
-            run_study(case118, (dev,), StudyOptions(method="nr"))
-        bus = case118.bus(49)
-        (q0,) = report.generator_reactive_output(
-            base_nr.system, base_nr.V, base_nr.I, [case118.index_of[49]])
-        assert tried == [q0, bus.q_min, bus.q_max] * 2
-        base = f"{len(base_nr.clamped_generators)} base clamps"
-        starts = [base] * 3 + ["unclamped"] * 3
+            run_study(net, (dev,), StudyOptions(method="nr"))
+        n_base = len(base.clamped_generators)
+        starts = [f"{n_base} base clamps"] * bool(n_base) + ["unclamped"]
+        assert (n_base == 0) == (unlimited == "all")
+        assert tried == [{"q0": q0, "q_min": bus.q_min}[pin]] * len(starts)
         assert str(info.value) == "study did not converge: " + "; ".join(
             f"reason {n} [{start}, frozen {{49: {q:.6g}}}]"
             for n, (start, q) in enumerate(zip(starts, tried), 1))
+
+    @pytest.mark.parametrize("target, pin", [
+        (1.0, "q_min"), (1.025, "q_min"), (1.035, "q0"), (1.05, "q0")])
+    def test_voltage_target_settles_at_its_pin(self, case118, base_nr,
+                                               target, pin):
+        # real solves: each target settles with the bus-49 generator at the
+        # pin the rule picks, and the device holds |V49| at the target
+        dev = SsscDevice("s", (49, 50), ControlTarget(Mode.V_BUS, target))
+        rep = run_study(case118, (dev,), StudyOptions(method="nr"))
+        (q0,) = report.generator_reactive_output(
+            base_nr.system, base_nr.V, base_nr.I, [case118.index_of[49]])
+        assert rep.frozen_q[49] == {"q0": q0,
+                                    "q_min": case118.bus(49).q_min}[pin]
+        assert abs(rep.voltage(49)) == pytest.approx(target, abs=1e-8)
+
+    def test_unclamped_start_settles_where_the_clamped_one_stalls(
+            self, case118, monkeypatch):
+        # ladder-944 seed 2 under nr: Newton stalls from the 48 base clamps,
+        # and the study settles from the start with no generator pinned
+        net = ladder.tile_case(ffheflow, case118)
+        devices = ladder.ladder_devices(ffheflow, ladder.draw_targets(2))
+        base = _base_solution(net, StudyOptions(method="nr"))
+        outcomes = []
+
+        def counting(*args):
+            try:
+                rep = _passes(*args)
+            except (ConvergenceError, StudyError) as exc:
+                outcomes.append((len(args[-1]), exc))
+                raise
+            outcomes.append((len(args[-1]), rep))
+            return rep
+
+        monkeypatch.setattr(report, "_passes", counting)
+        rep = run_study(net, devices, StudyOptions(method="nr"))
+        (n_clamped, stalled), (n_unclamped, settled) = outcomes
+        assert n_clamped == len(base.clamped_generators) == 48
+        assert isinstance(stalled, ConvergenceError)
+        assert str(stalled).startswith("stalled at iteration")
+        assert (n_unclamped, settled) == (0, rep)
 
 
 class TestBaseSolutionMemo:
