@@ -19,6 +19,9 @@ series to order n on those zeros, before the history, and again on the
 solution.  The solution is read off at a = 1 from the partial sums, or
 with ``pade`` from the degree-reduced Pade approximant of
 ``series.pade_at_one``, by one ``series.evaluate_at_one`` call per order.
+A stage that does not reach a = 1 moves its reference by Newton's damped
+step along its order-1 coefficient (``newton._damped_step``) and is
+re-embedded there, so the series and Newton share one line search.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .newton import _nudge_zero_currents
+from .newton import MAX_BACKTRACKS, _damped_step, _nudge_zero_currents
 from .series import (cauchy, evaluate_at_one, magnitude_coefficient,
                      reciprocal_coefficient)
 from .system import System, jacobian, lu_factor, lu_solve, residual
@@ -175,12 +178,13 @@ def ffhe_solve(sys: System, C: np.ndarray, D: np.ndarray, tol: float = 1e-8,
 
     Every entry of C must be nonzero.  The currents of magnitude-normalised
     control rows are nudged to at least ``newton.CURRENT_NUDGE`` in
-    magnitude at each stage's start and at each walk-back candidate.
+    magnitude at each stage's start and at each point of the damped step.
 
-    A series that cannot reach a = 1 is evaluated at the largest a < 1 that
-    still lowers the mismatch and a fresh embedding is expanded from that
-    intermediate state, up to ``SERIES_RESTARTS`` times.  Term counts
-    accumulate across stages.
+    A stage that cannot reach a = 1 takes Newton's damped step along its
+    order-1 coefficient, the Newton direction of its factorisation, and a
+    fresh embedding is expanded from there, up to ``SERIES_RESTARTS``
+    times; the solve gives up when no step length lowers the mismatch.
+    Term counts accumulate across stages.
     """
     V, I = np.asarray(C, dtype=complex), np.asarray(D, dtype=complex)
     total_terms = 0
@@ -197,27 +201,14 @@ def ffhe_solve(sys: System, C: np.ndarray, D: np.ndarray, tol: float = 1e-8,
                               total_terms, result.mismatch)
         if not result.terms:      # singular Jacobian at the reference
             break
-        # walk back along the homotopy path to a point the series still
-        # represents well, then re-embed from there; orders past the best
-        # mismatch carry no information, so truncate before evaluating
+        # order 1 is the Newton direction of the stage's factorisation:
+        # take Newton's damped step along it and re-embed from there
         entry = float(np.max(np.abs(residual(sys, V, I))))
-        n_tr = max(result.best_term, 1)
-        best_state = None
-        best_mis = 0.9 * entry
-        for trunc in {n_tr, max(1, n_tr // 2)}:
-            vs = result.v_series[:, :trunc + 1]
-            is_ = result.i_series[:, :trunc + 1]
-            for a in (1.0, 0.9, 0.75, 0.5, 0.3, 0.15, 0.05):
-                powers = a ** np.arange(trunc + 1)
-                Va = vs @ powers
-                Ia = _nudge_zero_currents(sys, is_ @ powers)
-                mis_a = float(np.max(np.abs(residual(sys, Va, Ia))))
-                if np.isfinite(mis_a) and mis_a < best_mis:
-                    best_state = (Va, Ia)
-                    best_mis = mis_a
-        if best_state is None:
+        stepped = _damped_step(sys, V, I, result.v_series[:, 1],
+                               result.i_series[:, 1], entry, MAX_BACKTRACKS)
+        if stepped is None:
             break
-        V, I = best_state
+        V, I, _ = stepped
     return FfheResult(result.V, result.I, total_terms, result.mismatch,
                       False, result.v_series, result.i_series, best[1],
                       best[0])

@@ -55,10 +55,15 @@ def flat_start(sys: System):
 
 def _step(sys: System, V, I, r, lu, bound: float, tries: int):
     """Update (V, I), whose residual vector is ``r``, along the Newton
-    direction of the factorisation ``lu``: the step is halved, up to
-    ``tries`` lengths in all, until the mismatch norm falls below ``bound``.
-    Returns (V, I, residual vector) of the accepted point, or None."""
+    direction of the factorisation ``lu`` by :func:`_damped_step`."""
     dV, dI = unpack_state(lu_solve(lu, -r), sys.n_bus)
+    return _damped_step(sys, V, I, dV, dI, bound, tries)
+
+
+def _damped_step(sys: System, V, I, dV, dI, bound: float, tries: int):
+    """Update (V, I) along (dV, dI): the step is halved, up to ``tries``
+    lengths in all, until the mismatch norm falls below ``bound``.
+    Returns (V, I, residual vector) of the accepted point, or None."""
     lam = 1.0
     for _ in range(tries):
         Vn = V + lam * dV

@@ -112,7 +112,7 @@ def random_sssc_study(rng: np.random.Generator, max_tries: int = 40):
 
 
 def _natural_setpoint(net, dev, base_V, mode, rng):
-    i, j = dev.branch
+    i, j = dev.branches[0]
     vi = base_V[net.index_of[i]]
     br = net.branches[net.find_branch(i, j)]
     z = br.series_impedance + dev.z_se[0]

@@ -10,7 +10,8 @@ from ffheflow.core import _single_stage, ffhe_solve
 from ffheflow.devices import ControlTarget, Mode, SeriesDevice, SsscDevice
 from ffheflow.network import Branch, Bus, BusKind, Network
 from ffheflow.newton import flat_start, nr_solve, warm_start
-from ffheflow.system import build_system, residual
+from ffheflow.system import (build_system, jacobian, lu_factor, lu_solve,
+                             residual, unpack_state)
 
 
 def slack_pq_net(vsp=1.06, p=0.2, q=0.05, r=0.02, x=0.1):
@@ -115,8 +116,8 @@ class TestConvergence:
         assert res.terms == 0
 
     def test_staged_restart_recovers(self, case118):
-        # heavy single-stage truncation fails; restarts walk along the
-        # homotopy path and finish the job
+        # heavy single-stage truncation fails; restarts take Newton's
+        # damped step from each failed stage and finish the job
         sys = build_system(case118)
         V0, I0 = flat_start(sys)
         short = _single_stage(sys, V0, I0, tol=1e-10, n_max=4, pade=False)
@@ -127,9 +128,9 @@ class TestConvergence:
     @pytest.mark.filterwarnings("error")
     def test_pade_pole_at_one_stops_without_warning(self, case118,
                                                     monkeypatch):
-        # 101-102/vse0.1 under method="ffhe", pade=True meets an approximant
-        # with a pole at a = 1 at its tenth restart stage; stand one in from
-        # the first order, so the non-finite state never reaches residual()
+        # a Pade approximant with a pole at a = 1, stood in from the first
+        # order: the non-finite state must stop the stage before it
+        # reaches residual()
         monkeypatch.setattr(
             core, "evaluate_at_one",
             lambda coeffs, pade=False: np.full(coeffs.shape[:-1], np.inf,
@@ -144,9 +145,10 @@ class TestConvergence:
 
     @pytest.mark.filterwarnings("error")
     def test_walk_back_nudges_its_candidates(self, case118, monkeypatch):
-        # a stage whose current series (0.1, -0.1) sums to 0 at a = 1: the
-        # walk-back must evaluate that candidate nudged, as the next stage
-        # would start from it, not divide 0 by 0 in the v_se row's |I|
+        # a stage whose order-1 current coefficient is -D, so the full
+        # damped step sums the current to 0: the step must evaluate that
+        # point nudged, as the next stage would start from it, not divide
+        # 0 by 0 in the v_se row's |I|
         dev = SsscDevice("s", (101, 102), ControlTarget(Mode.V_SE, 0.1))
         sys = build_system(case118, (dev,))
         starts = []
@@ -154,7 +156,7 @@ class TestConvergence:
         def stage(sys, C, D, tol, n_max, pade):
             starts.append(D.copy())
             vs = np.column_stack([C, np.zeros_like(C)])
-            is_ = np.array([[0.1, -0.1]], dtype=complex)
+            is_ = np.column_stack([D, -D])
             return core.FfheResult(C, D, 1, 1.0, False, vs, is_, 1, 1.0)
 
         monkeypatch.setattr(core, "_single_stage", stage)
@@ -162,6 +164,44 @@ class TestConvergence:
         assert not res.converged
         assert res.terms == len(starts)
         assert all(abs(d[0]) >= newton.CURRENT_NUDGE for d in starts)
+
+    def test_failed_stage_takes_newtons_damped_step(self, case118,
+                                                    monkeypatch):
+        # a stage whose orders >= 2 are garbage, and whose best term is
+        # one of them: the next stage still starts at Newton's damped step
+        # for the stage's own factorisation.  From half the flat voltages
+        # the full step raises the mismatch, so the step is halved once.
+        dev = SsscDevice("s", (101, 102), ControlTarget(Mode.V_SE, 0.1))
+        sys = build_system(case118, (dev,))
+        rng = np.random.default_rng(0)
+        starts = []
+
+        def stage(sys, C, D, tol, n_max, pade):
+            starts.append((C.copy(), D.copy()))
+            lu = lu_factor(jacobian(sys, C, D), sys.pattern)
+            dV, dI = unpack_state(lu_solve(lu, -residual(sys, C, D)),
+                                  sys.n_bus)
+            z = np.concatenate([C, D])
+            zs = np.column_stack([z, np.concatenate([dV, dI]),
+                                  1e3 * rng.normal(size=(z.size, 3))])
+            return core.FfheResult(zs[:C.size].sum(axis=1),
+                                   zs[C.size:].sum(axis=1), 4, 1e3, False,
+                                   zs[:C.size], zs[C.size:], 4, 1e-3)
+
+        monkeypatch.setattr(core, "_single_stage", stage)
+        monkeypatch.setattr(core, "SERIES_RESTARTS", 1)
+        V0, I0 = flat_start(sys)
+        ffhe_solve(sys, 0.5 * V0, I0)
+        assert len(starts) == 2
+        C, D = starts[0]
+        r = residual(sys, C, D)
+        lu = lu_factor(jacobian(sys, C, D), sys.pattern)
+        V, I, _ = newton._step(sys, C, D, r, lu, np.max(np.abs(r)),
+                               newton.MAX_BACKTRACKS)
+        dV, _ = unpack_state(lu_solve(lu, -r), sys.n_bus)
+        assert np.max(np.abs(V - (C + 0.5 * dV))) < 1e-12
+        assert np.max(np.abs(starts[1][0] - V)) < 1e-12
+        assert np.max(np.abs(starts[1][1] - I)) < 1e-12
 
     def test_unconverged_series_carries_its_best_mismatch(self, case118):
         # truncation at four orders fails; the result keeps the lowest

@@ -16,11 +16,11 @@ import path.  Both run the same corpus, taken from this checkout's
 * the ``ladder-944`` studies of ``perfbench/ladder.py`` (8 tiled case118
   copies, one seeded SSSC each) for seeds 1-12 under ``nr`` and
   ``nr-warm-ffhe`` (24 pairs, labelled ``ladder/<seed>``);
-* the ``tests/conftest.random_sssc_study`` draws 0-199 under ``nr`` and
-  ``nr-warm-ffhe`` (400 pairs, labelled ``random/<k>``).  Draw k is
-  ``random_sssc_study(np.random.default_rng(k))``, drawn once, by this
-  checkout, and handed to both trees as plain fields, so both solve the
-  same network and device.
+* the ``tests/conftest.random_sssc_study`` draws 0-199 under ``nr``,
+  ``nr-warm-ffhe`` and ``ffhe`` (600 pairs, labelled ``random/<k>``).
+  Draw k is ``random_sssc_study(np.random.default_rng(k))``, drawn once,
+  by this checkout, and handed to both trees as plain fields, so both
+  solve the same network and device.
 
 The whole corpus takes ~50 s on a 2-vCPU machine, both trees at once;
 drawing the 200 random studies takes ~3 s of that.
@@ -71,7 +71,7 @@ METHODS = (("nr", {"method": "nr"}),
 LADDER_SEEDS = range(1, 13)
 LADDER_METHODS = ("nr", "nr-warm-ffhe")
 RANDOM_DRAWS = range(200)
-RANDOM_METHODS = ("nr", "nr-warm-ffhe")
+RANDOM_METHODS = ("nr", "nr-warm-ffhe", "ffhe")
 
 
 def _scenarios() -> dict:
