@@ -19,6 +19,7 @@ import cmath
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -65,16 +66,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _options(args, entry=None) -> StudyOptions:
     """Study options from the command line, each overridden by the same key
-    of a ``--batch`` entry when given.  :class:`StudyOptions` rejects an
-    entry value of another JSON type (``"false"`` for a flag, 7.9 or
-    ``true`` for a count) with ``ValueError`` rather than coercing it."""
+    of a ``--batch`` entry when given.  An entry key that is neither an
+    option nor ``case``, ``devices`` or ``label`` is a ``ValueError``, and
+    :class:`StudyOptions` rejects an entry value of another JSON type
+    (``"false"`` for a flag, 7.9 or ``true`` for a count) with
+    ``ValueError`` rather than coercing it."""
     entry = entry or {}
-    return StudyOptions(
-        method=entry.get("method", args.method),
-        tol=entry.get("tol", args.tol),
-        max_terms=entry.get("max_terms", args.max_terms),
-        warm_iters=entry.get("warm_iters", args.warm_iters),
-        pade=entry.get("pade", args.pade))
+    names = [f.name for f in fields(StudyOptions)]
+    known = {"case", "devices", "label", *names}
+    unknown = [k for k in entry if k not in known]
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r}")
+    return StudyOptions(**{k: entry.get(k, getattr(args, k)) for k in names})
 
 
 def _run_one(case_path: Path, devices_path, opts: StudyOptions) -> StudyReport:

@@ -19,9 +19,14 @@ series to order n on those zeros, before the history, and again on the
 solution.  The solution is read off at a = 1 from the partial sums, or
 with ``pade`` from the degree-reduced Pade approximant of
 ``series.pade_at_one``, by one ``series.evaluate_at_one`` call per order.
-A stage that does not reach a = 1 moves its reference by Newton's damped
-step along its order-1 coefficient (``newton._damped_step``) and is
-re-embedded there, so the series and Newton share one line search.
+
+``_orders`` is the recurrence alone; ``ffhe_solve`` is the walk, shaped
+as Newton's loop.  It factorises each reference once and, after order 1,
+adds orders while each lowers the mismatch at a = 1.  At the first that
+does not, the reference moves by Newton's damped step along its order-1
+coefficient (``newton._damped_step``) and is re-embedded there, so the
+series and Newton share one line search, and the walk stops where Newton
+stops.
 """
 
 from __future__ import annotations
@@ -30,16 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .newton import MAX_BACKTRACKS, _damped_step, _nudge_zero_currents
+from .newton import (MAX_BACKTRACKS, MAX_ITERS, _damped_step,
+                     _nudge_zero_currents)
 from .series import (cauchy, evaluate_at_one, magnitude_coefficient,
                      reciprocal_coefficient)
 from .system import System, jacobian, lu_factor, lu_solve, residual
-
-#: consecutive growing-mismatch orders before the series is declared divergent
-DIVERGENCE_ORDERS = 5
-
-#: staged re-embeddings allowed to a series solve
-SERIES_RESTARTS = 10
 
 
 @dataclass
@@ -49,10 +49,10 @@ class FfheResult:
     terms: int                 # series orders computed (excluding order 0)
     mismatch: float
     converged: bool
-    v_series: np.ndarray       # coefficients, shape (n_bus, terms + 1)
-    i_series: np.ndarray
+    v_series: np.ndarray       # the walk's last coefficients (the reference
+    i_series: np.ndarray       # alone after a step), (n_bus, orders + 1)
     best_term: int = 0         # term with the lowest mismatch, counted over
-    best_mismatch: float = np.inf   # all stages, and that mismatch
+    best_mismatch: float = np.inf   # all references, and that mismatch
 
 
 def _history(sys: System, n: int, Zs, Ws, Ms, Ts) -> np.ndarray:
@@ -104,17 +104,17 @@ def _companions(sys: System, n: int, Zs, Fs, Ms, Ts) -> None:
                           Fs[:, n::-1])
 
 
-def _single_stage(sys: System, C, D, tol, n_max, pade) -> FfheResult:
-    """One embedding around (C, D), up to ``n_max`` orders."""
-    C = np.asarray(C, dtype=complex)
-    D = np.asarray(D, dtype=complex)
+def _orders(sys: System, C, D, r, lu, n_max: int):
+    """Expand the embedding around (C, D), whose residual vector is ``r``
+    and Jacobian factorisation ``lu``: after each order n = 1 .. ``n_max``,
+    yield the coefficients of z = [V; I] through order n, an array of
+    shape (``sys.n_bus + sys.n_currents``, n + 1).  Each yielded array is a
+    view that later orders do not change."""
     n = sys.n_bus
-
     Zs = np.zeros((n + sys.n_currents, n_max + 1), dtype=complex)
-    Vs, Is = Zs[:n], Zs[n:]         # views: voltage and current rows
+    Zs[:n, 0] = C
+    Zs[n:, 0] = D
     Ws = np.zeros((n, n_max + 1), dtype=complex)
-    Vs[:, 0] = C
-    Is[:, 0] = D
     Ws[:, 0] = sys.yc @ Zs[:, 0]
 
     rows = sys.rows
@@ -126,50 +126,16 @@ def _single_stage(sys: System, C, D, tol, n_max, pade) -> FfheResult:
     Ts = np.zeros_like(Fs)
     Ts[:, 0] = (Zs[rows.a[rows.z], 0] - Zs[rows.b[rows.z], 0]) * Fs[:, 0]
 
-    base_res = residual(sys, C, D)
-    best = np.inf
-    best_order = 0
-    rising = 0
-    mis = float(np.max(np.abs(base_res)))
-    if mis <= tol:
-        return FfheResult(C, D, 0, mis, True, Vs[:, :1], Is[:, :1], 0, mis)
-    try:
-        lu = lu_factor(jacobian(sys, C, D), sys.pattern)
-    except np.linalg.LinAlgError:
-        return FfheResult(C, D, 0, mis, False, Vs[:, :1], Is[:, :1], 0, mis)
-
     for order in range(1, n_max + 1):
         if order == 1:
-            rhs = -base_res
+            rhs = -r
         else:       # the companions' order n on the zero unknowns
             _companions(sys, order, Zs, Fs, Ms, Ts)
             rhs = -_history(sys, order, Zs, Ws, Ms, Ts)
         Zs[:, order] = lu_solve(lu, rhs).view(complex)
         Ws[:, order] = sys.yc @ Zs[:, order]
         _companions(sys, order, Zs, Fs, Ms, Ts)     # and on the solution
-
-        z = evaluate_at_one(Zs[:, :order + 1], pade)
-        V, I = z[:n], z[n:]
-        if np.isfinite(z).all():
-            mis = float(np.max(np.abs(residual(sys, V, I))))
-        else:       # a Pade approximant with a pole at a = 1
-            mis = np.inf
-        if mis <= tol:
-            return FfheResult(V, I, order, mis, True, Vs[:, :order + 1],
-                              Is[:, :order + 1], order, mis)
-        if not np.isfinite(mis):
-            break
-        if mis > best:
-            rising += 1
-            if rising >= DIVERGENCE_ORDERS and mis > 10.0 * best:
-                break
-        else:
-            rising = 0
-            best = mis
-            best_order = order
-
-    return FfheResult(V, I, order, mis, False, Vs[:, :order + 1],
-                      Is[:, :order + 1], best_order, best)
+        yield Zs[:, :order + 1]
 
 
 def ffhe_solve(sys: System, C: np.ndarray, D: np.ndarray, tol: float = 1e-8,
@@ -178,37 +144,54 @@ def ffhe_solve(sys: System, C: np.ndarray, D: np.ndarray, tol: float = 1e-8,
 
     Every entry of C must be nonzero.  The currents of magnitude-normalised
     control rows are nudged to at least ``newton.CURRENT_NUDGE`` in
-    magnitude at each stage's start and at each point of the damped step.
+    magnitude at the start and at each point of the damped step.
 
-    A stage that cannot reach a = 1 takes Newton's damped step along its
-    order-1 coefficient, the Newton direction of its factorisation, and a
-    fresh embedding is expanded from there, up to ``SERIES_RESTARTS``
-    times; the solve gives up when no step length lowers the mismatch.
-    Term counts accumulate across stages.
+    Each reference is factorised once.  After order 1, orders are added, up
+    to ``n_max``, while each lowers the max-norm mismatch at a = 1.  Short
+    of ``tol``, the reference moves by Newton's damped step along its
+    order-1 coefficient, the Newton direction of its factorisation, and is
+    re-embedded there.  The walk stops as Newton does: after
+    ``newton.MAX_ITERS`` references, or when the Jacobian is singular or no
+    step length lowers the reference's mismatch.  Terms, the order that
+    stopped an expansion included, accumulate across references; the best
+    mismatch is the lowest of the first reference and every partial sum.
     """
-    V, I = np.asarray(C, dtype=complex), np.asarray(D, dtype=complex)
-    total_terms = 0
-    best = (np.inf, 0)      # lowest mismatch of any stage, and its term
-    for _ in range(SERIES_RESTARTS + 1):
-        I = _nudge_zero_currents(sys, I.copy())
-        result = _single_stage(sys, V, I, tol, n_max, pade)
-        if result.best_mismatch < best[0]:
-            best = (result.best_mismatch, total_terms + result.best_term)
-        total_terms += result.terms
-        if result.converged:
-            return FfheResult(result.V, result.I, total_terms, result.mismatch,
-                              True, result.v_series, result.i_series,
-                              total_terms, result.mismatch)
-        if not result.terms:      # singular Jacobian at the reference
+    if n_max < 1:
+        raise ValueError("the series needs at least one order")
+    n = sys.n_bus
+    V = np.array(C, dtype=complex)
+    I = _nudge_zero_currents(sys, np.array(D, dtype=complex))
+    r = residual(sys, V, I)
+    zs = np.concatenate([V, I])[:, None]
+    z, mis = zs[:, 0], float(np.max(np.abs(r)))
+    terms, best = 0, (mis, 0)
+    for _ in range(MAX_ITERS):
+        if mis <= tol:
             break
-        # order 1 is the Newton direction of the stage's factorisation:
+        try:
+            lu = lu_factor(jacobian(sys, V, I), sys.pattern)
+        except np.linalg.LinAlgError:
+            break
+        entry, mis = mis, np.inf
+        for zs in _orders(sys, V, I, r, lu, n_max):
+            terms += 1
+            last = mis
+            z = evaluate_at_one(zs, pade)
+            mis = (float(np.max(np.abs(residual(sys, z[:n], z[n:]))))
+                   if np.isfinite(z).all() else np.inf)   # a pole at a = 1
+            best = min(best, (mis, terms))
+            if not tol < mis < last:
+                break
+        if mis <= tol:
+            break
+        # order 1 is the Newton direction of the reference's factorisation:
         # take Newton's damped step along it and re-embed from there
-        entry = float(np.max(np.abs(residual(sys, V, I))))
-        stepped = _damped_step(sys, V, I, result.v_series[:, 1],
-                               result.i_series[:, 1], entry, MAX_BACKTRACKS)
+        stepped = _damped_step(sys, V, I, zs[:n, 1], zs[n:, 1], entry,
+                               MAX_BACKTRACKS)
         if stepped is None:
             break
-        V, I, _ = stepped
-    return FfheResult(result.V, result.I, total_terms, result.mismatch,
-                      False, result.v_series, result.i_series, best[1],
-                      best[0])
+        V, I, r = stepped
+        zs = np.concatenate([V, I])[:, None]    # the reference, order 0
+        z, mis = zs[:, 0], float(np.max(np.abs(r)))
+    return FfheResult(z[:n], z[n:], terms, mis, mis <= tol, zs[:n], zs[n:],
+                      best[1], best[0])

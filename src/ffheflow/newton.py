@@ -86,8 +86,10 @@ def _newton(sys: System, V0, I0, tol: float, max_steps: int):
     falls below ``CONTRACTION`` times the current one.  Otherwise the
     Jacobian is factorised at the current point and the step is
     backtracked until the mismatch decreases.  Either kind counts as one
-    step."""
-    if V0 is None or I0 is None:
+    step.  Giving only one of V0 and I0 is a ``ValueError``."""
+    if (V0 is None) != (I0 is None):
+        raise ValueError("a start needs both V0 and I0, or neither")
+    if V0 is None:
         V0, I0 = flat_start(sys)
     V = np.array(V0, dtype=complex)
     I = _nudge_zero_currents(sys, np.array(I0, dtype=complex))
@@ -113,7 +115,8 @@ def _newton(sys: System, V0, I0, tol: float, max_steps: int):
 
 def nr_solve(sys: System, V0=None, I0=None,
              tol: float = 1e-8) -> NewtonResult:
-    """Damped Newton iteration from (V0, I0), default flat start.
+    """Damped Newton iteration from (V0, I0), both or neither given;
+    default flat start.
 
     A step reuses the held factorisation when that contracts the mismatch
     enough, else factorises afresh and is backtracked until the mismatch

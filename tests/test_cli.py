@@ -226,6 +226,20 @@ class TestBatch:
         assert "[bad] input error: device sssc0: unknown bus 999" in err
         assert "=== ok" in out
 
+    def test_batch_entry_with_an_unknown_key(self, case_path, tmp_path,
+                                             capsys):
+        # a misspelt option is reported, not run with the defaults
+        batch = tmp_path / "batch.json"
+        batch.write_text(json.dumps([
+            {"label": "typo", "case": str(case_path), "metod": "ffhe",
+             "max_term": 3},
+            {"label": "ok", "case": str(case_path), "method": "nr"}]))
+        assert main(["--batch", str(batch)]) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert "[typo] input error: unknown key 'metod'" in err
+        assert "=== typo" not in out
+        assert "=== ok" in out
+
     @pytest.mark.parametrize("bad", [1, "x.m", None, [1]],
                              ids=["int", "string", "null", "list"])
     def test_batch_entry_not_an_object(self, case_path, tmp_path, capsys,

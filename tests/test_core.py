@@ -4,9 +4,9 @@ agreement with Newton."""
 import numpy as np
 import pytest
 
-from conftest import random_sssc_study
+from conftest import expand, random_sssc_study
 from ffheflow import core, newton
-from ffheflow.core import _single_stage, ffhe_solve
+from ffheflow.core import ffhe_solve
 from ffheflow.devices import ControlTarget, Mode, SeriesDevice, SsscDevice
 from ffheflow.network import Branch, Bus, BusKind, Network
 from ffheflow.newton import flat_start, nr_solve, warm_start
@@ -27,9 +27,8 @@ class TestFirstCoefficients:
         """Order 1 must move the slack from the reference to its setpoint."""
         sys = build_system(slack_pq_net(vsp=1.06))
         C = np.array([0.9 + 0j, 1.0 + 0j])
-        res = _single_stage(sys, C, np.zeros(0, complex), n_max=2, tol=1e-30,
-                            pade=False)
-        assert res.v_series[0, 1] == pytest.approx(0.16)
+        zs = expand(sys, C, np.zeros(0, complex), 2)
+        assert zs[0, 1] == pytest.approx(0.16)
 
     def test_pv_magnitude_coefficients(self):
         """PV magnitude row: order 1 closes half the squared-magnitude gap,
@@ -57,13 +56,11 @@ class TestFirstCoefficients:
         """From any reference, order 1 of the series is the Newton step."""
         sys = build_system(slack_pq_net())
         C = np.array([1.02 + 0.01j, 0.97 - 0.03j])
-        res = _single_stage(sys, C, np.zeros(0, complex), n_max=1, tol=1e-30,
-                            pade=False)
-        from ffheflow.system import jacobian
+        zs = expand(sys, C, np.zeros(0, complex), 1)
         J = jacobian(sys, C, np.zeros(0, complex)).toarray()
         dx = np.linalg.solve(J, -residual(sys, C, np.zeros(0, complex)))
         dv = dx[0:4:2] + 1j * dx[1:4:2]
-        assert np.allclose(res.v_series[:, 1], dv, atol=1e-12)
+        assert np.allclose(zs[:, 1], dv, atol=1e-12)
 
     def test_companion_current_detection(self, case118):
         d1 = SsscDevice("a", (49, 50), ControlTarget(Mode.P_FLOW, 0.75))
@@ -105,23 +102,31 @@ class TestConvergence:
         res = ffhe_solve(sys, V0, I0, n_max=40)
         assert not res.converged
 
-    @pytest.mark.parametrize("restarts", [0, 3])
-    def test_singular_reference_reported_unconverged(self, restarts,
-                                                     monkeypatch):
-        # at V = 0 every PQ row of the Jacobian vanishes
-        monkeypatch.setattr(core, "SERIES_RESTARTS", restarts)
+    def test_singular_reference_reported_unconverged(self):
+        # at V = 0 every PQ row of the Jacobian vanishes: the walk stops at
+        # its start, as a Newton step there would
         sys = build_system(slack_pq_net())
         res = ffhe_solve(sys, np.zeros(2, complex), np.zeros(0, complex))
         assert not res.converged
         assert res.terms == 0
+        assert not res.V.any()
+        assert res.mismatch == res.best_mismatch > 0
 
-    def test_staged_restart_recovers(self, case118):
-        # heavy single-stage truncation fails; restarts take Newton's
-        # damped step from each failed stage and finish the job
+    def test_zero_orders_rejected(self, case118):
+        sys = build_system(case118)
+        with pytest.raises(ValueError, match="at least one order"):
+            ffhe_solve(sys, *flat_start(sys), n_max=0)
+
+    def test_staged_restart_recovers(self, case118, monkeypatch):
+        # one reference truncated at four orders fails; further references,
+        # each reached by Newton's damped step, finish the job
         sys = build_system(case118)
         V0, I0 = flat_start(sys)
-        short = _single_stage(sys, V0, I0, tol=1e-10, n_max=4, pade=False)
+        monkeypatch.setattr(core, "MAX_ITERS", 1)
+        short = ffhe_solve(sys, V0, I0, tol=1e-10, n_max=4)
         assert not short.converged
+        assert short.terms == 4
+        monkeypatch.undo()
         staged = ffhe_solve(sys, V0, I0, tol=1e-10, n_max=4)
         assert staged.converged
 
@@ -129,37 +134,39 @@ class TestConvergence:
     def test_pade_pole_at_one_stops_without_warning(self, case118,
                                                     monkeypatch):
         # a Pade approximant with a pole at a = 1, stood in from the first
-        # order: the non-finite state must stop the stage before it
-        # reaches residual()
+        # order: the non-finite state must stop the expansion before it
+        # reaches residual(), and the walk goes on by the damped step
         monkeypatch.setattr(
             core, "evaluate_at_one",
             lambda coeffs, pade=False: np.full(coeffs.shape[:-1], np.inf,
                                                dtype=complex))
+        monkeypatch.setattr(core, "MAX_ITERS", 2)
         dev = SsscDevice("s", (101, 102), ControlTarget(Mode.V_SE, 0.1))
         sys = build_system(case118, (dev,))
         V0, I0 = flat_start(sys)
-        res = _single_stage(sys, V0, I0, tol=1e-8, n_max=60, pade=True)
+        res = ffhe_solve(sys, V0, I0, tol=1e-8, n_max=60, pade=True)
         assert not res.converged
-        assert res.terms == 1
-        assert res.mismatch == np.inf
+        assert res.terms == 2
+        assert res.best_term == 0
+        assert np.isfinite(res.mismatch) and res.mismatch < res.best_mismatch
 
     @pytest.mark.filterwarnings("error")
     def test_walk_back_nudges_its_candidates(self, case118, monkeypatch):
-        # a stage whose order-1 current coefficient is -D, so the full
-        # damped step sums the current to 0: the step must evaluate that
-        # point nudged, as the next stage would start from it, not divide
-        # 0 by 0 in the v_se row's |I|
+        # an expansion whose order-1 current coefficient is -D, so the
+        # full damped step sums the current to 0 (order 2 gives it back at
+        # a = 1): the step must evaluate that point nudged, as the next
+        # reference would start from it, not divide 0 by 0 in the v_se
+        # row's |I|
         dev = SsscDevice("s", (101, 102), ControlTarget(Mode.V_SE, 0.1))
         sys = build_system(case118, (dev,))
         starts = []
 
-        def stage(sys, C, D, tol, n_max, pade):
+        def orders(sys, C, D, r, lu, n_max):
             starts.append(D.copy())
-            vs = np.column_stack([C, np.zeros_like(C)])
-            is_ = np.column_stack([D, -D])
-            return core.FfheResult(C, D, 1, 1.0, False, vs, is_, 1, 1.0)
+            yield np.vstack([np.column_stack([C, 0 * C, 0 * C]),
+                             np.column_stack([D, -D, D])])
 
-        monkeypatch.setattr(core, "_single_stage", stage)
+        monkeypatch.setattr(core, "_orders", orders)
         res = ffhe_solve(sys, *flat_start(sys))
         assert not res.converged
         assert res.terms == len(starts)
@@ -167,29 +174,24 @@ class TestConvergence:
 
     def test_failed_stage_takes_newtons_damped_step(self, case118,
                                                     monkeypatch):
-        # a stage whose orders >= 2 are garbage, and whose best term is
-        # one of them: the next stage still starts at Newton's damped step
-        # for the stage's own factorisation.  From half the flat voltages
-        # the full step raises the mismatch, so the step is halved once.
+        # an expansion whose orders >= 2 are garbage: the next reference
+        # still starts at Newton's damped step for the reference's own
+        # factorisation, handed to the recurrence.  From half the flat
+        # voltages the full step raises the mismatch, so the step is
+        # halved once.
         dev = SsscDevice("s", (101, 102), ControlTarget(Mode.V_SE, 0.1))
         sys = build_system(case118, (dev,))
         rng = np.random.default_rng(0)
         starts = []
 
-        def stage(sys, C, D, tol, n_max, pade):
+        def orders(sys, C, D, r, lu, n_max):
             starts.append((C.copy(), D.copy()))
-            lu = lu_factor(jacobian(sys, C, D), sys.pattern)
-            dV, dI = unpack_state(lu_solve(lu, -residual(sys, C, D)),
-                                  sys.n_bus)
             z = np.concatenate([C, D])
-            zs = np.column_stack([z, np.concatenate([dV, dI]),
-                                  1e3 * rng.normal(size=(z.size, 3))])
-            return core.FfheResult(zs[:C.size].sum(axis=1),
-                                   zs[C.size:].sum(axis=1), 4, 1e3, False,
-                                   zs[:C.size], zs[C.size:], 4, 1e-3)
+            yield np.column_stack([z, lu_solve(lu, -r).view(complex),
+                                   1e3 * rng.normal(size=(z.size, 3))])
 
-        monkeypatch.setattr(core, "_single_stage", stage)
-        monkeypatch.setattr(core, "SERIES_RESTARTS", 1)
+        monkeypatch.setattr(core, "_orders", orders)
+        monkeypatch.setattr(core, "MAX_ITERS", 2)
         V0, I0 = flat_start(sys)
         ffhe_solve(sys, 0.5 * V0, I0)
         assert len(starts) == 2
@@ -203,24 +205,31 @@ class TestConvergence:
         assert np.max(np.abs(starts[1][0] - V)) < 1e-12
         assert np.max(np.abs(starts[1][1] - I)) < 1e-12
 
-    def test_unconverged_series_carries_its_best_mismatch(self, case118):
-        # truncation at four orders fails; the result keeps the lowest
-        # mismatch of any partial sum, not the last one
+    def test_unconverged_series_carries_its_best_mismatch(self, case118,
+                                                          monkeypatch):
+        # one reference truncated at four orders fails; the result keeps
+        # the lowest mismatch of any partial sum, not that of the point the
+        # damped step reached
         sys = build_system(case118)
         V0, I0 = flat_start(sys)
-        res = _single_stage(sys, V0, I0, tol=1e-14, n_max=4, pade=False)
+        monkeypatch.setattr(core, "MAX_ITERS", 1)
+        res = ffhe_solve(sys, V0, I0, tol=1e-14, n_max=4)
         assert not res.converged
-        mis = [float(np.max(np.abs(residual(
-                   sys, res.v_series[:, :k + 1].sum(axis=1),
-                   res.i_series[:, :k + 1].sum(axis=1)))))
-               for k in range(1, res.terms + 1)]
+        assert res.terms == 4
+        zs, n = expand(sys, V0, I0, 4), sys.n_bus
+        sums = [zs[:, :k + 1].sum(axis=1) for k in range(1, 5)]
+        mis = [float(np.max(np.abs(residual(sys, z[:n], z[n:]))))
+               for z in sums]
         assert res.best_mismatch == min(mis)
         assert res.best_term == 1 + int(np.argmin(mis))
 
-    def test_staged_best_mismatch_counts_terms_over_stages(self, case118):
+    def test_staged_best_mismatch_counts_terms_over_stages(self, case118,
+                                                           monkeypatch):
         sys = build_system(case118)
         V0, I0 = flat_start(sys)
-        first = _single_stage(sys, V0, I0, tol=1e-14, n_max=3, pade=False)
+        monkeypatch.setattr(core, "MAX_ITERS", 1)
+        first = ffhe_solve(sys, V0, I0, tol=1e-14, n_max=3)
+        monkeypatch.undo()
         staged = ffhe_solve(sys, V0, I0, tol=1e-14, n_max=3)
         assert not staged.converged
         assert staged.best_mismatch < first.best_mismatch
@@ -241,13 +250,6 @@ ORDERS = 4
 ROUNDING = 1e-12
 
 
-def series_coefficients(sys, x0, n_max):
-    """The coefficients of z = [V; I] through order ``n_max`` around x0."""
-    res = _single_stage(sys, *x0, tol=1e-30, n_max=n_max, pade=False)
-    assert res.terms == n_max
-    return np.vstack([res.v_series, res.i_series])
-
-
 def embedded_residual_gap(sys, x0, zs, alpha):
     """max |R(x_N(alpha)) - (1 - alpha) R(x0)| for the series coefficients
     ``zs`` of z = [V; I]."""
@@ -265,7 +267,7 @@ def assert_gap_falls_by_order(sys, x0, n=ORDERS) -> float:
     alpha is a quarter of the root-test radius of the coefficients, at most
     0.1, so the first omitted term leads the gap.  Returns the gap.
     """
-    zs = series_coefficients(sys, x0, n)
+    zs = expand(sys, *x0, n)
     mag = np.max(np.abs(zs), axis=0)
     radius = min((mag[1] / mag[k]) ** (1 / (k - 1)) for k in range(2, n + 1))
     alpha = min(0.1, radius / 4)
@@ -295,7 +297,7 @@ class TestEmbeddedResidualProperty:
     def test_gap_at_zero_is_zero(self, case118):
         sys = build_system(case118)
         x0 = flat_start(sys)
-        zs = series_coefficients(sys, x0, 12)
+        zs = expand(sys, *x0, 12)
         assert embedded_residual_gap(sys, x0, zs, 0.0) < 1e-14
 
     @pytest.mark.parametrize("mode,sp", [

@@ -205,6 +205,16 @@ class TestNewton:
         with pytest.raises(ValueError):
             warm_start(build_system(case118), iterations=0)
 
+    def test_half_given_start_rejected(self, case118):
+        # a start with only V0 or only I0 is not silently a flat start
+        sys = build_system(case118)
+        nr = nr_solve(sys, tol=1e-10)
+        for given in ({"V0": nr.V}, {"I0": nr.I}):
+            with pytest.raises(ValueError, match="both V0 and I0"):
+                nr_solve(sys, **given)
+            with pytest.raises(ValueError, match="both V0 and I0"):
+                warm_start(sys, **given)
+
     def test_chord_steps_save_factorisations(self, case118, factorisations):
         dev = SsscDevice("s", (101, 102), ControlTarget(Mode.P_FLOW, 0.9))
         res = nr_solve(build_system(case118, (dev,)), tol=1e-8)

@@ -8,7 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 from same_answers import (_corpus, _messages, _random_fields,  # noqa: E402
-                          _random_study, compare)
+                          _random_study, against_newton, compare)
 import ffheflow  # noqa: E402
 from conftest import random_sssc_study  # noqa: E402
 
@@ -139,6 +139,26 @@ def test_near_gap_is_the_largest_over_converged_near_pairs(capsys):
     assert (dv, di) == pytest.approx((1e-9, 2e-10), rel=1e-6)
     assert compare(here, other)[1] == (0.0, 0.0)
     capsys.readouterr()
+
+
+def test_series_against_newton_in_one_tree():
+    """A series pair that raises counts only where nr converges on its
+    label; the gap is the largest |V - V_nr| over the series pairs that
+    converge, Pade included, and leaves out compare and labels where nr
+    raises."""
+    base = _answer()[KEY]
+    moved = {**base, "V": base["V"] + 3e-9}
+    answers = {("a", "nr"): base, ("a", "ffhe"): _raise()[KEY],
+               ("a", "nr-warm-ffhe"): moved,
+               ("a", "compare"): {**base, "V": base["V"] + 1.0},
+               ("b", "nr"): base, ("b", "ffhe+pade"): {**base,
+                                                      "V": base["V"] - 4e-9},
+               ("c", "nr"): _raise()[KEY], ("c", "ffhe"): _raise()[KEY],
+               ("c", "nr-warm-ffhe"): {**base, "V": base["V"] + 1.0}}
+    lost, gap = against_newton(answers)
+    assert lost == ["a ffhe"]
+    assert gap == pytest.approx(4e-9, rel=1e-6)
+    assert against_newton({("a", "nr"): base}) == ([], 0.0)
 
 
 def test_corpus_of_a_label():

@@ -34,7 +34,11 @@ mismatch.
 The exit status is 1 on any difference: V or I not bitwise equal, other
 counts, other settled limits or mismatch, a study that raises in one
 tree only, or another raise message.  The last lines give each corpus's
-tally, the pairs that raise in each tree, and the wall time.
+tally, the pairs that raise in each tree, and the wall time.  Per tree
+and corpus they also name each series pair (``nr-warm-ffhe``, ``ffhe``,
+``ffhe+pade``) that raises where ``nr`` converges in that tree, and give
+the largest |V - V_nr| over the series pairs that converge where ``nr``
+does.
 A message that only appends a clause (``"; ..."``) to the other tree's is
 reported as extended and is not a difference.
 
@@ -72,6 +76,8 @@ LADDER_SEEDS = range(1, 13)
 LADDER_METHODS = ("nr", "nr-warm-ffhe")
 RANDOM_DRAWS = range(200)
 RANDOM_METHODS = ("nr", "nr-warm-ffhe", "ffhe")
+SERIES_METHODS = ("nr-warm-ffhe", "ffhe", "ffhe+pade")
+CORPORA = ("scenario", "ladder-944", "random-sssc")
 
 
 def _scenarios() -> dict:
@@ -246,6 +252,22 @@ def compare(here: dict, other: dict,
     return tally, near_gap
 
 
+def against_newton(answers: dict) -> tuple[list, float]:
+    """Within one tree's answers: the series pairs that raise where ``nr``
+    converges on the same label, and the largest |V - V_nr| over the
+    series pairs that converge there."""
+    lost, gap = [], 0.0
+    for (label, method), a in answers.items():
+        nr = answers.get((label, "nr"), {"raise": None})
+        if method not in SERIES_METHODS or "raise" in nr:
+            continue
+        if "raise" in a:
+            lost.append(f"{label} {method}")
+        else:
+            gap = max(gap, _max_gap(a["V"], nr["V"]))
+    return lost, gap
+
+
 def _corpus(label: str) -> str:
     """The corpus a pair's label belongs to."""
     return {"ladder": "ladder-944", "random": "random-sssc"}.get(
@@ -276,7 +298,7 @@ def main(argv=None) -> int:
     corpus = {"scenarios": _scenarios(), "random": _random_draws()}
     here, other = (_collect(proc, corpus) for proc in procs)
     differ = 0
-    for name in ("scenario", "ladder-944", "random-sssc"):
+    for name in CORPORA:
         keys = [k for k in here if _corpus(k[0]) == name]
         tally, (dv, di) = compare({k: here[k] for k in keys},
                                   {k: other[k] for k in keys}, args.within)
@@ -288,6 +310,12 @@ def main(argv=None) -> int:
         raised = [f"{label} {method}" for (label, method), a in
                   answers.items() if "raise" in a]
         print(f"raise in {tree}: {len(raised)}: {', '.join(raised)}")
+        for name in CORPORA:
+            lost, gap = against_newton({k: a for k, a in answers.items()
+                                        if _corpus(k[0]) == name})
+            print(f"  {name}: series raise where nr converges: {len(lost)}"
+                  f"{': ' if lost else ''}{', '.join(lost)}; "
+                  f"max |V - V_nr| {gap:.1e} where both converge")
     print(f"wall time {time.perf_counter() - t0:.0f} s")
     return 1 if differ else 0
 
