@@ -102,9 +102,13 @@ class TestConvergence:
         res = ffhe_solve(sys, V0, I0, n_max=40)
         assert not res.converged
 
-    def test_singular_reference_reported_unconverged(self):
+    @pytest.mark.parametrize("references", [0, 3])
+    def test_singular_reference_reported_unconverged(self, references,
+                                                     monkeypatch):
         # at V = 0 every PQ row of the Jacobian vanishes: the walk stops at
-        # its start, as a Newton step there would
+        # its start, as a Newton step there would, whatever the cap on
+        # references
+        monkeypatch.setattr(core, "MAX_ITERS", references)
         sys = build_system(slack_pq_net())
         res = ffhe_solve(sys, np.zeros(2, complex), np.zeros(0, complex))
         assert not res.converged
