@@ -65,14 +65,11 @@ def _history(sys: System, n: int, Zs, Ws, Ms, Ts) -> np.ndarray:
     """
     n_bus = sys.n_bus
     Vs = Zs[:n_bus, :n + 1]
-    h = np.zeros(sys.size)
-    acc = cauchy(np.conj(Vs), Ws[:, n::-1])
-    h_re, h_im = h[0:2 * n_bus:2], h[1:2 * n_bus:2]     # views into h
-    h_re[:] = acc.real
-    h_im[:] = acc.imag
-    pv = sys.pv
-    h_im[pv] = 0.5 * cauchy(Vs[pv], np.conj(Vs[pv, ::-1])).real
-    h_re[sys.slack] = h_im[sys.slack] = 0.0
+    h = np.empty(sys.size)
+    h[:2 * n_bus] = cauchy(np.conj(Vs), Ws[:, n::-1]).view(float)
+    pv = sys.pv_idx
+    h[sys.pv_rows] = 0.5 * cauchy(Vs[pv], np.conj(Vs[pv, ::-1])).real
+    h[sys.structure.slack_rows] = 0.0
 
     rows = sys.rows
     if rows.row.size:
@@ -83,11 +80,14 @@ def _history(sys: System, n: int, Zs, Ws, Ms, Ts) -> np.ndarray:
         if rows.z.size:
             # companion rows: Im T (X_EQ) or Im M T (V_SE), T = (V_m - V_i) F
             val[rows.z] = Ts[:, n].imag
-            vse = rows.pow[rows.z] == 1
-            val[rows.z[vse]] = cauchy(Ms[vse, :n + 1], Ts[vse, n::-1]).imag
+            vse = rows.vse
+            if vse.size:
+                val[rows.z[vse]] = cauchy(Ms[vse, :n + 1],
+                                          Ts[vse, n::-1]).imag
         dev = np.bincount(rows.row, val, minlength=rows.setpoint.size)
-        vb = Vs[rows.v_bus]
-        dev[rows.v_row] = 0.5 * cauchy(vb, np.conj(vb[:, ::-1])).real
+        if rows.v_row.size:
+            vb = Vs[rows.v_bus]
+            dev[rows.v_row] = 0.5 * cauchy(vb, np.conj(vb[:, ::-1])).real
         h[2 * n_bus:] = dev
     return h
 
@@ -163,7 +163,7 @@ def ffhe_solve(sys: System, C: np.ndarray, D: np.ndarray, tol: float = 1e-8,
     I = _nudge_zero_currents(sys, np.array(D, dtype=complex))
     r = residual(sys, V, I)
     zs = np.concatenate([V, I])[:, None]
-    z, mis = zs[:, 0], float(np.max(np.abs(r)))
+    z, mis = zs[:, 0], float(np.abs(r).max())
     terms, best = 0, (mis, 0)
     for _ in range(MAX_ITERS):
         if mis <= tol:
@@ -172,26 +172,32 @@ def ffhe_solve(sys: System, C: np.ndarray, D: np.ndarray, tol: float = 1e-8,
             lu = lu_factor(jacobian(sys, V, I), sys.pattern)
         except np.linalg.LinAlgError:
             break
-        entry, mis = mis, np.inf
+        entry, mis, r1 = mis, np.inf, None
         for zs in _orders(sys, V, I, r, lu, n_max):
             terms += 1
             last = mis
             z = evaluate_at_one(zs, pade)
-            mis = (float(np.max(np.abs(residual(sys, z[:n], z[n:]))))
-                   if np.isfinite(z).all() else np.inf)   # a pole at a = 1
+            if np.isfinite(z).all():
+                rz = residual(sys, z[:n], z[n:])
+                mis = float(np.abs(rz).max())
+                if zs.shape[1] == 2:
+                    r1 = rz
+            else:
+                mis = np.inf                # a pole at a = 1
             best = min(best, (mis, terms))
             if not tol < mis < last:
                 break
         if mis <= tol:
             break
         # order 1 is the Newton direction of the reference's factorisation:
-        # take Newton's damped step along it and re-embed from there
+        # take Newton's damped step along it and re-embed from there.  Its
+        # full step is the order-1 partial sum, whose residual r1 is known
         stepped = _damped_step(sys, V, I, zs[:n, 1], zs[n:, 1], entry,
-                               MAX_BACKTRACKS)
+                               MAX_BACKTRACKS, r1)
         if stepped is None:
             break
-        V, I, r = stepped
+        V, I, r, mis = stepped
         zs = np.concatenate([V, I])[:, None]    # the reference, order 0
-        z, mis = zs[:, 0], float(np.max(np.abs(r)))
+        z = zs[:, 0]
     return FfheResult(z[:n], z[n:], terms, mis, mis <= tol, zs[:n], zs[n:],
                       best[1], best[0])

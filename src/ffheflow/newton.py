@@ -60,18 +60,24 @@ def _step(sys: System, V, I, r, lu, bound: float, tries: int):
     return _damped_step(sys, V, I, dV, dI, bound, tries)
 
 
-def _damped_step(sys: System, V, I, dV, dI, bound: float, tries: int):
+def _damped_step(sys: System, V, I, dV, dI, bound: float, tries: int,
+                 r_full=None):
     """Update (V, I) along (dV, dI): the step is halved, up to ``tries``
     lengths in all, until the mismatch norm falls below ``bound``.
-    Returns (V, I, residual vector) of the accepted point, or None."""
+    ``r_full``, when given, is the residual vector at (V + dV, I + dI),
+    which the full step reuses unless a current there needs nudging.
+    Returns (V, I, residual vector, mismatch) of the accepted point, or
+    None.  A point whose residual is not finite is rejected, as NaN and
+    inf fail the ``< bound`` test."""
     lam = 1.0
     for _ in range(tries):
-        Vn = V + lam * dV
-        In = _nudge_zero_currents(sys, I + lam * dI)
-        rn = residual(sys, Vn, In)
-        mn = float(np.max(np.abs(rn))) if np.all(np.isfinite(rn)) else np.inf
+        Vn, In = V + lam * dV, I + lam * dI
+        Inn = _nudge_zero_currents(sys, In)
+        known = lam == 1.0 and r_full is not None and Inn is In
+        rn = r_full if known else residual(sys, Vn, Inn)
+        mn = float(np.abs(rn).max())
         if mn < bound:
-            return Vn, In, rn
+            return Vn, Inn, rn, mn
         lam *= 0.5
     return None
 
@@ -94,7 +100,7 @@ def _newton(sys: System, V0, I0, tol: float, max_steps: int):
     V = np.array(V0, dtype=complex)
     I = _nudge_zero_currents(sys, np.array(I0, dtype=complex))
     r = residual(sys, V, I)
-    mis = float(np.max(np.abs(r)))
+    mis = float(np.abs(r).max())
     steps, lu = 0, None
     while steps < max_steps and tol < mis < np.inf:
         stepped = None if lu is None else \
@@ -107,8 +113,7 @@ def _newton(sys: System, V0, I0, tol: float, max_steps: int):
             stepped = _step(sys, V, I, r, lu, mis, MAX_BACKTRACKS)
         if stepped is None:
             break
-        V, I, r = stepped
-        mis = float(np.max(np.abs(r)))
+        V, I, r, mis = stepped
         steps += 1
     return V, I, mis, steps
 
@@ -154,11 +159,18 @@ def warm_start(sys: System, iterations: int = 3, tol: float = 1e-8,
 def _nudge_zero_currents(sys: System, I: np.ndarray) -> np.ndarray:
     """Keep currents used by magnitude-normalised rows away from zero: one
     below ``CURRENT_NUDGE`` in magnitude is scaled up to it, keeping its
-    phase (a zero current becomes ``CURRENT_NUDGE``)."""
+    phase (a zero current becomes ``CURRENT_NUDGE``).  Returns ``I``
+    itself when no such current is small, else a nudged copy."""
     c = sys.rows.companions
-    mag = np.hypot(I[c].real, I[c].imag)
+    if not c.size:
+        return I
+    Ic = I[c]
+    mag = np.hypot(Ic.real, Ic.imag)
     small = mag < CURRENT_NUDGE
+    if not small.any():
+        return I
     c, mag = c[small], mag[small]
+    I = I.copy()
     I[c] = np.divide(I[c], mag, out=np.ones(c.size, complex),
                      where=mag != 0) * CURRENT_NUDGE
     return I

@@ -66,7 +66,8 @@ from .devices import (DeviceConfigError, Mode, branch_outputs,
                       relax_violations)
 from .network import BusKind, Network
 from .newton import ConvergenceError, flat_start, nr_solve, warm_start
-from .system import System, build_system, residual
+from .system import System, build_system
+from .system import residual  # noqa: F401  (perfbench/layers.py times it here)
 
 METHODS = ("ffhe", "nr", "nr-warm-ffhe", "compare")
 
@@ -407,7 +408,7 @@ def _passes(net: Network, devices, opts: StudyOptions, start, frozen,
             continue
         return StudyReport(
             converged=True, method=opts.method, system=sys_, V=V, I=I,
-            mismatch=float(np.max(np.abs(residual(sys_, V, I)))),
+            mismatch=stats.mismatch,
             runtime_s=0.0, clamped_generators=clamped,
             relaxed_branches=tuple(relaxed), device_outputs=outputs,
             frozen_q=frozen, stats={opts.method: stats})

@@ -34,6 +34,18 @@ solves (relaxed targets included) and, built on first use, the device-row
 table.  So a generator-limit or relaxation pass neither re-splices the
 devices nor rebuilds the Y-bus.
 
+What the kernels read on every call is computed once per pass, not per
+call, since on vectors of a few hundred rows most of a kernel's cost is
+the fixed cost of each numpy call.  A System holds its sizes
+(``n_bus``, ``n_currents``, ``size``), its PV buses as an index array
+with their imaginary residual rows and squared setpoint magnitudes, and
+``conj(s_inj)``; the Structure holds the slack buses with their
+(re, im) row pairs and setpoints.  All of them are read-only.
+:func:`residual` writes the bus rows through a complex view of its
+output and the slack rows as one complex difference; the floating-point
+operations and their order are those of the plain expressions, so the
+answers are bitwise the same.
+
 The Jacobian's fixed CSC :class:`JacobianPattern` depends only on the
 structure, the PV mask and the device-row layout (not the setpoints), and
 is memoised on those in a second bounded cache: the passes and studies
@@ -44,7 +56,12 @@ computed once when the pattern is built; every factorisation of the
 pattern takes its columns in that order, so SuperLU reuses the symbolic
 ordering instead of recomputing it per Jacobian (as KLU does across
 refactorisations: Davis and Palamadai Natarajan, "Algorithm 907: KLU",
-ACM TOMS 2010).
+ACM TOMS 2010).  It also holds the index gathers that read the bus rows'
+values out of one complex array, and two CSC matrices with zero values,
+J's and the reordered one that SuperLU factorises: :func:`jacobian` and
+:func:`lu_factor` each make a shallow copy of one and give it its values,
+so neither runs scipy's constructor checks of index arrays that never
+change.
 
 The bus rows are complex-matrix expressions over those index arrays: the
 injections ``S = diag(conj V) [Y C] z``, with ``C`` the sparse +-1
@@ -57,7 +74,8 @@ order (:func:`lu_factor`) for Newton steps and series orders alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import copy
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -96,6 +114,9 @@ class Structure:
     pv: np.ndarray      # regulating buses that no device displaces
     s_inj: np.ndarray   # complex scheduled injection at gen-table Q
     v_set: np.ndarray   # slack: complex setpoint; regulating: magnitude
+    slack_idx: np.ndarray   # the slack buses, their (re, im) residual row
+    slack_rows: np.ndarray  # pairs and their complex setpoints
+    slack_v: np.ndarray
     t_rows: np.ndarray  # row of each stored entry of ``yc``, the bus rows'
                         # complex-variable Jacobian triplets
     t_diag: np.ndarray  # the triplets on the diagonal, one per bus in order
@@ -109,7 +130,9 @@ class System:
     """One pass's view of a :class:`Structure`: bus kinds after the
     constant-Q pins, scheduled injections, setpoints and the devices.
 
-    ``devices[k]`` is placed by ``structure.branches[k]``."""
+    ``devices[k]`` is placed by ``structure.branches[k]``.  The sizes and
+    the index arrays that :func:`residual` and the series history read on
+    every call are computed once, here; the arrays are read-only."""
 
     structure: Structure
     frozen_q: dict      # ext id -> pinned Q of the PV buses made constant-Q
@@ -118,6 +141,28 @@ class System:
     pv: np.ndarray      # voltage-regulating buses (the rest but the
                         # slack are PQ and auxiliary buses)
     v_set: np.ndarray   # slack: complex setpoint; PV: magnitude; else 0
+    n_bus: int = field(init=False)
+    n_currents: int = field(init=False)
+    size: int = field(init=False)       # real unknowns, and residual rows
+    pv_idx: np.ndarray = field(init=False)      # PV buses, their imaginary
+    pv_rows: np.ndarray = field(init=False)     # rows and squared setpoint
+    pv_v2: np.ndarray = field(init=False)       # magnitudes
+    s_conj: np.ndarray = field(init=False)      # conj(s_inj)
+
+    def __post_init__(self):
+        st = self.structure
+        n_bus = st.net.n_bus
+        n_currents = st.yc.shape[1] - n_bus
+        pv = np.flatnonzero(self.pv)
+        pv_rows, pv_v2 = 2 * pv + 1, self.v_set[pv].real ** 2
+        s_conj = np.conj(self.s_inj)
+        for arr in (pv, pv_rows, pv_v2, s_conj):
+            arr.setflags(write=False)
+        for name, val in (("n_bus", n_bus), ("n_currents", n_currents),
+                          ("size", 2 * (n_bus + n_currents)), ("pv_idx", pv),
+                          ("pv_rows", pv_rows), ("pv_v2", pv_v2),
+                          ("s_conj", s_conj)):
+            object.__setattr__(self, name, val)
 
     @property
     def slack(self) -> np.ndarray:
@@ -126,18 +171,6 @@ class System:
     @property
     def yc(self) -> sparse.csr_matrix:
         return self.structure.yc
-
-    @property
-    def n_bus(self) -> int:
-        return self.structure.net.n_bus
-
-    @property
-    def n_currents(self) -> int:
-        return self.yc.shape[1] - self.n_bus
-
-    @property
-    def size(self) -> int:
-        return 2 * (self.n_bus + self.n_currents)
 
     @cached_property
     def net(self) -> Network:
@@ -257,13 +290,17 @@ def _structure(base_net: Network, placement: tuple) -> Structure:
     t_rows = np.repeat(np.arange(n), np.diff(yc.indptr))
     q_load, q_min, q_max = (np.array([getattr(b, f) for b in net.buses])
                             for f in ("q_load", "q_min", "q_max"))
+    slack_idx = np.flatnonzero(slack)
     st = Structure(
         net=net, yc=yc, branches=tuple(entries), slack=slack, pv=pv,
-        s_inj=s_inj, v_set=v_set, t_rows=t_rows,
+        s_inj=s_inj, v_set=v_set, slack_idx=slack_idx,
+        slack_rows=np.stack([2 * slack_idx, 2 * slack_idx + 1], 1).ravel(),
+        slack_v=v_set[slack_idx], t_rows=t_rows,
         t_diag=np.flatnonzero(t_rows == yc.indices),
         q_load=q_load, q_min=q_min, q_max=q_max)
     for arr in (yc.data, yc.indices, yc.indptr, slack, pv, s_inj, v_set,
-                t_rows, st.t_diag, q_load, q_min, q_max):
+                slack_idx, st.slack_rows, st.slack_v, t_rows, st.t_diag,
+                q_load, q_min, q_max):
         arr.setflags(write=False)
     return st
 
@@ -302,7 +339,8 @@ class DeviceRows:
     c: np.ndarray       # state index of the current
     pow: np.ndarray     # divisor power p
     z: np.ndarray       # the companion rows among them,
-    companions: np.ndarray  # and their current numbers
+    companions: np.ndarray  # their current numbers,
+    vse: np.ndarray     # and the V_SE ones (p = 1) among the companions
     v_row: np.ndarray   # V_BUS rows: device-block row and bus
     v_bus: np.ndarray
     setpoint: np.ndarray    # per device-block row (V_BUS: s**2 / 2)
@@ -330,37 +368,37 @@ def _device_rows(sys: System) -> DeviceRows:
     row, im, p, c, a = np.concatenate([x[:5], f[:5]], axis=1)
     z = np.flatnonzero(p)
     return DeviceRows(row=row, im=im == 1, a=a, b=x[5], c=c, pow=p, z=z,
-                      companions=c[z] - n, v_row=v[0], v_bus=v[6],
-                      setpoint=setpoint)
+                      companions=c[z] - n, vse=np.flatnonzero(p[z] == 1),
+                      v_row=v[0], v_bus=v[6], setpoint=setpoint)
 
 
 def residual(sys: System, V: np.ndarray, I: np.ndarray) -> np.ndarray:
     """Real residual vector of the original (unembedded) equations."""
-    n = sys.n_bus
+    st, n2 = sys.structure, 2 * sys.n_bus
     r = np.empty(sys.size)
     z = np.concatenate([V, I])
-    f = np.conj(V) * (sys.yc @ z) - np.conj(sys.s_inj)
-    r_re, r_im = r[0:2 * n:2], r[1:2 * n:2]     # views into r
-    r_re[:] = f.real
-    r_im[:] = f.imag
-    pv, slack = sys.pv, sys.slack
-    r_im[pv] = 0.5 * (np.abs(V[pv]) ** 2 - sys.v_set[pv].real ** 2)
-    r_re[slack] = V[slack].real - sys.v_set[slack].real
-    r_im[slack] = V[slack].imag - sys.v_set[slack].imag
+    f = r[:n2].view(complex)        # the bus rows, as (re, im) pairs of r
+    np.conjugate(V, out=f)
+    f *= st.yc @ z
+    f -= sys.s_conj
+    pv = sys.pv_idx
+    r[sys.pv_rows] = 0.5 * (np.abs(V[pv]) ** 2 - sys.pv_v2)
+    r[st.slack_rows] = (V[st.slack_idx] - st.slack_v).view(float)
 
     rows = sys.rows
     if rows.row.size:
         u, c = z[rows.a], z[rows.c]
         u[:rows.b.size] -= z[rows.b]
-        prod = np.where(rows.im, u.imag * c.real - u.real * c.imag,
-                        u.real * c.real + u.imag * c.imag)
+        ur, ui, cr, ci = u.real, u.imag, c.real, c.imag
+        prod = np.where(rows.im, ui * cr - ur * ci, ur * cr + ui * ci)
         if rows.z.size:
-            prod /= np.float_power(np.hypot(c.real, c.imag), rows.pow)
+            prod /= np.float_power(np.hypot(cr, ci), rows.pow)
         dev = np.bincount(rows.row, prod, minlength=rows.setpoint.size)
         if rows.v_row.size:
-            vb = np.hypot(V.real, V.imag)[rows.v_bus]
-            dev[rows.v_row] = 0.5 * np.float_power(vb, 2)
-        r[2 * n:] = dev - rows.setpoint
+            vb = V[rows.v_bus]
+            mag = np.hypot(vb.real, vb.imag)
+            dev[rows.v_row] = 0.5 * np.float_power(mag, 2)
+        np.subtract(dev, rows.setpoint, out=r[n2:])
     return r
 
 
@@ -381,22 +419,24 @@ class JacobianPattern:
     depends on the pattern alone, so it is computed once, here, and
     :func:`lu_factor` hands SuperLU each Jacobian's columns already in that
     order.  ``perm_c`` is SuperLU's own: column j of J goes to position
-    ``perm_c[j]``.  Built by :func:`_jacobian_pattern`, which memoises it;
-    its arrays are read-only.
+    ``perm_c[j]``.  ``csc`` and ``lu_csc`` hold the index arrays of J
+    and of the reordered matrix; :func:`jacobian` and :func:`lu_factor`
+    give shallow copies of them their values (:func:`_csc`).  Built by
+    :func:`_jacobian_pattern`, which memoises it; its arrays are read-only.
     """
 
-    re: np.ndarray      # bus triplets with a real row (every bus but slack)
-    im: np.ndarray      # bus triplets with an imaginary row (PQ, auxiliary)
-    pv: np.ndarray      # PV bus indices
-    n_slack: int
+    bus_take: np.ndarray    # the bus triplets' values in the float view of
+                            # [a + b; a - b]: Re(a+b), Im(a-b) of the
+                            # n_re triplets with a real row (every bus but
+                            # the slack), then Im(a+b), Re(a-b) of those
+    n_re: int               # with an imaginary row (PQ, auxiliary)
+    pv_take: np.ndarray     # Re, then Im of the PV voltages in z's float view
     d_im: np.ndarray    # per device term: its row is an imaginary part
     scatter: np.ndarray  # triplet -> slot in data
-    indices: np.ndarray
-    indptr: np.ndarray
+    csc: sparse.csc_matrix  # the pattern, with zero values
     perm_c: np.ndarray  # SuperLU's column order
     take: np.ndarray    # the slots of ``data`` in that column order,
-    lu_indices: np.ndarray  # and the reordered matrix's row indices
-    lu_indptr: np.ndarray   # and column pointers
+    lu_csc: sparse.csc_matrix   # and the reordered pattern, zero-valued
 
 
 #: the :class:`DeviceRows` index arrays that, with the structure and the PV
@@ -425,7 +465,7 @@ def _jacobian_pattern(st: Structure, pv_mask: bytes,
     re = np.flatnonzero(~st.slack[tr])
     im = np.flatnonzero(~(pv_mask | st.slack)[tr])    # PQ and auxiliary
     pv = np.flatnonzero(pv_mask)
-    slack = np.flatnonzero(st.slack)
+    slack = st.slack_idx
     rows = np.concatenate([
         2 * tr[re], 2 * tr[re], 2 * tr[im] + 1, 2 * tr[im] + 1,
         2 * pv + 1, 2 * pv + 1, 2 * slack, 2 * slack + 1, d_rows, d_rows])
@@ -445,14 +485,28 @@ def _jacobian_pattern(st: Structure, pv_mask: bytes,
     np.cumsum(counts, out=lu_indptr[1:])
     take = np.repeat(indptr[order] - lu_indptr[:-1], counts) \
         + np.arange(indices.size, dtype=np.int32)
-    pat = JacobianPattern(
-        re=re, im=im, pv=pv, n_slack=slack.size, d_im=d_im, scatter=scatter,
-        indices=indices, indptr=indptr, perm_c=perm_c, take=take,
-        lu_indices=indices[take], lu_indptr=lu_indptr)
-    for arr in (re, im, pv, d_im, scatter, indices, indptr, perm_c, take,
-                pat.lu_indices, lu_indptr):
+    nnz = tr.size
+    bus_take = np.concatenate([2 * re, 2 * (nnz + re) + 1, 2 * im + 1,
+                               2 * (nnz + im)])
+    pv_take = np.concatenate([2 * pv, 2 * pv + 1])
+    lu_indices, zeros = indices[take], np.zeros(indices.size)
+    for arr in (bus_take, pv_take, d_im, scatter, indices, indptr, perm_c,
+                take, lu_indices, lu_indptr, zeros):
         arr.setflags(write=False)
-    return pat
+    return JacobianPattern(
+        bus_take=bus_take, n_re=re.size, pv_take=pv_take, d_im=d_im,
+        scatter=scatter, csc=_template(zeros, indices, indptr),
+        perm_c=perm_c, take=take,
+        lu_csc=_template(zeros, lu_indices, lu_indptr))
+
+
+def _template(zeros, indices, indptr) -> sparse.csc_matrix:
+    """A square CSC matrix on the given (canonical) index arrays, with the
+    values ``zeros``: the matrix that :func:`_csc` copies."""
+    size = indptr.size - 1
+    out = sparse.csc_matrix((zeros, indices, indptr), shape=(size, size))
+    out.sum_duplicates()    # finds them canonical and records it, so that
+    return out              # splu's own call is a no-op on every copy
 
 
 def _column_order(indices, indptr) -> np.ndarray:
@@ -484,20 +538,26 @@ def jacobian(sys: System, V: np.ndarray, I: np.ndarray) -> sparse.csc_matrix:
     st, pat = sys.structure, sys.pattern
     z = np.concatenate([V, I])
     a = np.conj(V)[st.t_rows] * st.yc.data
-    b = np.zeros_like(a)
-    b[st.t_diag] = st.yc @ z
-    p, q = a + b, a - b
-    re, im, pv = pat.re, pat.im, pat.pv
-    da, db = _device_terms(sys.rows, z)
-    dp, dq = da + db, da - db
-    vals = np.concatenate([
-        p[re].real, -q[re].imag, p[im].imag, q[im].real,
-        V[pv].real, V[pv].imag, np.ones(2 * pat.n_slack),
-        np.where(pat.d_im, dp.imag, dp.real),
-        np.where(pat.d_im, dq.real, -dq.imag)])
-    data = np.bincount(pat.scatter, weights=vals, minlength=pat.indices.size)
-    return sparse.csc_matrix((data, pat.indices, pat.indptr),
-                             shape=(sys.size, sys.size))
+    pq = np.concatenate([a, a])         # a + b, then a - b
+    w = st.yc @ z
+    p, q = pq[:a.size], pq[a.size:]
+    p[st.t_diag] += w
+    q[st.t_diag] -= w
+    # the values in triplet order: bus, PV, slack, then device triplets
+    vals = np.empty(pat.scatter.size)
+    nb, n_re, m = pat.bus_take.size, pat.n_re, pat.d_im.size
+    pv_end, dev = nb + pat.pv_take.size, vals.size - 2 * m
+    np.take(pq.view(float), pat.bus_take, out=vals[:nb])
+    np.negative(vals[n_re:2 * n_re], out=vals[n_re:2 * n_re])
+    np.take(z.view(float), pat.pv_take, out=vals[nb:pv_end])
+    vals[pv_end:dev] = 1.0
+    if m:
+        da, db = _device_terms(sys.rows, z)
+        dp, dq = da + db, da - db
+        vals[dev:dev + m] = np.where(pat.d_im, dp.imag, dp.real)
+        vals[dev + m:] = np.where(pat.d_im, dq.real, -dq.imag)
+    data = np.bincount(pat.scatter, weights=vals, minlength=pat.take.size)
+    return _csc(pat.csc, data)
 
 
 def _device_terms(rows: DeviceRows, z):
@@ -513,15 +573,27 @@ def _device_terms(rows: DeviceRows, z):
     scale = np.float_power(np.hypot(c.real, c.imag), rows.pow)
     cIs = cI / scale
     zp = np.zeros(rows.row.size + nx)
-    # the divisor's derivative: q = Im(u conj I) over 2|I|^3 or |I|^4
-    dz, cz, pz = u[rows.z], cI[rows.z], rows.pow[rows.z]
-    q = dz.real * cz.imag + dz.imag * cz.real
-    den = np.float_power(scale[rows.z], 4 - pz) * (2 / pz)
     vb = 0.5 * z[rows.v_bus]
-    a = np.concatenate([cIs, -cIs[:nx], zp[:c.size], np.conj(vb),
-                        -q * cz / den])
-    b = np.concatenate([zp, u / scale, vb, -q * np.conj(cz) / den])
-    return a, b
+    a = [cIs, -cIs[:nx], zp[:c.size], np.conj(vb)]
+    b = [zp, u / scale, vb]
+    if rows.z.size:
+        # the divisor's derivative: q = Im(u conj I) over 2|I|^3 or |I|^4
+        dz, cz, pz = u[rows.z], cI[rows.z], rows.pow[rows.z]
+        q = dz.real * cz.imag + dz.imag * cz.real
+        den = np.float_power(scale[rows.z], 4 - pz) * (2 / pz)
+        a.append(-q * cz / den)
+        b.append(-q * np.conj(cz) / den)
+    return np.concatenate(a), np.concatenate(b)
+
+
+def _csc(template: sparse.csc_matrix, data: np.ndarray) -> sparse.csc_matrix:
+    """A CSC matrix with ``template``'s (read-only) index arrays and
+    ``data`` as its values.  It is a shallow copy of the template, so it
+    also takes over the template's canonical-format flags and skips the
+    constructor's checks of the index arrays."""
+    out = copy.copy(template)
+    out.data = data
+    return out
 
 
 def lu_factor(J: sparse.csc_matrix, pattern: JacobianPattern):
@@ -533,11 +605,9 @@ def lu_factor(J: sparse.csc_matrix, pattern: JacobianPattern):
     pivoting, so the ordering is not recomputed for every Jacobian.
     Raises ``np.linalg.LinAlgError`` when the matrix is exactly singular.
     """
-    Jc = sparse.csc_matrix(
-        (J.data[pattern.take], pattern.lu_indices, pattern.lu_indptr),
-        shape=J.shape)
     try:
-        return splu(Jc, permc_spec="NATURAL"), pattern.perm_c
+        return (splu(_csc(pattern.lu_csc, J.data[pattern.take]),
+                     permc_spec="NATURAL"), pattern.perm_c)
     except RuntimeError as exc:
         raise np.linalg.LinAlgError(str(exc)) from None
 

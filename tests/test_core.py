@@ -202,12 +202,49 @@ class TestConvergence:
         C, D = starts[0]
         r = residual(sys, C, D)
         lu = lu_factor(jacobian(sys, C, D), sys.pattern)
-        V, I, _ = newton._step(sys, C, D, r, lu, np.max(np.abs(r)),
-                               newton.MAX_BACKTRACKS)
+        V, I, _, _ = newton._step(sys, C, D, r, lu, np.max(np.abs(r)),
+                                  newton.MAX_BACKTRACKS)
         dV, _ = unpack_state(lu_solve(lu, -r), sys.n_bus)
         assert np.max(np.abs(V - (C + 0.5 * dV))) < 1e-12
         assert np.max(np.abs(starts[1][0] - V)) < 1e-12
         assert np.max(np.abs(starts[1][1] - I)) < 1e-12
+
+    def test_damped_step_reuses_the_order_one_residual(self, case118,
+                                                       monkeypatch):
+        # the step's full length is the order-1 partial sum, bitwise, so
+        # its residual, evaluated by the walk, is not evaluated again
+        sys = build_system(case118)
+        V0, I0 = flat_start(sys)
+        calls = []
+        monkeypatch.setattr(newton, "residual",
+                            lambda *a: calls.append(a) or residual(*a))
+        monkeypatch.setattr(core, "MAX_ITERS", 1)
+        res = ffhe_solve(sys, V0, I0, tol=1e-14, n_max=3)
+        assert not res.converged and res.terms >= 2
+        assert calls == []
+        order1 = expand(sys, V0, I0, 1).sum(axis=1)
+        assert res.V.tobytes() == order1[:sys.n_bus].tobytes()
+        r1 = residual(sys, res.V, res.I)
+        assert res.mismatch == float(np.max(np.abs(r1)))
+
+    def test_damped_step_evaluates_a_nudged_full_step(self, case118,
+                                                      monkeypatch):
+        # where the order-1 point has a current to nudge, the full step is
+        # another point, and its residual is evaluated
+        dev = SsscDevice("s", (101, 102), ControlTarget(Mode.V_SE, 0.1))
+        sys = build_system(case118, (dev,))
+        V0, I0 = flat_start(sys)
+        lu = lu_factor(jacobian(sys, V0, I0), sys.pattern)
+        dI = unpack_state(lu_solve(lu, -residual(sys, V0, I0)),
+                          sys.n_bus)[1]
+        r_full = np.zeros(sys.size)     # a stand-in: must not be used
+        stepped = newton._damped_step(sys, V0, I0, 0 * V0, 1e-6 - I0,
+                                      np.inf, 1, r_full)
+        assert stepped[2] is not r_full
+        assert stepped[1][0] == pytest.approx(1e-3)
+        stepped = newton._damped_step(sys, V0, I0, 0 * V0, dI, np.inf, 1,
+                                      r_full)
+        assert stepped[2] is r_full
 
     def test_unconverged_series_carries_its_best_mismatch(self, case118,
                                                           monkeypatch):

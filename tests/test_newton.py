@@ -1,13 +1,14 @@
 """System assembly, analytic Jacobian, and Newton-solver tests."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import random_network, random_sssc_study
 from ffheflow import newton
-from ffheflow.devices import ControlTarget, Mode, SsscDevice
+from ffheflow.devices import ControlTarget, Mode, SeriesDevice, SsscDevice
 from ffheflow.network import Branch, Bus, BusKind, Network, TopologyError
 from ffheflow.newton import (ConvergenceError, _nudge_zero_currents,
                              flat_start, nr_solve, warm_start)
@@ -53,6 +54,24 @@ class TestSystemAssembly:
         b49 = sysd.net.bus(49)
         assert b49.kind is BusKind.PQ
         assert b49.q_gen == pytest.approx(1.1565)
+
+    def test_cached_bus_arrays_are_read_only(self, case118):
+        sys = build_system(case118, (SsscDevice(
+            "s", (101, 102), ControlTarget(Mode.P_FLOW, 0.9)),),
+            frozen_q={12: -0.2})
+        pv = np.flatnonzero(sys.pv)
+        assert np.array_equal(sys.pv_idx, pv)
+        assert np.array_equal(sys.pv_rows, 2 * pv + 1)
+        assert sys.pv_v2.tobytes() == (sys.v_set[pv].real ** 2).tobytes()
+        st = sys.structure
+        assert np.array_equal(st.slack_rows,
+                              [2 * st.slack_idx[0], 2 * st.slack_idx[0] + 1])
+        assert st.slack_v.tobytes() == sys.v_set[st.slack_idx].tobytes()
+        for arr in (sys.pv_idx, sys.pv_rows, sys.pv_v2, st.slack_idx,
+                    st.slack_rows, st.slack_v):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
 
     def test_slack_sending_bus_rejected(self):
         net = two_bus()
@@ -254,6 +273,54 @@ class TestNewton:
         sys = build_system(case118, (dev,))
         out = _nudge_zero_currents(sys, np.array([0j]))
         assert out[0] == 0j
+
+    @pytest.mark.parametrize("devices", [
+        (SsscDevice("s", (101, 102), ControlTarget(Mode.V_SE, 0.1)),),
+        (SeriesDevice("i", ((49, 50), (49, 51)),
+                      (ControlTarget(Mode.V_SE, 0.02, branch=0),
+                       ControlTarget(Mode.X_EQ, 0.05, branch=1),
+                       ControlTarget(Mode.Q_FLOW, 0.03, branch=1))),)],
+        ids=["sssc-v_se", "ipfc"])
+    def test_nudge_returns_its_input_when_no_current_is_small(
+            self, case118, devices):
+        sys = build_system(case118, devices)
+        assert sys.rows.companions.size == sys.n_currents
+        I = np.full(sys.n_currents, 0.3 - 0.2j)
+        before = I.copy()
+        assert _nudge_zero_currents(sys, I) is I
+        assert I.tobytes() == before.tobytes()
+        # a small current is nudged in a copy; the input is left alone
+        I[-1] = 1e-6j
+        out = _nudge_zero_currents(sys, I)
+        assert out is not I and I[-1] == 1e-6j
+        assert out[-1] == pytest.approx(1e-3j)
+        assert out[:-1].tobytes() == I[:-1].tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_damped_step_halves_past_a_non_finite_trial(
+            self, case118, monkeypatch, bad):
+        # a trial point whose residual is not finite fails the ``< bound``
+        # test quietly, and the next length is tried
+        sys = build_system(case118)
+        V, I = flat_start(sys)
+        dV = np.full(sys.n_bus, 0.01 + 0.01j)
+        trials, results = [], []
+
+        def fake_residual(sys_, Vn, In):
+            trials.append(Vn)
+            results.append(np.full(sys_.size, 1e-3))
+            if len(trials) == 1:
+                results[0][7] = bad
+            return results[-1]
+
+        monkeypatch.setattr(newton, "residual", fake_residual)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = newton._damped_step(sys, V, I, dV, I[:0], 1.0, 3)
+        assert len(trials) == 2
+        Vn, _, rn, mis = out
+        assert Vn.tobytes() == (V + 0.5 * dV).tobytes()
+        assert rn is results[1] and mis == 1e-3
 
 
 def test_random_device_jacobians_match_fd():

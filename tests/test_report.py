@@ -18,7 +18,7 @@ from ffheflow.newton import ConvergenceError, flat_start
 from ffheflow.report import (StudyError, StudyOptions, _base_solution,
                              _check_devices, _passes, error_improvement_pct,
                              run_study, runtime_improvement_pct)
-from ffheflow.system import build_system
+from ffheflow.system import build_system, residual
 from test_newton import two_bus
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -298,6 +298,20 @@ class TestDeviceStudy:
         r2 = run_study(case118, (dev,), opts)
         assert np.array_equal(r1.V, r2.V)
         assert np.array_equal(r1.I, r2.I)
+
+    @pytest.mark.parametrize("method", ["nr", "nr-warm-ffhe", "ffhe"])
+    def test_report_mismatch_is_the_solves_own(self, case118, monkeypatch,
+                                               method):
+        # the accepted point's residual was evaluated by the solve; the
+        # report takes that mismatch and evaluates no residual of its own
+        calls = []
+        monkeypatch.setattr(report, "residual",
+                            lambda *a: calls.append(a) or residual(*a))
+        dev = SsscDevice("s", (101, 102), ControlTarget(Mode.V_SE, 0.1))
+        rep = run_study(case118, (dev,), StudyOptions(method=method))
+        assert calls == []
+        mis = float(np.max(np.abs(residual(rep.system, rep.V, rep.I))))
+        assert rep.mismatch == mis == rep.stats[method].mismatch
 
     def test_compare_method_attaches_stats(self, case118):
         dev = SsscDevice("s", (101, 102), ControlTarget(Mode.P_FLOW, 0.9))

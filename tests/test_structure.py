@@ -200,6 +200,15 @@ def test_filled_jacobian_equals_the_coo_reference(case118, mode):
         _assert_same_csc(jacobian(sys, V, I), _coo_jacobian(sys, V, I))
 
 
+def test_filled_jacobian_without_devices(case118):
+    sys = build_system(case118)
+    assert sys.rows.row.size == 0
+    rng = np.random.default_rng(9)
+    for _ in range(2):
+        V, I = _random_state(rng, sys)
+        _assert_same_csc(jacobian(sys, V, I), _coo_jacobian(sys, V, I))
+
+
 def test_filled_jacobian_after_a_pv_clamp(case118):
     devices = (_sssc(ControlTarget(Mode.X_EQ, -0.2)),)
     plain = build_system(case118, devices)
@@ -253,10 +262,12 @@ class TestPatternMemo:
 
     def test_pattern_arrays_are_read_only(self, case118):
         pat = build_system(case118, (_sssc(),)).pattern
-        for name in ("re", "im", "pv", "d_im", "scatter", "indices",
-                     "indptr", "perm_c", "take", "lu_indices",
-                     "lu_indptr"):
+        for name in ("bus_take", "pv_take", "d_im", "scatter", "perm_c",
+                     "take"):
             assert not getattr(pat, name).flags.writeable, name
+        for csc in (pat.csc, pat.lu_csc):
+            for arr in (csc.data, csc.indices, csc.indptr):
+                assert not arr.flags.writeable
 
     def test_rerun_adds_no_pattern_and_no_ordering(self, case118,
                                                    default_splu_calls):
