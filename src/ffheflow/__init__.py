@@ -2,13 +2,13 @@
 
 from importlib import resources
 
-from .core import FfheResult, ffhe_solve
+from .core import ffhe_solve
 from .devices import (ControlTarget, Mode, SeriesDevice, SsscDevice,
                       branch_outputs, load_devices)
 from .network import (Branch, Bus, BusKind, Network, ParseError,
                       TopologyError, build_admittance_matrix,
                       insert_series_device, parse_case)
-from .newton import ConvergenceError, NewtonResult, nr_solve, warm_start
+from .newton import ConvergenceError, SolveResult, nr_solve, warm_start
 from .report import (StudyError, StudyOptions, StudyReport, run_study)
 from .system import System, build_system, jacobian, residual
 

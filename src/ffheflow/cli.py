@@ -34,9 +34,8 @@ EXIT_INPUT = 1
 EXIT_DIVERGED = 2
 
 #: exceptions that end a study with EXIT_INPUT and with EXIT_DIVERGED; the
-#: parse, topology and device-config errors are ValueErrors, and a KeyError
-#: or TypeError is a ``--batch`` entry's missing or mistyped case or devices
-INPUT_ERRORS = (OSError, ValueError, KeyError, TypeError)
+#: parse, topology, device-config and ``--batch`` entry errors are ValueErrors
+INPUT_ERRORS = (OSError, ValueError)
 DIVERGED_ERRORS = (ConvergenceError, StudyError)
 
 
@@ -78,6 +77,20 @@ def _options(args, entry=None) -> StudyOptions:
     if unknown:
         raise ValueError(f"unknown key {unknown[0]!r}")
     return StudyOptions(**{k: entry.get(k, getattr(args, k)) for k in names})
+
+
+def _entry_paths(entry) -> tuple:
+    """A ``--batch`` entry's case and devices paths.  An entry that is not
+    an object, or whose ``case`` or given ``devices`` is not a string, is a
+    ``ValueError``, which names the key."""
+    if not isinstance(entry, dict):
+        raise ValueError("batch entry is not a JSON object")
+    case, devices = entry.get("case"), entry.get("devices")
+    if not isinstance(case, str):
+        raise ValueError(f"'case' must be a path string, not {case!r}")
+    if devices is not None and not isinstance(devices, str):
+        raise ValueError(f"'devices' must be a path string, not {devices!r}")
+    return Path(case), devices
 
 
 def _run_one(case_path: Path, devices_path, opts: StudyOptions) -> StudyReport:
@@ -206,15 +219,10 @@ def _run_batch(batch_path: Path, args) -> int:
     # worker threads only contend for the interpreter lock
     worst = EXIT_OK
     for k, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            print(f"[#{k}] input error: batch entry is not a JSON object",
-                  file=sys.stderr)
-            worst = max(worst, EXIT_INPUT)
-            continue
-        label = entry.get("label", entry.get("case", "?"))
+        label = (entry.get("label", entry.get("case", "?"))
+                 if isinstance(entry, dict) else f"#{k}")
         try:
-            rep = _run_one(Path(entry["case"]), entry.get("devices"),
-                           _options(args, entry))
+            rep = _run_one(*_entry_paths(entry), _options(args, entry))
         except INPUT_ERRORS as exc:
             print(f"[{label}] input error: {exc}", file=sys.stderr)
             worst = max(worst, EXIT_INPUT)

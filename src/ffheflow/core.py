@@ -20,39 +20,25 @@ solution.  The solution is read off at a = 1 from the partial sums, or
 with ``pade`` from the degree-reduced Pade approximant of
 ``series.pade_at_one``, by one ``series.evaluate_at_one`` call per order.
 
-``_orders`` is the recurrence alone; ``ffhe_solve`` is the walk, shaped
-as Newton's loop.  It factorises each reference once and, after order 1,
-adds orders while each lowers the mismatch at a = 1.  At the first that
-does not, the reference moves by Newton's damped step along its order-1
-coefficient (``newton._damped_step``) and is re-embedded there, so the
-series and Newton share one line search, and the walk stops where Newton
-stops.
+``_orders`` is the recurrence alone, and ``expand`` shows one reference's
+coefficients by it.  ``ffhe_solve`` is the walk, shaped as Newton's loop,
+and returns Newton's record, ``newton.SolveResult``.  It factorises each
+reference once and, after order 1, adds orders while each lowers the
+mismatch at a = 1.  At the first that does not, the reference moves by
+Newton's damped step along its order-1 coefficient
+(``newton._damped_step``) and is re-embedded there, so the series and
+Newton share one line search, and the walk stops where Newton stops.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .newton import (MAX_BACKTRACKS, MAX_ITERS, _damped_step,
-                     _nudge_zero_currents)
+from .newton import (CAPPED, MAX_BACKTRACKS, MAX_ITERS, SINGULAR, STALLED,
+                     SolveResult, _damped_step, _nudge_zero_currents)
 from .series import (cauchy, evaluate_at_one, magnitude_coefficient,
                      reciprocal_coefficient)
 from .system import System, jacobian, lu_factor, lu_solve, residual
-
-
-@dataclass
-class FfheResult:
-    V: np.ndarray              # bus voltages at a = 1
-    I: np.ndarray              # device currents at a = 1
-    terms: int                 # series orders computed (excluding order 0)
-    mismatch: float
-    converged: bool
-    v_series: np.ndarray       # the walk's last coefficients (the reference
-    i_series: np.ndarray       # alone after a step), (n_bus, orders + 1)
-    best_term: int = 0         # term with the lowest mismatch, counted over
-    best_mismatch: float = np.inf   # all references, and that mismatch
 
 
 def _history(sys: System, n: int, Zs, Ws, Ms, Ts) -> np.ndarray:
@@ -138,8 +124,19 @@ def _orders(sys: System, C, D, r, lu, n_max: int):
         yield Zs[:, :order + 1]
 
 
+def expand(sys: System, C, D, n_max: int) -> np.ndarray:
+    """The coefficients of z = [V; I] around (C, D) through order
+    ``n_max``, by the recurrence alone (no stopping rule, no nudge): an
+    array of shape (``sys.n_bus + sys.n_currents``, ``n_max`` + 1) whose
+    first ``sys.n_bus`` rows are the voltages'."""
+    C, D = np.asarray(C, dtype=complex), np.asarray(D, dtype=complex)
+    lu = lu_factor(jacobian(sys, C, D), sys.pattern)
+    *_, zs = _orders(sys, C, D, residual(sys, C, D), lu, n_max)
+    return zs
+
+
 def ffhe_solve(sys: System, C: np.ndarray, D: np.ndarray, tol: float = 1e-8,
-               n_max: int = 60, pade: bool = False) -> FfheResult:
+               n_max: int = 60, pade: bool = False) -> SolveResult:
     """Expand the embedded system around reference state (C, D).
 
     Every entry of C must be nonzero.  The currents of magnitude-normalised
@@ -152,9 +149,10 @@ def ffhe_solve(sys: System, C: np.ndarray, D: np.ndarray, tol: float = 1e-8,
     order-1 coefficient, the Newton direction of its factorisation, and is
     re-embedded there.  The walk stops as Newton does: after
     ``newton.MAX_ITERS`` references, or when the Jacobian is singular or no
-    step length lowers the reference's mismatch.  Terms, the order that
-    stopped an expansion included, accumulate across references; the best
-    mismatch is the lowest of the first reference and every partial sum.
+    step length lowers the reference's mismatch (the result's ``cause``).
+    Terms, the order that stopped an expansion included, accumulate across
+    references; the best mismatch is the lowest of the first reference and
+    every partial sum.  The damped steps count as no Newton ``iterations``.
     """
     if n_max < 1:
         raise ValueError("the series needs at least one order")
@@ -162,15 +160,15 @@ def ffhe_solve(sys: System, C: np.ndarray, D: np.ndarray, tol: float = 1e-8,
     V = np.array(C, dtype=complex)
     I = _nudge_zero_currents(sys, np.array(D, dtype=complex))
     r = residual(sys, V, I)
-    zs = np.concatenate([V, I])[:, None]
-    z, mis = zs[:, 0], float(np.abs(r).max())
-    terms, best = 0, (mis, 0)
+    z, mis = np.concatenate([V, I]), float(np.abs(r).max())
+    terms, best, cause = 0, (mis, 0), CAPPED
     for _ in range(MAX_ITERS):
         if mis <= tol:
             break
         try:
             lu = lu_factor(jacobian(sys, V, I), sys.pattern)
         except np.linalg.LinAlgError:
+            cause = SINGULAR
             break
         entry, mis, r1 = mis, np.inf, None
         for zs in _orders(sys, V, I, r, lu, n_max):
@@ -195,9 +193,9 @@ def ffhe_solve(sys: System, C: np.ndarray, D: np.ndarray, tol: float = 1e-8,
         stepped = _damped_step(sys, V, I, zs[:n, 1], zs[n:, 1], entry,
                                MAX_BACKTRACKS, r1)
         if stepped is None:
+            cause = STALLED
             break
         V, I, r, mis = stepped
-        zs = np.concatenate([V, I])[:, None]    # the reference, order 0
-        z = zs[:, 0]
-    return FfheResult(z[:n], z[n:], terms, mis, mis <= tol, zs[:n], zs[n:],
-                      best[1], best[0])
+        z = np.concatenate([V, I])
+    return SolveResult(z[:n], z[n:], mis, 0, terms, mis <= tol, best[0],
+                       best[1], cause="" if mis <= tol else cause)

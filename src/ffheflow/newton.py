@@ -1,7 +1,8 @@
 """Direct Newton-Raphson solution of the assembled system.
 
 Used standalone for cross-validation and, truncated to a few iterations, to
-produce the reference state the series solver expands around.
+produce the reference state the series solver expands around.  Newton, the
+warm start and the series all return one record, :class:`SolveResult`.
 
 The loop holds its last SuperLU factorisation and reuses it for a full
 chord step while that step contracts the mismatch by ``CONTRACTION``; it
@@ -32,17 +33,43 @@ CONTRACTION = 0.3
 #: Newton steps a full solve may take before it is declared divergent
 MAX_ITERS = 40
 
+#: why a solve stopped short of its tolerance (``SolveResult.cause``)
+SINGULAR, STALLED, CAPPED, NON_FINITE = (
+    "singular Jacobian", "no step length lowers the mismatch",
+    "step cap reached", "non-finite mismatch")
+
 
 class ConvergenceError(RuntimeError):
     """The iteration diverged or stalled above tolerance."""
 
 
 @dataclass
-class NewtonResult:
-    V: np.ndarray
-    I: np.ndarray
-    iterations: int
-    mismatch: float
+class SolveResult:
+    """One solve by Newton, a warm start or a series walk."""
+    V: np.ndarray              # bus voltages reached
+    I: np.ndarray              # device currents reached
+    mismatch: float            # max-norm residual there
+    iterations: int            # Newton steps, chord steps included
+    terms: int                 # series terms, summed over references
+    converged: bool            # the mismatch meets the tolerance
+    best_mismatch: float       # lowest mismatch reached, and the series
+    best_term: int             # term that reached it (0: the start or a step)
+    runtime_s: float = 0.0     # wall time, set by the study that timed it
+    cause: str = ""            # why it stopped short; empty if converged
+
+
+def failure(res: SolveResult, series: bool = False) -> str:
+    """The message for a solve short of its tolerance, Newton's or, with
+    ``series``, a series walk's, which ends with the cause."""
+    k, m = res.iterations, f"{res.mismatch:.3e}"
+    if series:
+        return (f"series did not converge ({res.terms} terms, mismatch {m}; "
+                f"best {res.best_mismatch:.3e} at term {res.best_term}); "
+                f"{res.cause}")
+    return {SINGULAR: f"singular Jacobian at iteration {k} (mismatch {m})",
+            STALLED: f"stalled at iteration {k} (mismatch {m})",
+            CAPPED: f"no convergence in {k} iterations (mismatch {m})",
+            NON_FINITE: "iteration produced non-finite mismatch"}[res.cause]
 
 
 def flat_start(sys: System):
@@ -82,10 +109,10 @@ def _damped_step(sys: System, V, I, dV, dI, bound: float, tries: int,
     return None
 
 
-def _newton(sys: System, V0, I0, tol: float, max_steps: int):
+def _newton(sys: System, V0, I0, tol: float, max_steps: int) -> SolveResult:
     """Newton steps from (V0, I0), default flat start, until the mismatch
-    meets ``tol`` or is not finite, ``max_steps`` steps are taken, or the
-    line search stalls.  Returns (V, I, mismatch, steps).
+    meets ``tol`` or is not finite, ``max_steps`` steps are taken, the
+    Jacobian is singular or the line search stalls.
 
     The last factorisation is held.  A step first tries it unchanged, at
     full length (a chord step), and keeps the result only if the mismatch
@@ -101,7 +128,7 @@ def _newton(sys: System, V0, I0, tol: float, max_steps: int):
     I = _nudge_zero_currents(sys, np.array(I0, dtype=complex))
     r = residual(sys, V, I)
     mis = float(np.abs(r).max())
-    steps, lu = 0, None
+    steps, lu, cause = 0, None, CAPPED
     while steps < max_steps and tol < mis < np.inf:
         stepped = None if lu is None else \
             _step(sys, V, I, r, lu, CONTRACTION * mis, 1)
@@ -109,51 +136,49 @@ def _newton(sys: System, V0, I0, tol: float, max_steps: int):
             try:
                 lu = lu_factor(jacobian(sys, V, I), sys.pattern)
             except np.linalg.LinAlgError:
+                cause = SINGULAR
                 break
             stepped = _step(sys, V, I, r, lu, mis, MAX_BACKTRACKS)
         if stepped is None:
+            cause = STALLED
             break
         V, I, r, mis = stepped
         steps += 1
-    return V, I, mis, steps
+    if not tol < mis < np.inf:
+        cause = "" if mis <= tol else NON_FINITE
+    return SolveResult(V, I, mis, steps, 0, mis <= tol, mis, 0, cause=cause)
 
 
 def nr_solve(sys: System, V0=None, I0=None,
-             tol: float = 1e-8) -> NewtonResult:
+             tol: float = 1e-8) -> SolveResult:
     """Damped Newton iteration from (V0, I0), both or neither given;
     default flat start.
 
     A step reuses the held factorisation when that contracts the mismatch
     enough, else factorises afresh and is backtracked until the mismatch
-    norm decreases; divergence is declared when the line search stalls, or
-    after ``MAX_ITERS`` steps, chord steps included.
+    norm decreases.  A solve short of ``tol`` after ``MAX_ITERS`` steps,
+    chord steps included, or stopped sooner raises
+    :class:`ConvergenceError`, which names the cause.
     """
-    V, I, mis, steps = _newton(sys, V0, I0, tol, MAX_ITERS)
-    if mis <= tol:
-        return NewtonResult(V, I, steps, mis)
-    if not np.isfinite(mis):
-        raise ConvergenceError("iteration produced non-finite mismatch")
-    if steps < MAX_ITERS:
-        raise ConvergenceError(
-            f"stalled at iteration {steps} (mismatch {mis:.3e})")
-    raise ConvergenceError(
-        f"no convergence in {MAX_ITERS} iterations (mismatch {mis:.3e})")
+    res = _newton(sys, V0, I0, tol, MAX_ITERS)
+    if not res.converged:
+        raise ConvergenceError(failure(res))
+    return res
 
 
 def warm_start(sys: System, iterations: int = 3, tol: float = 1e-8,
-               V0=None, I0=None):
+               V0=None, I0=None) -> SolveResult:
     """Run up to ``iterations`` steps of :func:`nr_solve`'s loop, chord
     steps included, to produce a series reference.
 
-    Returns ``(V, I, steps)``, where ``steps`` counts the Newton steps taken:
-    fewer than requested when the mismatch already meets ``tol`` or the line
-    search stalls.  Convergence is not required (nor expected) here, but at
-    least one iteration must be requested.
+    Its ``iterations`` counts the Newton steps taken: fewer than requested
+    when the mismatch already meets ``tol`` or the loop stops early.
+    Convergence is not required (nor expected) here, but at least one
+    iteration must be requested.
     """
     if iterations < 1:
         raise ValueError("warm start needs at least one iteration")
-    V, I, _, steps = _newton(sys, V0, I0, tol, iterations)
-    return V, I, steps
+    return _newton(sys, V0, I0, tol, iterations)
 
 
 def _nudge_zero_currents(sys: System, I: np.ndarray) -> np.ndarray:

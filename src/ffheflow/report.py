@@ -65,7 +65,8 @@ from .core import ffhe_solve
 from .devices import (DeviceConfigError, Mode, branch_outputs,
                       relax_violations)
 from .network import BusKind, Network
-from .newton import ConvergenceError, flat_start, nr_solve, warm_start
+from .newton import (ConvergenceError, SolveResult, failure, flat_start,
+                     nr_solve, warm_start)
 from .system import System, build_system
 from .system import residual  # noqa: F401  (perfbench/layers.py times it here)
 
@@ -112,18 +113,6 @@ class StudyOptions:
 
 
 @dataclass
-class MethodStats:
-    """Per-method cost of the final (fully limited) solve."""
-    iterations: int = 0        # Newton iterations (full solves + warm starts)
-    terms: int = 0             # series terms summed over restarts
-    mismatch: float = np.nan
-    runtime_s: float = 0.0
-    converged: bool = True     # False only for a series that did not converge
-    best_mismatch: float = np.nan   # such a series' lowest mismatch,
-    best_term: int = 0              # and the term where it was reached
-
-
-@dataclass
 class StudyReport:
     converged: bool
     method: str
@@ -136,7 +125,7 @@ class StudyReport:
     relaxed_branches: tuple = ()
     device_outputs: dict = field(default_factory=dict)
     frozen_q: dict = field(default_factory=dict)
-    stats: dict = field(default_factory=dict)     # method name -> MethodStats
+    stats: dict = field(default_factory=dict)     # method -> SolveResult
     comparison: dict = field(default_factory=dict)
 
     def voltage(self, ext_id: int) -> complex:
@@ -226,32 +215,27 @@ def _device_start(sys: System, base: StudyReport):
     return V0, I0
 
 
-def _solve_method(sys: System, method: str, V0, I0, opts: StudyOptions):
-    """One solve with the requested method.  Returns (V, I, MethodStats).
+def _solve_method(sys: System, method: str, V0, I0,
+                  opts: StudyOptions) -> SolveResult:
+    """One timed solve with the requested method; a warm-started series
+    counts the warm start's Newton steps as its ``iterations``.
 
     Newton raises :class:`ConvergenceError` when it fails; a series that
-    does not converge is returned with ``MethodStats.converged`` False."""
+    does not converge is returned with ``converged`` False."""
     t0 = time.perf_counter()
+    steps = 0
+    if method == "nr-warm-ffhe":
+        warm = warm_start(sys, iterations=opts.warm_iters, tol=opts.tol,
+                          V0=V0, I0=I0)
+        V0, I0, steps = warm.V, warm.I, warm.iterations
     if method == "nr":
         res = nr_solve(sys, V0, I0, tol=opts.tol)
-        stats = MethodStats(iterations=res.iterations, terms=0,
-                            mismatch=res.mismatch,
-                            runtime_s=time.perf_counter() - t0)
-        return res.V, res.I, stats
-
-    warm_n = 0
-    if method == "nr-warm-ffhe":
-        V0, I0, warm_n = warm_start(sys, iterations=opts.warm_iters,
-                                    tol=opts.tol, V0=V0, I0=I0)
-    res = ffhe_solve(sys, V0, I0, tol=opts.tol, n_max=opts.max_terms,
-                     pade=opts.pade)
-    stats = MethodStats(iterations=warm_n, terms=res.terms,
-                        mismatch=res.mismatch,
-                        runtime_s=time.perf_counter() - t0,
-                        converged=res.converged,
-                        best_mismatch=res.best_mismatch,
-                        best_term=res.best_term)
-    return res.V, res.I, stats
+    else:
+        res = ffhe_solve(sys, V0, I0, tol=opts.tol, n_max=opts.max_terms,
+                         pade=opts.pade)
+        res.iterations = steps
+    res.runtime_s = time.perf_counter() - t0
+    return res
 
 
 def _frozen_q(net: Network, devices, base: StudyReport) -> dict:
@@ -379,13 +363,11 @@ def _passes(net: Network, devices, opts: StudyOptions, start, frozen,
     for _ in range(MAX_PASSES):
         sys_ = build_system(net, active, frozen_q={**frozen, **clamped})
         V0, I0 = prev or start(sys_)
-        V, I, stats = _solve_method(sys_, opts.method if opts.method != "compare"
-                                    else "nr", V0, I0, opts)
-        if not stats.converged:
-            raise ConvergenceError(
-                f"series did not converge ({stats.terms} terms, "
-                f"mismatch {stats.mismatch:.3e}; best "
-                f"{stats.best_mismatch:.3e} at term {stats.best_term})")
+        res = _solve_method(sys_, opts.method if opts.method != "compare"
+                            else "nr", V0, I0, opts)
+        if not res.converged:
+            raise ConvergenceError(failure(res, series=True))
+        V, I = res.V, res.I
         viol = _q_violations(sys_, V, I)
         if viol:
             clamped.update(viol)
@@ -408,10 +390,10 @@ def _passes(net: Network, devices, opts: StudyOptions, start, frozen,
             continue
         return StudyReport(
             converged=True, method=opts.method, system=sys_, V=V, I=I,
-            mismatch=stats.mismatch,
+            mismatch=res.mismatch,
             runtime_s=0.0, clamped_generators=clamped,
             relaxed_branches=tuple(relaxed), device_outputs=outputs,
-            frozen_q=frozen, stats={opts.method: stats})
+            frozen_q=frozen, stats={opts.method: res})
     raise StudyError(
         f"limits did not settle in {MAX_PASSES} passes (clamped: "
         f"{sorted(clamped)}, relaxed: {relaxed})")
@@ -424,16 +406,14 @@ def _attach_comparison(report: StudyReport, start, opts: StudyOptions):
     ``report.stats``."""
     sys_ = report.system
     V0, I0 = start(sys_)
-    V_nr, _, nr = _solve_method(sys_, "nr", V0, I0, opts)
-    V_warm, _, warm = _solve_method(sys_, "nr-warm-ffhe", V0, I0, opts)
-    _, _, flat = _solve_method(sys_, "ffhe", V0, I0, opts)
-    report.stats["nr"] = nr
-    report.stats["nr-warm-ffhe"] = warm
+    nr, warm, flat = (_solve_method(sys_, method, V0, I0, opts)
+                      for method in ("nr", "nr-warm-ffhe", "ffhe"))
+    report.stats.update({"nr": nr, "nr-warm-ffhe": warm})
     if flat.converged:
         report.stats["ffhe"] = flat
 
     report.comparison = {
-        "voltage_gap": float(np.max(np.abs(V_warm - V_nr)))
+        "voltage_gap": float(np.max(np.abs(warm.V - nr.V)))
         if warm.converged else np.inf,
         "delta_e_pct": error_improvement_pct(warm.mismatch, nr.mismatch),
         "delta_t_pct": runtime_improvement_pct(nr.runtime_s, warm.runtime_s),

@@ -5,11 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ffheflow import core, load_bundled_case, network, report, system
+from ffheflow import load_bundled_case, network, report, system
 from ffheflow.devices import ControlTarget, Mode, SsscDevice, branch_outputs
 from ffheflow.network import Branch, Bus, BusKind, Network
 from ffheflow.newton import nr_solve
-from ffheflow.system import build_system, jacobian, lu_factor, residual
+from ffheflow.system import build_system
 
 
 @pytest.fixture(scope="session")
@@ -26,17 +26,6 @@ def fresh_memos():
     report._base_solution.cache_clear()
     system._structure.cache_clear()
     system._jacobian_pattern.cache_clear()
-
-
-def expand(sys, C, D, n_max: int) -> np.ndarray:
-    """The coefficients of z = [V; I] through order ``n_max`` around
-    (C, D), by the series recurrence alone (no stopping rule), checked to
-    hold every order asked for."""
-    C, D = np.asarray(C, dtype=complex), np.asarray(D, dtype=complex)
-    lu = lu_factor(jacobian(sys, C, D), sys.pattern)
-    *_, zs = core._orders(sys, C, D, residual(sys, C, D), lu, n_max)
-    assert zs.shape[1] == n_max + 1
-    return zs
 
 
 def random_network(rng: np.random.Generator, n_bus: int | None = None,

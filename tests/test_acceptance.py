@@ -22,7 +22,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import expand, random_network, random_sssc_study
+from conftest import random_network, random_sssc_study
+from ffheflow.core import expand
 from ffheflow.devices import ControlTarget, Mode, SeriesDevice, SsscDevice
 from ffheflow.network import BusKind
 from ffheflow.newton import flat_start, nr_solve

@@ -6,12 +6,13 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from ffheflow import load_bundled_case, load_devices
+from ffheflow import cli, load_bundled_case, load_devices
 from ffheflow.cli import (EXIT_DIVERGED, EXIT_INPUT, EXIT_OK, build_parser,
                           format_text, main, report_dict)
 from ffheflow.devices import branch_outputs
 from ffheflow.network import Network
-from ffheflow.report import MethodStats, StudyOptions, StudyReport, run_study
+from ffheflow.newton import SolveResult
+from ffheflow.report import StudyOptions, StudyReport, run_study
 from ffheflow.system import build_system
 
 
@@ -252,6 +253,36 @@ class TestBatch:
         assert "[#0] input error" in err
         assert "=== ok" in out
 
+    @pytest.mark.parametrize("entry", [{}, {"case": 3}, {"devices": 3}],
+                             ids=["no-case", "int-case", "int-devices"])
+    def test_batch_entry_paths_must_be_strings(self, case_path, tmp_path,
+                                               capsys, entry):
+        key = "devices" if "devices" in entry else "case"
+        if key == "devices":
+            entry = {**entry, "case": str(case_path)}
+        batch = tmp_path / "batch.json"
+        batch.write_text(json.dumps([
+            {"label": "bad", **entry},
+            {"label": "ok", "case": str(case_path), "method": "nr"}]))
+        assert main(["--batch", str(batch)]) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert f"[bad] input error: '{key}' must be a path string" in err
+        assert "=== ok" in out
+
+    def test_a_defect_is_not_an_input_error(self, case_path, tmp_path,
+                                            monkeypatch):
+        # a KeyError from inside a study is a defect: it propagates with
+        # its traceback, from a single run and from a batch
+        def broken(*args):
+            raise KeyError("defect")
+
+        monkeypatch.setattr(cli, "run_study", broken)
+        batch = tmp_path / "batch.json"
+        batch.write_text(json.dumps([{"case": str(case_path)}]))
+        for argv in (["--case", str(case_path)], ["--batch", str(batch)]):
+            with pytest.raises(KeyError, match="defect"):
+                main(argv)
+
     @pytest.mark.parametrize("key, bad", [
         ("pade", "false"), ("pade", 1), ("max_terms", 7.9),
         ("max_terms", True), ("warm_iters", True), ("warm_iters", "3"),
@@ -354,7 +385,7 @@ def _without_runtime(doc: dict) -> dict:
 
 
 class TestMethodConvergence:
-    """Each method's ``MethodStats.converged`` reaches both report formats."""
+    """Each method's ``SolveResult.converged`` reaches both report formats."""
 
     @pytest.fixture()
     def report(self):
@@ -364,10 +395,9 @@ class TestMethodConvergence:
         return StudyReport(
             converged=True, method="compare", system=sys_, V=V,
             I=np.zeros(0, dtype=complex), mismatch=1e-9, runtime_s=0.1,
-            stats={"nr": MethodStats(iterations=4, mismatch=1e-9),
-                   "nr-warm-ffhe": MethodStats(iterations=3, terms=60,
-                                               mismatch=0.5,
-                                               converged=False)})
+            stats={"nr": SolveResult(V, V[:0], 1e-9, 4, 0, True, 1e-9, 0),
+                   "nr-warm-ffhe": SolveResult(V, V[:0], 0.5, 3, 60, False,
+                                               0.4, 7)})
 
     def test_json_stats(self, report):
         stats = report_dict(report)["stats"]
@@ -375,7 +405,8 @@ class TestMethodConvergence:
         assert stats["nr-warm-ffhe"]["converged"] is False
 
     def test_non_finite_floats_are_null(self, report):
-        report.stats["ffhe"] = MethodStats()        # mismatch NaN
+        report.stats["ffhe"] = SolveResult(       # mismatch NaN
+            report.V, report.I, np.nan, 0, 0, True, np.nan, 0)
         report.comparison = {"voltage_gap": np.inf, "delta_e_pct": 1.0,
                              "delta_t_pct": 2.0}
         report.mismatch = np.nan

@@ -4,9 +4,9 @@ agreement with Newton."""
 import numpy as np
 import pytest
 
-from conftest import expand, random_sssc_study
+from conftest import random_sssc_study
 from ffheflow import core, newton
-from ffheflow.core import ffhe_solve
+from ffheflow.core import expand, ffhe_solve
 from ffheflow.devices import ControlTarget, Mode, SeriesDevice, SsscDevice
 from ffheflow.network import Branch, Bus, BusKind, Network
 from ffheflow.newton import flat_start, nr_solve, warm_start
@@ -46,7 +46,7 @@ class TestFirstCoefficients:
         assert res.converged
         # the magnitude series |V(a)|^2 = Vsp^2 + (1-a)(|C|^2 - Vsp^2)
         # order by order: sum_d V[d] conj(V[n-d]) is linear in a
-        vs = res.v_series[1]
+        vs = expand(sys, C, np.zeros(0, complex), res.terms)[1]
         n_ord = vs.size - 1
         for n in range(2, n_ord + 1):
             s = sum(vs[d] * np.conj(vs[n - d]) for d in range(n + 1))
@@ -83,8 +83,8 @@ class TestConvergence:
         sys = build_system(case118)
         V0, I0 = flat_start(sys)
         flat = ffhe_solve(sys, V0, I0, tol=1e-10, n_max=60)
-        Vw, Iw, _ = warm_start(sys, iterations=3)
-        warm = ffhe_solve(sys, Vw, Iw, tol=1e-10, n_max=60)
+        w = warm_start(sys, iterations=3)
+        warm = ffhe_solve(sys, w.V, w.I, tol=1e-10, n_max=60)
         assert warm.converged and flat.converged
         assert warm.terms < flat.terms
 
@@ -115,6 +115,23 @@ class TestConvergence:
         assert res.terms == 0
         assert not res.V.any()
         assert res.mismatch == res.best_mismatch > 0
+
+    def test_walk_names_why_it_stopped(self, case118, monkeypatch):
+        # a singular Jacobian at the start, a line search that finds no
+        # step past the loadability limit, and the cap on references
+        sys = build_system(slack_pq_net())
+        res = ffhe_solve(sys, np.zeros(2, complex), np.zeros(0, complex))
+        assert res.cause == newton.SINGULAR
+        sys = build_system(slack_pq_net(p=20.0))
+        res = ffhe_solve(sys, *flat_start(sys), n_max=40)
+        assert res.cause == newton.STALLED
+        sys = build_system(case118)
+        monkeypatch.setattr(core, "MAX_ITERS", 1)
+        res = ffhe_solve(sys, *flat_start(sys), tol=1e-10, n_max=4)
+        assert (res.converged, res.cause) == (False, newton.CAPPED)
+        monkeypatch.undo()
+        res = ffhe_solve(sys, *flat_start(sys), tol=1e-10, n_max=4)
+        assert (res.converged, res.cause) == (True, "")
 
     def test_zero_orders_rejected(self, case118):
         sys = build_system(case118)
@@ -321,8 +338,8 @@ def assert_gap_falls_by_order(sys, x0, n=ORDERS) -> float:
 def assert_order_from_warm_starts(sys):
     """The order test from warm starts of 1, 2 and 3 Newton steps, chord
     steps included, at least one of them above rounding."""
-    gaps = [assert_gap_falls_by_order(sys, warm_start(sys, iterations=k)[:2])
-            for k in (1, 2, 3)]
+    warm = [warm_start(sys, iterations=k) for k in (1, 2, 3)]
+    gaps = [assert_gap_falls_by_order(sys, (w.V, w.I)) for w in warm]
     assert max(gaps) > ROUNDING
 
 

@@ -191,34 +191,58 @@ class TestNewton:
         dev = SsscDevice("s", (101, 102), ControlTarget(Mode.P_FLOW, 0.9))
         sys = build_system(case118, (dev,))
         nr = nr_solve(sys)
-        V, I, steps = warm_start(sys, iterations=nr.iterations + extra)
-        assert steps == nr.iterations
-        np.testing.assert_array_equal(V, nr.V)
-        np.testing.assert_array_equal(I, nr.I)
+        warm = warm_start(sys, iterations=nr.iterations + extra)
+        assert warm.iterations == nr.iterations
+        np.testing.assert_array_equal(warm.V, nr.V)
+        np.testing.assert_array_equal(warm.I, nr.I)
 
     def test_warm_start_stops_where_newton_stalls(self):
         sys = build_system(two_bus(p_load=50.0))
         with pytest.raises(ConvergenceError, match="stalled") as err:
             nr_solve(sys)
         stalled_at = int(re.search(r"iteration (\d+)", str(err.value))[1])
-        assert warm_start(sys, iterations=100)[2] == stalled_at
+        assert warm_start(sys, iterations=100).iterations == stalled_at
+
+    def test_singular_jacobian_is_named(self, case118):
+        # at V = 0 the Jacobian is singular: that is not a stalled step
+        sys = build_system(case118)
+        V0, I0 = flat_start(sys)
+        with pytest.raises(ConvergenceError,
+                           match=r"^singular Jacobian at iteration 0 "
+                                 r"\(mismatch 6\.070e\+00\)$"):
+            nr_solve(sys, np.zeros_like(V0), I0)
+
+    def test_each_cause_keeps_its_message(self, case118, monkeypatch):
+        sys = build_system(case118)
+        V0, I0 = flat_start(sys)
+        with pytest.raises(ConvergenceError,
+                           match="^iteration produced non-finite mismatch$"):
+            nr_solve(sys, np.full_like(V0, np.nan), I0)
+        monkeypatch.setattr(newton, "MAX_ITERS", 1)
+        with pytest.raises(ConvergenceError,
+                           match=r"^no convergence in 1 iterations "
+                                 r"\(mismatch \d\.\d{3}e[+-]\d\d\)$"):
+            nr_solve(sys)
+        stopped = warm_start(sys, iterations=1)
+        assert (stopped.converged, stopped.cause) == (False, newton.CAPPED)
+        monkeypatch.undo()
+        assert nr_solve(sys).cause == ""
 
     def test_warm_start_reduces_mismatch(self, case118):
         sys = build_system(case118)
         V0, I0 = flat_start(sys)
         m0 = np.max(np.abs(residual(sys, V0, I0)))
-        V, I, steps = warm_start(sys, iterations=3)
-        assert np.max(np.abs(residual(sys, V, I))) < m0 * 1e-2
-        assert steps == 3
+        warm = warm_start(sys, iterations=3)
+        assert np.max(np.abs(residual(sys, warm.V, warm.I))) < m0 * 1e-2
+        assert warm.iterations == 3
 
     def test_warm_start_counts_steps_taken(self, case118):
         # a start that already meets the tolerance takes no step
         sys = build_system(case118)
         nr = nr_solve(sys, tol=1e-10)
-        V, I, steps = warm_start(sys, iterations=3, tol=1e-8,
-                                 V0=nr.V, I0=nr.I)
-        assert steps == 0
-        np.testing.assert_array_equal(V, nr.V)
+        warm = warm_start(sys, iterations=3, tol=1e-8, V0=nr.V, I0=nr.I)
+        assert warm.iterations == 0
+        np.testing.assert_array_equal(warm.V, nr.V)
 
     def test_warm_start_needs_one_iteration(self, case118):
         with pytest.raises(ValueError):
@@ -250,8 +274,8 @@ class TestNewton:
         count = [0]
         for k in range(1, steps + 1):
             factorisations[0] = 0
-            V, I, _ = warm_start(sys, iterations=k)
-            mis.append(np.max(np.abs(residual(sys, V, I))))
+            warm = warm_start(sys, iterations=k)
+            mis.append(np.max(np.abs(residual(sys, warm.V, warm.I))))
             count.append(factorisations[0])
         chord = [k for k in range(1, steps + 1) if count[k] == count[k - 1]]
         assert chord

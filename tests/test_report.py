@@ -435,6 +435,18 @@ class TestPassLoop:
             assert outcomes == [rep], method
             assert len(pins) < report.MAX_PASSES
 
+    @pytest.mark.parametrize("method", ["ffhe", "nr-warm-ffhe"])
+    def test_failed_series_names_its_cause(self, case118, method):
+        # at V = 0 the Jacobian is singular: the series message says so
+        # after its counts
+        def zero(sys_):
+            return (np.zeros(sys_.n_bus, complex),
+                    np.zeros(sys_.n_currents, complex))
+        msg = ("series did not converge (0 terms, mismatch 6.070e+00; best "
+               "6.070e+00 at term 0); singular Jacobian")
+        with pytest.raises(ConvergenceError, match=f"^{re.escape(msg)}$"):
+            _passes(case118, (), StudyOptions(method=method), zero, {}, {})
+
     def test_cap_on_the_passes(self, case118, monkeypatch):
         # the base case pins its generators in one pass and settles in a
         # second

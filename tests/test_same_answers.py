@@ -106,6 +106,16 @@ def test_a_raise_in_one_tree_only_is_a_difference(within, capsys):
     assert "raises in one tree only" in capsys.readouterr().out
 
 
+def test_a_raise_in_one_tree_only_is_one_line(capsys):
+    # the converging tree's V and I are not printed, however long
+    big = _answer(V=np.full(500, 1.0 + 0.1j), I=np.full(500, 0.7 + 0.2j))
+    for here, other in ((_raise(), big), (big, _raise())):
+        assert _verdict(here, other) == "DIFF"
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1 and "array(" not in out
+        assert repr(RAISED) in out and "nr (5, 0, True)" in out
+
+
 def test_raises_in_both_trees():
     assert _verdict(_raise(), _raise()) == "same"
     assert _verdict(_raise(EXTENDED), _raise()) == "same"
@@ -118,6 +128,13 @@ def test_messages():
     for a, b in ((RAISED, EXTENDED), (EXTENDED, RAISED)):
         assert _messages(a, b) == (
             False, "extended by '; best 1e-05 at term 1'")
+    # a clause inserted at each of two places, as a study that tries two
+    # starts reports each start's failure
+    two = "E: a (1 terms) [start 1]; a (2 terms) [start 2]"
+    longer = "E: a (1 terms); cap [start 1]; a (2 terms); stall [start 2]"
+    for a, b in ((two, longer), (longer, two)):
+        assert _messages(a, b) == (False, "extended by '; cap', '; stall'")
+    assert _messages(two, longer.replace("2 terms", "3 terms"))[0]
     # an inserted clause that does not start with "; ", and another message
     assert _messages(RAISED, RAISED[:-1] + " best 1e-05 at term 1)")[0]
     assert _messages(RAISED, RAISED.replace("6 terms", "7 terms"))[0]

@@ -26,10 +26,11 @@ The whole corpus takes ~50 s on a 2-vCPU machine, both trees at once;
 drawing the 200 random studies takes ~3 s of that.
 Per pair the report gives whether ``V`` and ``I`` are bitwise equal, the
 largest |dV| and |dI|, each method's (iterations, terms, converged), and
-the message of a study that raises.  It also compares what the limit
-passes settled on: the clamped generators with their pinned Q, the
-displaced regulators' ``frozen_q``, the relaxed branches and the
-mismatch.
+the message of a study that raises; a pair that raises in one tree only
+gets one line, with that message and the other tree's counts.  It also
+compares what the limit passes settled on: the clamped generators with
+their pinned Q, the displaced regulators' ``frozen_q``, the relaxed
+branches and the mismatch.
 
 The exit status is 1 on any difference: V or I not bitwise equal, other
 counts, other settled limits or mismatch, a study that raises in one
@@ -39,8 +40,8 @@ and corpus they also name each series pair (``nr-warm-ffhe``, ``ffhe``,
 ``ffhe+pade``) that raises where ``nr`` converges in that tree, and give
 the largest |V - V_nr| over the series pairs that converge where ``nr``
 does.
-A message that only appends a clause (``"; ..."``) to the other tree's is
-reported as extended and is not a difference.
+A message that only inserts clauses (each ``"; ..."``) into the other
+tree's is reported as extended and is not a difference.
 
 For a change that moves the iterates by design, ``--within DV`` reports a
 differing pair as ``near``, not a difference, when both trees raise, or
@@ -184,16 +185,30 @@ def _collect(proc, corpus: dict) -> dict:
     return pickle.loads(out)
 
 
+def _inserted(short: str, long_: str):
+    """The clauses, each starting with ``"; "``, whose insertion into
+    ``short`` gives ``long_``, in order; None if there are none such."""
+    if short == long_:
+        return []
+    i = len(os.path.commonprefix([short, long_]))
+    for j in range(i, -1, -1):              # where the first clause starts
+        if not long_.startswith("; ", j):
+            continue
+        for k in range(j + 2, len(long_) + 1):      # and where it ends
+            rest = _inserted(short[j:], long_[k:])
+            if rest is not None:
+                return [long_[j:k], *rest]
+    return None
+
+
 def _messages(a: str, b: str) -> tuple:
     """(difference?, note) for two raise messages: the same, or one is the
-    other with a ``"; ..."`` clause inserted."""
+    other with ``"; ..."`` clauses inserted."""
     if a == b:
         return False, "same raise"
-    short, long_ = sorted((a, b), key=len)
-    i = len(os.path.commonprefix([short, long_]))
-    clause = long_[i:len(long_) - len(short) + i]
-    if clause.startswith("; ") and long_.endswith(short[i:]):
-        return False, f"extended by {clause!r}"
+    clauses = _inserted(*sorted((a, b), key=len))
+    if clauses:
+        return False, f"extended by {', '.join(map(repr, clauses))}"
     return True, f"raise {a!r} vs {b!r}"
 
 
@@ -226,8 +241,13 @@ def compare(here: dict, other: dict,
             diff, note = _messages(o["raise"], h["raise"])
             near = within is not None
         elif "raise" in h or "raise" in o:
-            diff, note = True, f"raises in one tree only: {h} vs {o}"
-            near = False
+            # the raising tree's message and the other tree's counts
+            (r, raised), (c, solved) = ((("here", h), ("other", o))
+                                        if "raise" in h else
+                                        (("other", o), ("here", h)))
+            diff, near = True, False
+            note = (f"raises in one tree only: {r} {raised['raise']!r}; {c} "
+                    + ", ".join(f"{m} {s}" for m, s in solved["stats"].items()))
         else:
             bits = (np.array_equal(h["V"], o["V"])
                     and np.array_equal(h["I"], o["I"]))
