@@ -95,24 +95,35 @@ def _orders(sys: System, C, D, r, lu, n_max: int):
     and Jacobian factorisation ``lu``: after each order n = 1 .. ``n_max``,
     yield the coefficients of z = [V; I] through order n, an array of
     shape (``sys.n_bus + sys.n_currents``, n + 1).  Each yielded array is a
-    view that later orders do not change."""
+    view that later orders do not change.
+
+    The coefficient arrays hold the orders reached so far: they start with
+    orders 0 and 1 and, when full, are copied into arrays twice as wide,
+    up to ``n_max`` + 1 orders, so an expansion that stops early allocates
+    only what it used.  A copy leaves the arrays it replaces, and the views
+    already yielded from them, as they were."""
     n = sys.n_bus
-    Zs = np.zeros((n + sys.n_currents, n_max + 1), dtype=complex)
+    cols = min(2, n_max + 1)
+    Zs = np.zeros((n + sys.n_currents, cols), dtype=complex)
     Zs[:n, 0] = C
     Zs[n:, 0] = D
-    Ws = np.zeros((n, n_max + 1), dtype=complex)
+    Ws = np.zeros((n, cols), dtype=complex)
     Ws[:, 0] = sys.yc @ Zs[:, 0]
 
     rows = sys.rows
     comp = rows.companions
-    Fs = np.zeros((comp.size, n_max + 1), dtype=complex)
-    Ms = np.zeros((comp.size, n_max + 1))
+    Fs = np.zeros((comp.size, cols), dtype=complex)
+    Ms = np.zeros((comp.size, cols))
     Fs[:, 0] = 1.0 / D[comp]
     Ms[:, 0] = np.hypot(D.real, D.imag)[comp]
     Ts = np.zeros_like(Fs)
     Ts[:, 0] = (Zs[rows.a[rows.z], 0] - Zs[rows.b[rows.z], 0]) * Fs[:, 0]
 
     for order in range(1, n_max + 1):
+        if order == cols:
+            cols = min(2 * cols, n_max + 1)
+            Zs, Ws, Fs, Ms, Ts = (_widened(a, cols)
+                                  for a in (Zs, Ws, Fs, Ms, Ts))
         if order == 1:
             rhs = -r
         else:       # the companions' order n on the zero unknowns
@@ -122,6 +133,14 @@ def _orders(sys: System, C, D, r, lu, n_max: int):
         Ws[:, order] = sys.yc @ Zs[:, order]
         _companions(sys, order, Zs, Fs, Ms, Ts)     # and on the solution
         yield Zs[:, :order + 1]
+
+
+def _widened(a: np.ndarray, cols: int) -> np.ndarray:
+    """A copy of the coefficient array ``a`` with ``cols`` columns, the
+    new ones zero."""
+    out = np.zeros((a.shape[0], cols), dtype=a.dtype)
+    out[:, :a.shape[1]] = a
+    return out
 
 
 def expand(sys: System, C, D, n_max: int) -> np.ndarray:

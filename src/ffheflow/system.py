@@ -69,7 +69,12 @@ incidence of device currents on buses, and their derivatives after
 Zimmerman ("AC Power Flows, Generalized OPF Costs and their Derivatives
 using Complex Matrix Notation", MATPOWER TN2, 2010).  The Jacobian is a
 ``scipy.sparse`` CSC matrix, factorised by SuperLU in its pattern's column
-order (:func:`lu_factor`) for Newton steps and series orders alike.
+order (:func:`lu_factor`) for Newton steps and series orders alike.  The
+factors of a network Jacobian hold a few entries per column, too few for
+SuperLU's panels and relaxed supernodes (Demmel et al., "A supernodal
+approach to sparse partial pivoting", SIMAX 1999) to repay their set-up,
+so :func:`lu_factor` factorises column by column without them, as KLU
+does for circuit matrices.
 """
 
 from __future__ import annotations
@@ -207,7 +212,9 @@ def build_system(base_net: Network, devices=(), *,
     injections and the devices with their targets.
 
     ``frozen_q`` (ext id -> p.u.) holds the constant-Q buses: every PV bus
-    listed there becomes a fixed-injection bus with that reactive output.
+    listed there becomes a fixed-injection bus with that reactive output;
+    an entry for a bus the case lacks, or for one that is not PV, is a
+    ``ValueError``.
     A PV sending bus loses its voltage regulation to the device and becomes
     a fixed-injection bus too, at its gen-table output unless listed.  A
     slack sending bus, or a voltage target on an unknown bus or on one that
@@ -221,9 +228,11 @@ def build_system(base_net: Network, devices=(), *,
     s_inj = st.s_inj.copy()
     for ext, q in frozen_q.items():
         b = idx.get(ext)
-        if b is not None and st.net.buses[b].kind is BusKind.PV:
-            pv[b] = False
-            s_inj[b] = complex(s_inj[b].real, q - st.net.buses[b].q_load)
+        if b is None or st.net.buses[b].kind is not BusKind.PV:
+            raise ValueError(f"frozen_q: bus {ext} is not a PV bus of the "
+                             "case")
+        pv[b] = False
+        s_inj[b] = complex(s_inj[b].real, q - st.net.buses[b].q_load)
     regulated = pv | st.slack
 
     for dev in devices:
@@ -602,12 +611,17 @@ def lu_factor(J: sparse.csc_matrix, pattern: JacobianPattern):
 
     J's columns are taken in the pattern's column order and factorised in
     that order (``permc_spec="NATURAL"``), with SuperLU's default partial
-    pivoting, so the ordering is not recomputed for every Jacobian.
+    pivoting, so the ordering is not recomputed for every Jacobian.  It
+    runs column by column (``panel_size=1``) with no relaxed supernodes
+    (``relax=1``), which the factors are too sparse to repay: on case118
+    this cuts a factorisation's time by about a third and its page faults
+    by three quarters (``notes/decisions.md``, "SuperLU options").
     Raises ``np.linalg.LinAlgError`` when the matrix is exactly singular.
     """
     try:
         return (splu(_csc(pattern.lu_csc, J.data[pattern.take]),
-                     permc_spec="NATURAL"), pattern.perm_c)
+                     permc_spec="NATURAL", panel_size=1, relax=1),
+                pattern.perm_c)
     except RuntimeError as exc:
         raise np.linalg.LinAlgError(str(exc)) from None
 

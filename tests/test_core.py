@@ -69,6 +69,50 @@ class TestFirstCoefficients:
         assert sys.rows.companions.tolist() == [1]
 
 
+class TestGrownArrays:
+    """``_orders`` holds the orders reached so far, doubling its arrays as
+    they fill: the coefficients are those of one array of ``n_max`` + 1
+    orders, and a yielded array is never written again."""
+
+    N_MAX = 40
+
+    @pytest.fixture
+    def companion_start(self, case118):
+        """A System with V_SE and X_EQ companion rows, and a one-step warm
+        start, whose coefficients stay finite and nonzero to order 40."""
+        dev = SeriesDevice("i", ((49, 50), (49, 51)),
+                           (ControlTarget(Mode.V_SE, 0.05, branch=0),
+                            ControlTarget(Mode.X_EQ, 0.05, branch=1),
+                            ControlTarget(Mode.P_FLOW, 0.5, branch=1)))
+        sys = build_system(case118, (dev,))
+        assert sys.rows.companions.size == 2 and sys.rows.vse.size == 1
+        w = warm_start(sys, iterations=1)
+        return sys, w.V, w.I
+
+    def test_each_side_of_every_capacity_boundary(self, companion_start):
+        sys, V, I = companion_start
+        full = expand(sys, V, I, self.N_MAX)
+        assert np.isfinite(full).all() and np.abs(full[:, -1]).max() > 0
+        ks = sorted({k for b in (2, 4, 8, 16, 32) for k in (b - 1, b, b + 1)}
+                    | {self.N_MAX - 1})
+        for k in ks:
+            zs = expand(sys, V, I, k)
+            assert zs.shape == (full.shape[0], k + 1)
+            assert zs.tobytes() == full[:, :k + 1].tobytes(), k
+
+    def test_yielded_arrays_stay_as_yielded(self, companion_start):
+        sys, V, I = companion_start
+        lu = lu_factor(jacobian(sys, V, I), sys.pattern)
+        seen = [(zs, zs.copy()) for zs in core._orders(
+            sys, V, I, residual(sys, V, I), lu, self.N_MAX)]
+        assert len(seen) == self.N_MAX
+        for n, (zs, copy) in enumerate(seen, 1):
+            assert zs.shape[1] == n + 1
+            # held in an array of at most twice the orders reached
+            assert zs.base.shape[1] <= min(2 * n, self.N_MAX + 1)
+            assert zs.tobytes() == copy.tobytes(), n
+
+
 class TestConvergence:
     def test_base_case_from_flat(self, case118):
         sys = build_system(case118)

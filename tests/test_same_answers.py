@@ -8,7 +8,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 from same_answers import (_corpus, _messages, _random_fields,  # noqa: E402
-                          _random_study, against_newton, compare)
+                          _random_study, against_newton, compare,
+                          tally_line)
 import ffheflow  # noqa: E402
 from conftest import random_sssc_study  # noqa: E402
 
@@ -41,7 +42,7 @@ def _one_bit_off():
 
 
 def _verdict(here, other, within=None):
-    tally, _ = compare(here, other, within)
+    tally, *_ = compare(here, other, within)
     assert sum(tally.values()) == 1
     return next(v for v, n in tally.items() if n)
 
@@ -151,11 +152,47 @@ def test_near_gap_is_the_largest_over_converged_near_pairs(capsys):
             ("d", "nr"): base}
     other = {("a", "nr"): base, ("b", "nr"): base,
              ("c", "nr"): {"raise": RAISED}, ("d", "nr"): base}
-    tally, (dv, di) = compare(here, other, within=1e-6)
+    tally, (dv, di), _ = compare(here, other, within=1e-6)
     assert tally == {"same": 1, "near": 3, "DIFF": 0}
     assert (dv, di) == pytest.approx((1e-9, 2e-10), rel=1e-6)
     assert compare(here, other)[1] == (0.0, 0.0)
     capsys.readouterr()
+
+
+def test_moved_counts_are_named_with_their_methods(capsys):
+    """Pairs that converge in both trees and whose (iterations, terms)
+    moved are named, with each moved method's counts here and there; a
+    pair whose only change is a converged flag, or that raises, is not."""
+    base = _answer()[KEY]
+    here = {("a", "ffhe"): {**base, "stats": {"ffhe": (0, 23, True)}},
+            ("b", "compare"): {**base, "stats": {"nr": (5, 0, True),
+                                                 "ffhe": (0, 45, True)}},
+            ("c", "nr"): {**base, "stats": {"nr": (5, 0, False)}},
+            ("d", "nr"): _raise()[KEY],
+            ("e", "nr"): base}
+    other = {("a", "ffhe"): {**base, "stats": {"ffhe": (0, 40, True)}},
+             ("b", "compare"): {**base, "stats": {"nr": (5, 0, True),
+                                                  "ffhe": (0, 44, True)}},
+             ("c", "nr"): base,
+             ("d", "nr"): {**base, "stats": {"nr": (9, 0, True)}},
+             ("e", "nr"): base}
+    tally, gap, moved = compare(here, other)
+    assert moved == ["a ffhe [ffhe (0, 23) vs (0, 40)]",
+                     "b compare [ffhe (0, 45) vs (0, 44)]"]
+    assert tally_line("random-sssc", tally, gap, moved) == (
+        "random-sssc: 1 of 5 pairs the same, 0 near (max |dV| 0.0e+00, "
+        "|dI| 0.0e+00 where both converge), 4 differ; (iterations, terms) "
+        "moved in 2: a ffhe [ffhe (0, 23) vs (0, 40)], "
+        "b compare [ffhe (0, 45) vs (0, 44)]")
+    capsys.readouterr()
+
+
+def test_tally_line_without_moved_counts():
+    tally = {"same": 88, "near": 2, "DIFF": 0}
+    assert tally_line("scenario", tally, (1.7e-13, 7e-13), []) == (
+        "scenario: 88 of 90 pairs the same, 2 near (max |dV| 1.7e-13, "
+        "|dI| 7.0e-13 where both converge), 0 differ; (iterations, terms) "
+        "moved in 0")
 
 
 def test_series_against_newton_in_one_tree():

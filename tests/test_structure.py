@@ -8,6 +8,7 @@ from scipy.sparse.linalg import splu
 
 from ffheflow import system
 from ffheflow.devices import ControlTarget, Mode, SeriesDevice, SsscDevice
+from ffheflow.network import BusKind
 from ffheflow.report import StudyOptions, run_study
 from ffheflow.system import (_column_order, _jacobian_pattern, _structure,
                              build_system, jacobian, lu_factor, lu_solve,
@@ -304,6 +305,58 @@ def test_column_order_is_superlus_own(case118, mode):
         x_ref = ref.solve(r)
         assert np.max(np.abs(x - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))
         assert np.max(np.abs(J @ x - r)) <= 1e-10 * np.max(np.abs(r))
+
+
+def _several_devices():
+    """Two SSSCs and a two-branch IPFC, with companion rows among them."""
+    return (
+        SsscDevice("a", (49, 50), ControlTarget(Mode.X_EQ, -0.2)),
+        SsscDevice("b", (101, 102), ControlTarget(Mode.V_SE, 0.1)),
+        SeriesDevice("c", ((100, 104), (100, 106)),
+                     (ControlTarget(Mode.Q_INJ, 0.05, branch=0),
+                      ControlTarget(Mode.P_FLOW, 1.0, branch=1),
+                      ControlTarget(Mode.Q_FLOW, 0.0, branch=1))))
+
+
+@pytest.mark.parametrize("devices", [
+    *(_modes_devices(mode) for mode in Mode), _several_devices()],
+    ids=[*(mode.value for mode in Mode), "several"])
+def test_column_by_column_factor_solves_as_default_splu(case118, devices,
+                                                        monkeypatch):
+    """Every factorisation runs column by column, with no relaxed
+    supernodes, and solves ``J x = r`` as a default-option ``splu``."""
+    sys_ = build_system(case118, devices)
+    pattern = sys_.pattern      # built, with its own default-option splu
+    options = []
+
+    def recorded(A, **kwargs):
+        options.append(kwargs)
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr(system, "splu", recorded)
+    rng = np.random.default_rng(13)
+    for _ in range(3):
+        V, I = _random_state(rng, sys_)
+        J, r = jacobian(sys_, V, I), residual(sys_, V, I)
+        x = lu_solve(lu_factor(J, pattern), r)
+        x_ref = splu(J).solve(r)
+        assert np.max(np.abs(x - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))
+        assert np.max(np.abs(J @ x - r)) <= 1e-10 * np.max(np.abs(r))
+    assert options == 3 * [dict(permc_spec="NATURAL", panel_size=1,
+                                relax=1)]
+
+
+class TestFrozenQ:
+    def test_unknown_bus_is_named(self, case118):
+        with pytest.raises(ValueError, match="bus 9999 "):
+            build_system(case118, (_sssc(),), frozen_q={12: -0.2,
+                                                        9999: 0.1})
+
+    @pytest.mark.parametrize("kind", [BusKind.PQ, BusKind.SLACK])
+    def test_bus_that_is_not_pv_is_named(self, case118, kind):
+        ext = next(b.ext_id for b in case118.buses if b.kind is kind)
+        with pytest.raises(ValueError, match=f"bus {ext} "):
+            build_system(case118, frozen_q={ext: 0.1})
 
 
 def test_singular_jacobian_raises_on_every_factorisation(case118):

@@ -22,7 +22,7 @@ import path.  Both run the same corpus, taken from this checkout's
   by this checkout, and handed to both trees as plain fields, so both
   solve the same network and device.
 
-The whole corpus takes ~50 s on a 2-vCPU machine, both trees at once;
+The whole corpus takes ~20 s on a 2-vCPU machine, both trees at once;
 drawing the 200 random studies takes ~3 s of that.
 Per pair the report gives whether ``V`` and ``I`` are bitwise equal, the
 largest |dV| and |dI|, each method's (iterations, terms, converged), and
@@ -35,11 +35,14 @@ branches and the mismatch.
 The exit status is 1 on any difference: V or I not bitwise equal, other
 counts, other settled limits or mismatch, a study that raises in one
 tree only, or another raise message.  The last lines give each corpus's
-tally, the pairs that raise in each tree, and the wall time.  Per tree
-and corpus they also name each series pair (``nr-warm-ffhe``, ``ffhe``,
-``ffhe+pade``) that raises where ``nr`` converges in that tree, and give
-the largest |V - V_nr| over the series pairs that converge where ``nr``
-does.
+tally, the pairs that raise in each tree, and the wall time.  A tally
+also names the pairs that converge in both trees but whose (iterations,
+terms) moved, each with the counts of the methods that moved, so a change
+that moves counts by rounding lists them in one line.  Per tree and
+corpus the last lines also name each series pair (``nr-warm-ffhe``,
+``ffhe``, ``ffhe+pade``) that raises where ``nr`` converges in that tree,
+and give the largest |V - V_nr| over the series pairs that converge where
+``nr`` does.
 A message that only inserts clauses (each ``"; ..."``) into the other
 tree's is reported as extended and is not a difference.
 
@@ -228,12 +231,14 @@ def _settled(limits: dict) -> tuple:
 
 
 def compare(here: dict, other: dict,
-            within: float | None = None) -> tuple[dict, tuple]:
+            within: float | None = None) -> tuple[dict, tuple, list]:
     """Print one line per pair; return the number of pairs per verdict,
-    ``same``, ``near`` (only with ``within``) and ``DIFF``, and the largest
-    |dV| and |dI| over the near pairs where neither tree raises."""
+    ``same``, ``near`` (only with ``within``) and ``DIFF``, the largest
+    |dV| and |dI| over the near pairs where neither tree raises, and, for
+    each pair where neither raises but some method's (iterations, terms)
+    moved, its label, method and those methods' counts here and there."""
     tally = dict.fromkeys(("same", "near", "DIFF"), 0)
-    near_gap = (0.0, 0.0)
+    near_gap, moved_counts = (0.0, 0.0), []
     for key in here:
         h, o = here[key], other[key]
         label, method = key
@@ -252,6 +257,12 @@ def compare(here: dict, other: dict,
             bits = (np.array_equal(h["V"], o["V"])
                     and np.array_equal(h["I"], o["I"]))
             counts = h["stats"] == o["stats"]
+            shifted = [f"{m} {s[:2]} vs {o['stats'][m][:2]}"
+                       for m, s in h["stats"].items()
+                       if s[:2] != o["stats"][m][:2]]
+            if shifted:
+                moved_counts.append(f"{label} {method} "
+                                    f"[{', '.join(shifted)}]")
             moved = [k for k in h["limits"] if h["limits"][k] != o["limits"][k]]
             diff = not (bits and counts) or bool(moved)
             dv, di = _max_gap(h["V"], o["V"]), _max_gap(h["I"], o["I"])
@@ -269,7 +280,16 @@ def compare(here: dict, other: dict,
         if verdict == "near" and "raise" not in h:
             near_gap = (max(near_gap[0], dv), max(near_gap[1], di))
         print(f"{verdict:<4}  {label:<16} {method:<13} {note}")
-    return tally, near_gap
+    return tally, near_gap, moved_counts
+
+
+def tally_line(name: str, tally: dict, near_gap: tuple, moved: list) -> str:
+    """One corpus's summary line, from what :func:`compare` returns."""
+    (dv, di), total = near_gap, sum(tally.values())
+    return (f"{name}: {tally['same']} of {total} pairs the same, "
+            f"{tally['near']} near (max |dV| {dv:.1e}, |dI| {di:.1e} where "
+            f"both converge), {tally['DIFF']} differ; (iterations, terms) "
+            f"moved in {len(moved)}{': ' if moved else ''}{', '.join(moved)}")
 
 
 def against_newton(answers: dict) -> tuple[list, float]:
@@ -320,12 +340,10 @@ def main(argv=None) -> int:
     differ = 0
     for name in CORPORA:
         keys = [k for k in here if _corpus(k[0]) == name]
-        tally, (dv, di) = compare({k: here[k] for k in keys},
-                                  {k: other[k] for k in keys}, args.within)
+        tally, gap, moved = compare({k: here[k] for k in keys},
+                                    {k: other[k] for k in keys}, args.within)
         differ += tally["DIFF"]
-        print(f"{name}: {tally['same']} of {len(keys)} pairs the same, "
-              f"{tally['near']} near (max |dV| {dv:.1e}, |dI| {di:.1e} "
-              f"where both converge), {tally['DIFF']} differ")
+        print(tally_line(name, tally, gap, moved))
     for tree, answers in zip(trees, (here, other)):
         raised = [f"{label} {method}" for (label, method), a in
                   answers.items() if "raise" in a]
