@@ -127,7 +127,7 @@ def report_dict(rep: StudyReport) -> dict:
     stats = {
         name: {"converged": st.converged, "iterations": st.iterations,
                "terms": st.terms, "mismatch": _finite_or_null(st.mismatch),
-               "runtime_s": st.runtime_s}
+               "runtime_s": st.runtime_s, "cause": st.cause}
         for name, st in rep.stats.items()
     }
     return {
@@ -189,7 +189,8 @@ def format_text(rep: StudyReport) -> str:
         lines.append(f"method {name}: {st.iterations} Newton iterations, "
                      f"{st.terms} series terms, mismatch {st.mismatch:.3e}, "
                      f"{st.runtime_s:.4f} s"
-                     + ("" if st.converged else ", NOT CONVERGED"))
+                     + ("" if st.converged else
+                        f", NOT CONVERGED: {st.cause}"))
     if rep.comparison:
         lines.append(
             f"series-vs-Newton voltage gap {rep.comparison['voltage_gap']:.3e} "

@@ -35,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from .newton import (CAPPED, MAX_BACKTRACKS, MAX_ITERS, SINGULAR, STALLED,
-                     SolveResult, _damped_step, _nudge_zero_currents)
+                     SolveResult, _damped_step, _point, _result)
 from .series import (cauchy, evaluate_at_one, magnitude_coefficient,
                      reciprocal_coefficient)
 from .system import System, jacobian, lu_factor, lu_solve, residual
@@ -145,7 +145,7 @@ def _widened(a: np.ndarray, cols: int) -> np.ndarray:
 
 def expand(sys: System, C, D, n_max: int) -> np.ndarray:
     """The coefficients of z = [V; I] around (C, D) through order
-    ``n_max``, by the recurrence alone (no stopping rule, no nudge): an
+    ``n_max``, by the recurrence alone (no stopping rule): an
     array of shape (``sys.n_bus + sys.n_currents``, ``n_max`` + 1) whose
     first ``sys.n_bus`` rows are the voltages'."""
     C, D = np.asarray(C, dtype=complex), np.asarray(D, dtype=complex)
@@ -158,9 +158,10 @@ def ffhe_solve(sys: System, C: np.ndarray, D: np.ndarray, tol: float = 1e-8,
                n_max: int = 60, pade: bool = False) -> SolveResult:
     """Expand the embedded system around reference state (C, D).
 
-    Every entry of C must be nonzero.  The currents of magnitude-normalised
-    control rows are nudged to at least ``newton.CURRENT_NUDGE`` in
-    magnitude at the start and at each point of the damped step.
+    Every entry of C must be nonzero.  No point with a V_SE or X_EQ current
+    below ``devices.CURRENT_FLOOR`` is evaluated (``newton._point``): such
+    a start fails at once, such a partial sum ends its expansion as a pole
+    at a = 1 does, and the damped step rejects such a trial, as Newton's.
 
     Each reference is factorised once.  After order 1, orders are added, up
     to ``n_max``, while each lowers the max-norm mismatch at a = 1.  Short
@@ -169,52 +170,49 @@ def ffhe_solve(sys: System, C: np.ndarray, D: np.ndarray, tol: float = 1e-8,
     re-embedded there.  The walk stops as Newton does: after
     ``newton.MAX_ITERS`` references, or when the Jacobian is singular or no
     step length lowers the reference's mismatch (the result's ``cause``).
-    Terms, the order that stopped an expansion included, accumulate across
-    references; the best mismatch is the lowest of the first reference and
-    every partial sum.  The damped steps count as no Newton ``iterations``.
+    A walk that fails returns its last reference and its mismatch.  Terms,
+    the order that stopped an expansion included, accumulate across
+    references; the best mismatch is the lowest of every reference and
+    partial sum.  The damped steps count as no Newton ``iterations``.
     """
     if n_max < 1:
         raise ValueError("the series needs at least one order")
     n = sys.n_bus
-    V = np.array(C, dtype=complex)
-    I = _nudge_zero_currents(sys, np.array(D, dtype=complex))
-    r = residual(sys, V, I)
-    z, mis = np.concatenate([V, I]), float(np.abs(r).max())
+    V, I = np.array(C, dtype=complex), np.array(D, dtype=complex)
+    low, r, mis = _point(sys, V, I)
     terms, best, cause = 0, (mis, 0), CAPPED
     for _ in range(MAX_ITERS):
-        if mis <= tol:
+        if not tol < mis < np.inf:
             break
         try:
             lu = lu_factor(jacobian(sys, V, I), sys.pattern)
         except np.linalg.LinAlgError:
             cause = SINGULAR
             break
-        entry, mis, r1 = mis, np.inf, None
+        m, r1 = np.inf, None
         for zs in _orders(sys, V, I, r, lu, n_max):
             terms += 1
-            last = mis
+            last = m
             z = evaluate_at_one(zs, pade)
+            m = np.inf          # a pole at a = 1, or a current below the floor
             if np.isfinite(z).all():
-                rz = residual(sys, z[:n], z[n:])
-                mis = float(np.abs(rz).max())
+                _, rz, m = _point(sys, z[:n], z[n:])
                 if zs.shape[1] == 2:
                     r1 = rz
-            else:
-                mis = np.inf                # a pole at a = 1
-            best = min(best, (mis, terms))
-            if not tol < mis < last:
+            best = min(best, (m, terms))
+            if not tol < m < last:
                 break
-        if mis <= tol:
+        if m <= tol:
+            V, I, mis = z[:n], z[n:], m
             break
         # order 1 is the Newton direction of the reference's factorisation:
         # take Newton's damped step along it and re-embed from there.  Its
         # full step is the order-1 partial sum, whose residual r1 is known
-        stepped = _damped_step(sys, V, I, zs[:n, 1], zs[n:, 1], entry,
-                               MAX_BACKTRACKS, r1)
-        if stepped is None:
+        point, low = _damped_step(sys, V, I, zs[:n, 1], zs[n:, 1], mis,
+                                  MAX_BACKTRACKS, r1)
+        if point is None:
             cause = STALLED
             break
-        V, I, r, mis = stepped
-        z = np.concatenate([V, I])
-    return SolveResult(z[:n], z[n:], mis, 0, terms, mis <= tol, best[0],
-                       best[1], cause="" if mis <= tol else cause)
+        V, I, r, mis = point
+        best = min(best, (mis, terms))
+    return _result(sys, V, I, mis, tol, low, cause, 0, terms, best)

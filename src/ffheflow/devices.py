@@ -16,8 +16,8 @@ import math
 import numbers
 from dataclasses import dataclass, replace
 
-#: smallest current guess a magnitude-normalised control mode accepts
-EPS_ZERO = 1e-9
+#: least magnitude of a V_SE or X_EQ current, in a guess or a solve's point
+CURRENT_FLOOR = 1e-3
 
 #: current magnitude below which the equivalent reactance is reported infinite
 I_REPORT_ZERO = 1e-6
@@ -43,7 +43,7 @@ class Mode(str, enum.Enum):
 #: control mode -> (row shape, imaginary part?, power p of the divisor |I|),
 #: the row shapes of :mod:`ffheflow.system`.  A mode with p > 0 needs the
 #: reciprocal (and magnitude) companion series of its current, and so a
-#: nonzero current guess.
+#: current of at least ``CURRENT_FLOOR``.
 MODE_ROWS = {
     Mode.P_FLOW: ("flow", False, 0),
     Mode.Q_FLOW: ("flow", True, 0),
@@ -122,10 +122,10 @@ class SeriesDevice:
         for t in self.targets:
             self._check_finite("setpoint", t.setpoint, numbers.Real)
             if MODE_ROWS[t.mode][2] and \
-                    abs(self.current_guess[t.branch]) <= EPS_ZERO:
+                    abs(self.current_guess[t.branch]) < CURRENT_FLOOR:
                 raise DeviceConfigError(
-                    f"{self.device_id}: mode {t.mode.value} needs a nonzero "
-                    "current guess")
+                    f"{self.device_id}: mode {t.mode.value} needs a current "
+                    f"guess of magnitude {CURRENT_FLOOR:g} or more")
             vmax = self.v_se_max[t.branch]
             if t.mode is Mode.V_SE and vmax is not None and \
                     abs(t.setpoint) > vmax:

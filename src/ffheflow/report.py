@@ -62,8 +62,8 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .core import ffhe_solve
-from .devices import (DeviceConfigError, Mode, branch_outputs,
-                      relax_violations)
+from .devices import (CURRENT_FLOOR, DeviceConfigError, Mode,
+                      branch_outputs, relax_violations)
 from .network import BusKind, Network
 from .newton import (ConvergenceError, SolveResult, failure, flat_start,
                      nr_solve, warm_start)
@@ -191,7 +191,8 @@ def _device_start(sys: System, base: StudyReport):
     solution branch: a device whose single job is zero reactive flow starts
     from the line-blocking state (receiving-bus voltage, zero current), and
     voltage-magnitude control seeds the current with an amplified copy of
-    the original line current.
+    the original line current, save where a V_SE or X_EQ row divides by a
+    copy below ``CURRENT_FLOOR``, which keeps the validated guess.
     """
     V0 = np.empty(sys.n_bus, dtype=complex)
     V0[:len(base.V)] = base.V
@@ -210,8 +211,10 @@ def _device_start(sys: System, base: StudyReport):
             I0[be.cur_idx] = guess
             if has_vbus:
                 s = base.branch_flow(net.buses[be.i_idx].ext_id, be.j_ext)
-                I0[be.cur_idx] = VOLTAGE_TARGET_BOOST * \
-                    np.conj(s / base.V[be.i_idx])
+                boost = VOLTAGE_TARGET_BOOST * np.conj(s / base.V[be.i_idx])
+                if abs(boost) >= CURRENT_FLOOR or \
+                        be.cur_idx not in sys.rows.companions:
+                    I0[be.cur_idx] = boost
     return V0, I0
 
 

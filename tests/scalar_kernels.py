@@ -19,8 +19,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ffheflow.devices import EPS_ZERO, Mode
+from ffheflow.devices import Mode
 from ffheflow.network import BusKind, build_admittance_matrix
+
+#: leading coefficient below which the oracle's reciprocal and magnitude
+#: recurrences refuse to divide
+EPS_ZERO = 1e-9
 
 
 class SeriesOrderError(ValueError):

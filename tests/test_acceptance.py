@@ -269,19 +269,19 @@ def test_solve_counts(study, label):
 
 def test_failed_series_reports_its_best_mismatch(case118):
     """A 5 p.u. flow target on 49-50, past what the branch can carry, under
-    ffhe raises at a last mismatch of ~4e+44, but the series came closest
-    at its first order from both starts: the error names that best
-    mismatch and its term."""
+    ffhe raises from both starts.  Each walk's last partial sum reaches a
+    mismatch of ~1e+39 or more, but the error names the reference the walk
+    stopped at, with its mismatch, and the series' best, which counts the
+    references and so is never above it: here that reference, reached by
+    the damped step after 14 and 18 terms."""
     dev = SsscDevice("s", (49, 50), ControlTarget(Mode.P_FLOW, 5.0))
     with pytest.raises(StudyError) as info:
         run_study(case118, (dev,), StudyOptions(method="ffhe"))
-    found = re.search(r"\((\d+) terms, mismatch (\S+); best (\S+) at term "
-                      r"(\d+)\)", str(info.value))
-    assert found, str(info.value)
-    terms, last, best, term = (int(found[1]), float(found[2]),
-                               float(found[3]), int(found[4]))
-    assert (terms, term) == (16, 1)
-    assert best < 1e-30 * last
+    found = re.findall(r"\((\d+) terms, mismatch (\S+); best (\S+) at term "
+                       r"(\d+)\)", str(info.value))
+    assert [(int(t), int(k)) for t, _, _, k in found] == [(16, 14), (20, 18)]
+    for _, last, best, _ in found:
+        assert float(best) <= float(last) < 10
 
 
 def test_criterion_01_base_case(study):

@@ -11,7 +11,7 @@ from ffheflow.cli import (EXIT_DIVERGED, EXIT_INPUT, EXIT_OK, build_parser,
                           format_text, main, report_dict)
 from ffheflow.devices import branch_outputs
 from ffheflow.network import Network
-from ffheflow.newton import SolveResult
+from ffheflow.newton import STALLED, SolveResult
 from ffheflow.report import StudyOptions, StudyReport, run_study
 from ffheflow.system import build_system
 
@@ -397,12 +397,14 @@ class TestMethodConvergence:
             I=np.zeros(0, dtype=complex), mismatch=1e-9, runtime_s=0.1,
             stats={"nr": SolveResult(V, V[:0], 1e-9, 4, 0, True, 1e-9, 0),
                    "nr-warm-ffhe": SolveResult(V, V[:0], 0.5, 3, 60, False,
-                                               0.4, 7)})
+                                               0.4, 7, cause=STALLED)})
 
     def test_json_stats(self, report):
         stats = report_dict(report)["stats"]
         assert stats["nr"]["converged"] is True
         assert stats["nr-warm-ffhe"]["converged"] is False
+        assert stats["nr"]["cause"] == ""
+        assert stats["nr-warm-ffhe"]["cause"] == STALLED
 
     def test_non_finite_floats_are_null(self, report):
         report.stats["ffhe"] = SolveResult(       # mismatch NaN
@@ -445,5 +447,6 @@ class TestMethodConvergence:
         lines = {line.split(":")[0]: line
                  for line in format_text(report).splitlines()
                  if line.startswith("method ")}
-        assert lines["method nr-warm-ffhe"].endswith("NOT CONVERGED")
+        assert lines["method nr-warm-ffhe"].endswith(
+            ", NOT CONVERGED: no step length lowers the mismatch")
         assert "NOT CONVERGED" not in lines["method nr"]

@@ -7,7 +7,8 @@ import pytest
 from conftest import random_sssc_study
 from ffheflow import core, newton
 from ffheflow.core import expand, ffhe_solve
-from ffheflow.devices import ControlTarget, Mode, SeriesDevice, SsscDevice
+from ffheflow.devices import (CURRENT_FLOOR, ControlTarget, Mode,
+                              SeriesDevice, SsscDevice)
 from ffheflow.network import Branch, Bus, BusKind, Network
 from ffheflow.newton import flat_start, nr_solve, warm_start
 from ffheflow.system import (build_system, jacobian, lu_factor, lu_solve,
@@ -200,7 +201,8 @@ class TestConvergence:
                                                     monkeypatch):
         # a Pade approximant with a pole at a = 1, stood in from the first
         # order: the non-finite state must stop the expansion before it
-        # reaches residual(), and the walk goes on by the damped step
+        # reaches residual(), and the walk goes on by the damped step, whose
+        # accepted points are the best reached
         monkeypatch.setattr(
             core, "evaluate_at_one",
             lambda coeffs, pade=False: np.full(coeffs.shape[:-1], np.inf,
@@ -212,30 +214,35 @@ class TestConvergence:
         res = ffhe_solve(sys, V0, I0, tol=1e-8, n_max=60, pade=True)
         assert not res.converged
         assert res.terms == 2
-        assert res.best_term == 0
-        assert np.isfinite(res.mismatch) and res.mismatch < res.best_mismatch
+        assert res.best_term == 2
+        assert np.isfinite(res.mismatch) and res.mismatch == res.best_mismatch
 
     @pytest.mark.filterwarnings("error")
-    def test_walk_back_nudges_its_candidates(self, case118, monkeypatch):
-        # an expansion whose order-1 current coefficient is -D, so the
-        # full damped step sums the current to 0 (order 2 gives it back at
-        # a = 1): the step must evaluate that point nudged, as the next
-        # reference would start from it, not divide 0 by 0 in the v_se
-        # row's |I|
+    def test_walk_rejects_a_step_to_a_vanishing_current(self, case118,
+                                                        monkeypatch):
+        # an expansion whose order-1 coefficient is the Newton direction
+        # but for the current's, -D, so the full damped step sums the
+        # current to 0 (order 2 gives it back at a = 1): the step rejects
+        # that point unevaluated, rather than divide 0 by 0 in the v_se
+        # row's |I|, and the next reference starts from the half step
         dev = SsscDevice("s", (101, 102), ControlTarget(Mode.V_SE, 0.1))
         sys = build_system(case118, (dev,))
-        starts = []
+        n, starts = sys.n_bus, []
 
         def orders(sys, C, D, r, lu, n_max):
-            starts.append(D.copy())
-            yield np.vstack([np.column_stack([C, 0 * C, 0 * C]),
-                             np.column_stack([D, -D, D])])
+            starts.append((C.copy(), D.copy()))
+            d = lu_solve(lu, -r).view(complex)
+            d[n:] = -D
+            back = np.concatenate([0 * C, D])
+            yield np.column_stack([np.concatenate([C, D]), d, back])
 
         monkeypatch.setattr(core, "_orders", orders)
+        monkeypatch.setattr(core, "MAX_ITERS", 2)
         res = ffhe_solve(sys, *flat_start(sys))
-        assert not res.converged
-        assert res.terms == len(starts)
-        assert all(abs(d[0]) >= newton.CURRENT_NUDGE for d in starts)
+        assert not res.converged and res.terms == len(starts) == 2
+        (C0, D0), (C1, D1) = starts
+        assert D1[0] == 0.5 * D0[0] and abs(D1[0]) >= CURRENT_FLOOR
+        assert np.max(np.abs(C1 - C0)) > 0
 
     def test_failed_stage_takes_newtons_damped_step(self, case118,
                                                     monkeypatch):
@@ -263,8 +270,8 @@ class TestConvergence:
         C, D = starts[0]
         r = residual(sys, C, D)
         lu = lu_factor(jacobian(sys, C, D), sys.pattern)
-        V, I, _, _ = newton._step(sys, C, D, r, lu, np.max(np.abs(r)),
-                                  newton.MAX_BACKTRACKS)
+        (V, I, _, _), _ = newton._step(sys, C, D, r, lu, np.max(np.abs(r)),
+                                       newton.MAX_BACKTRACKS)
         dV, _ = unpack_state(lu_solve(lu, -r), sys.n_bus)
         assert np.max(np.abs(V - (C + 0.5 * dV))) < 1e-12
         assert np.max(np.abs(starts[1][0] - V)) < 1e-12
@@ -276,22 +283,24 @@ class TestConvergence:
         # its residual, evaluated by the walk, is not evaluated again
         sys = build_system(case118)
         V0, I0 = flat_start(sys)
-        calls = []
+        points = []
         monkeypatch.setattr(newton, "residual",
-                            lambda *a: calls.append(a) or residual(*a))
+                            lambda s, V, I: points.append(V.tobytes())
+                            or residual(s, V, I))
         monkeypatch.setattr(core, "MAX_ITERS", 1)
         res = ffhe_solve(sys, V0, I0, tol=1e-14, n_max=3)
         assert not res.converged and res.terms >= 2
-        assert calls == []
         order1 = expand(sys, V0, I0, 1).sum(axis=1)
         assert res.V.tobytes() == order1[:sys.n_bus].tobytes()
+        assert points.count(res.V.tobytes()) == 1
+        assert len(points) == 1 + res.terms     # the start and each sum
         r1 = residual(sys, res.V, res.I)
         assert res.mismatch == float(np.max(np.abs(r1)))
 
-    def test_damped_step_evaluates_a_nudged_full_step(self, case118,
-                                                      monkeypatch):
-        # where the order-1 point has a current to nudge, the full step is
-        # another point, and its residual is evaluated
+    def test_damped_step_rejects_a_full_step_below_the_floor(
+            self, case118):
+        # where the order-1 point has a current below the floor, its
+        # known residual is not used: the half step is evaluated instead
         dev = SsscDevice("s", (101, 102), ControlTarget(Mode.V_SE, 0.1))
         sys = build_system(case118, (dev,))
         V0, I0 = flat_start(sys)
@@ -299,13 +308,43 @@ class TestConvergence:
         dI = unpack_state(lu_solve(lu, -residual(sys, V0, I0)),
                           sys.n_bus)[1]
         r_full = np.zeros(sys.size)     # a stand-in: must not be used
-        stepped = newton._damped_step(sys, V0, I0, 0 * V0, 1e-6 - I0,
-                                      np.inf, 1, r_full)
+        stepped, _ = newton._damped_step(sys, V0, I0, 0 * V0, 1e-6 - I0,
+                                         np.inf, 2, r_full)
         assert stepped[2] is not r_full
-        assert stepped[1][0] == pytest.approx(1e-3)
-        stepped = newton._damped_step(sys, V0, I0, 0 * V0, dI, np.inf, 1,
-                                      r_full)
+        assert stepped[1].tobytes() == (I0 + 0.5 * (1e-6 - I0)).tobytes()
+        stepped, _ = newton._damped_step(sys, V0, I0, 0 * V0, dI, np.inf, 1,
+                                         r_full)
         assert stepped[2] is r_full
+
+    @pytest.mark.filterwarnings("error")
+    def test_failed_walk_returns_its_last_reference(self, case118,
+                                                    monkeypatch):
+        # an expansion whose order 1 points uphill, so no step length
+        # lowers the mismatch, and whose partial sum at a = 1 takes the
+        # v_se current to 1e-7: that sum is outside the equations' domain,
+        # so it is neither evaluated nor the best, and the failed walk
+        # reports the reference it stopped at
+        dev = SsscDevice("s", (101, 102), ControlTarget(Mode.V_SE, 0.1))
+        sys = build_system(case118, (dev,))
+        n = sys.n_bus
+
+        def orders(sys, C, D, r, lu, n_max):
+            up = -lu_solve(lu, -r).view(complex)
+            z = np.concatenate([C, D])
+            last = np.zeros_like(z)
+            last[n:] = 1e-7 - D - up[n:]
+            yield np.column_stack([z, up, last])
+
+        monkeypatch.setattr(core, "_orders", orders)
+        V0, I0 = flat_start(sys)
+        res = ffhe_solve(sys, V0, I0)
+        assert (res.converged, res.cause) == (False, newton.STALLED)
+        assert (res.terms, res.best_term) == (1, 0)
+        assert res.V.tobytes() == V0.tobytes()
+        assert res.I.tobytes() == I0.tobytes()
+        assert np.abs(res.I[sys.rows.companions]).min() >= CURRENT_FLOOR
+        assert res.mismatch == float(np.max(np.abs(residual(sys, res.V,
+                                                            res.I))))
 
     def test_unconverged_series_carries_its_best_mismatch(self, case118,
                                                           monkeypatch):

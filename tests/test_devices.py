@@ -5,9 +5,10 @@ import math
 
 import pytest
 
-from ffheflow.devices import (BranchOutputs, ControlTarget, DeviceConfigError,
-                              Mode, SeriesDevice, SsscDevice, branch_outputs,
-                              load_devices, relax_violations)
+from ffheflow.devices import (CURRENT_FLOOR, BranchOutputs, ControlTarget,
+                              DeviceConfigError, Mode, SeriesDevice,
+                              SsscDevice, branch_outputs, load_devices,
+                              relax_violations)
 
 
 class TestSsscValidation:
@@ -26,6 +27,18 @@ class TestSsscValidation:
         with pytest.raises(DeviceConfigError, match="current guess"):
             SsscDevice("s", (1, 2), ControlTarget(Mode.V_SE, 0.2),
                        current_guess=0.0)
+
+    @pytest.mark.parametrize("mode", [Mode.V_SE, Mode.X_EQ])
+    def test_current_guess_below_the_floor_rejected(self, mode):
+        with pytest.raises(DeviceConfigError,
+                           match="current guess of magnitude 0.001 or more"):
+            SsscDevice("s", (1, 2), ControlTarget(mode, 0.2),
+                       current_guess=0.9e-3j)
+        SsscDevice("s", (1, 2), ControlTarget(mode, 0.2),
+                   current_guess=CURRENT_FLOOR)
+        # a mode that does not divide by |I| takes any guess
+        SsscDevice("s", (1, 2), ControlTarget(Mode.P_FLOW, 0.2),
+                   current_guess=0.0)
 
     @pytest.mark.parametrize("setpoint", [0.2, -0.2])
     def test_vse_target_above_rating_rejected(self, setpoint):

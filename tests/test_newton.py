@@ -10,7 +10,9 @@ from conftest import random_network, random_sssc_study
 from ffheflow import newton
 from ffheflow.devices import ControlTarget, Mode, SeriesDevice, SsscDevice
 from ffheflow.network import Branch, Bus, BusKind, Network, TopologyError
-from ffheflow.newton import (ConvergenceError, _nudge_zero_currents,
+from ffheflow.core import ffhe_solve
+from ffheflow.devices import CURRENT_FLOOR
+from ffheflow.newton import (ConvergenceError, SolveResult, failure,
                              flat_start, nr_solve, warm_start)
 from ffheflow.system import (build_system, jacobian, pack_state, residual,
                              unpack_state)
@@ -212,6 +214,34 @@ class TestNewton:
                                  r"\(mismatch 6\.070e\+00\)$"):
             nr_solve(sys, np.zeros_like(V0), I0)
 
+    def test_floor_rejected_chord_step_is_not_the_cause(self, case118,
+                                                        monkeypatch):
+        # the chord step's trial is below the floor, then the fresh
+        # factorisation is singular: the solve names the singular Jacobian,
+        # and no device current
+        dev = SsscDevice("s", (101, 102), ControlTarget(Mode.V_SE, 0.1))
+        sys = build_system(case118, (dev,))
+        real_step, real_factor = newton._damped_step, newton.lu_factor
+        factored = []
+
+        def step(sys_, V, I, dV, dI, bound, tries, r_full=None):
+            if tries == 1:
+                return None, sys_.rows.companions
+            return real_step(sys_, V, I, dV, dI, bound, tries, r_full)
+
+        def factor(*args):
+            factored.append(1)
+            if len(factored) == 2:
+                raise np.linalg.LinAlgError
+            return real_factor(*args)
+
+        monkeypatch.setattr(newton, "_damped_step", step)
+        monkeypatch.setattr(newton, "lu_factor", factor)
+        with pytest.raises(ConvergenceError,
+                           match=r"^singular Jacobian at iteration 1 "
+                                 r"\(mismatch \S+\)$"):
+            nr_solve(sys)
+
     def test_each_cause_keeps_its_message(self, case118, monkeypatch):
         sys = build_system(case118)
         V0, I0 = flat_start(sys)
@@ -282,21 +312,37 @@ class TestNewton:
         for k in chord:
             assert mis[k] <= newton.CONTRACTION * mis[k - 1]
 
-    def test_nudge_preserves_phase(self, case118):
+    @pytest.mark.filterwarnings("error")
+    def test_damped_step_halves_a_trial_below_the_floor(self, case118,
+                                                        monkeypatch):
+        # the full step takes the v_se current to 1e-6: that point is
+        # rejected without evaluating it, and the half step is accepted
         dev = SsscDevice("s", (101, 102), ControlTarget(Mode.V_SE, 0.1))
         sys = build_system(case118, (dev,))
-        I = np.array([1e-6 * np.exp(1j * 0.7)])
-        out = _nudge_zero_currents(sys, I.copy())
-        assert abs(out[0]) == pytest.approx(1e-3)
-        assert np.angle(out[0]) == pytest.approx(0.7)
-        out0 = _nudge_zero_currents(sys, np.array([0j]))
-        assert out0[0] == 1e-3
+        V, I = flat_start(sys)
+        dI = 1e-6 * np.exp(0.7j) - I
+        trials = []
+        monkeypatch.setattr(newton, "residual",
+                            lambda s, Vn, In: trials.append(In.copy())
+                            or residual(s, Vn, In))
+        r_full = np.zeros(sys.size)     # a stand-in: must not be used
+        (Vn, In, rn, _), low = newton._damped_step(sys, V, I, 0 * V, dI,
+                                                   np.inf, 3, r_full)
+        assert low.size == 0
+        assert In.tobytes() == (I + 0.5 * dI).tobytes()
+        assert rn is not r_full
+        assert len(trials) == 1 and abs(trials[0][0]) >= CURRENT_FLOOR
 
-    def test_nudge_skips_polynomial_modes(self, case118):
+    @pytest.mark.filterwarnings("error")
+    def test_no_floor_without_v_se_or_x_eq_rows(self, case118):
+        # a p_flow row does not divide by |I|: a zero current is a point
+        # like any other, and the full step to it is taken
         dev = SsscDevice("s", (101, 102), ControlTarget(Mode.P_FLOW, 0.9))
         sys = build_system(case118, (dev,))
-        out = _nudge_zero_currents(sys, np.array([0j]))
-        assert out[0] == 0j
+        assert sys.rows.companions.size == 0
+        V, I = flat_start(sys)
+        point, _ = newton._damped_step(sys, V, I, 0 * V, -I, np.inf, 1)
+        assert point[1][0] == 0j
 
     @pytest.mark.parametrize("devices", [
         (SsscDevice("s", (101, 102), ControlTarget(Mode.V_SE, 0.1)),),
@@ -305,20 +351,40 @@ class TestNewton:
                        ControlTarget(Mode.X_EQ, 0.05, branch=1),
                        ControlTarget(Mode.Q_FLOW, 0.03, branch=1))),)],
         ids=["sssc-v_se", "ipfc"])
-    def test_nudge_returns_its_input_when_no_current_is_small(
+    def test_damped_step_returns_the_currents_the_floor_rejected(
             self, case118, devices):
         sys = build_system(case118, devices)
         assert sys.rows.companions.size == sys.n_currents
-        I = np.full(sys.n_currents, 0.3 - 0.2j)
+        V, I = flat_start(sys)
+        dI = np.zeros_like(I)
+        dI[-1] = 1e-4 - I[-1]
         before = I.copy()
-        assert _nudge_zero_currents(sys, I) is I
+        point, low = newton._damped_step(sys, V, I, 0 * V, dI, np.inf, 1)
+        assert point is None and low.tolist() == [sys.n_currents - 1]
         assert I.tobytes() == before.tobytes()
-        # a small current is nudged in a copy; the input is left alone
-        I[-1] = 1e-6j
-        out = _nudge_zero_currents(sys, I)
-        assert out is not I and I[-1] == 1e-6j
-        assert out[-1] == pytest.approx(1e-3j)
-        assert out[:-1].tobytes() == I[:-1].tobytes()
+        # a trial that fails on the mismatch alone rejects no current
+        point, low = newton._damped_step(sys, V, I, 0 * V, 0 * dI, 0.0, 2)
+        assert point is None and low.size == 0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("start", [0j, 1e-4j])
+    def test_start_below_the_floor_fails_at_once(self, case118, start):
+        # neither solver evaluates a start outside the rows' domain: the
+        # v_se row divides by |I|, and 0 would give NaN
+        dev = SsscDevice("s", (101, 102), ControlTarget(Mode.V_SE, 0.1))
+        sys = build_system(case118, (dev,))
+        V0, _ = flat_start(sys)
+        I0 = np.array([start])
+        with pytest.raises(ConvergenceError,
+                           match=r"^a device current vanishes at iteration 0 "
+                                 r"\(mismatch inf\): device 's' branch 0$"):
+            nr_solve(sys, V0, I0)
+        res = ffhe_solve(sys, V0, I0)
+        assert (res.converged, res.cause, res.vanished, res.terms) == (
+            False, newton.VANISHED, (("s", 0),), 0)
+        assert res.I.tobytes() == I0.tobytes()
+        assert failure(res, series=True).endswith(
+            "; a device current vanishes: device 's' branch 0")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_damped_step_halves_past_a_non_finite_trial(
@@ -340,11 +406,21 @@ class TestNewton:
         monkeypatch.setattr(newton, "residual", fake_residual)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = newton._damped_step(sys, V, I, dV, I[:0], 1.0, 3)
+            out, _ = newton._damped_step(sys, V, I, dV, I[:0], 1.0, 3)
         assert len(trials) == 2
         Vn, _, rn, mis = out
         assert Vn.tobytes() == (V + 0.5 * dV).tobytes()
         assert rn is results[1] and mis == 1e-3
+
+
+@pytest.mark.parametrize("cause", [newton.SINGULAR, newton.STALLED,
+                                   newton.CAPPED, newton.NON_FINITE,
+                                   newton.VANISHED])
+def test_every_cause_has_a_message(cause):
+    res = SolveResult(np.ones(1, complex), np.zeros(0, complex), 0.5, 3, 7,
+                      False, 0.25, 2, cause=cause)
+    assert failure(res)
+    assert failure(res, series=True).endswith(f"); {cause}")
 
 
 def test_random_device_jacobians_match_fd():

@@ -13,11 +13,12 @@ from conftest import random_sssc_study
 from ffheflow import core, report
 from ffheflow.devices import (ControlTarget, DeviceConfigError, Mode,
                               SeriesDevice, SsscDevice)
-from ffheflow.network import BusKind, TopologyError
+from ffheflow.network import Branch, Bus, BusKind, Network, TopologyError
 from ffheflow.newton import ConvergenceError, flat_start
 from ffheflow.report import (StudyError, StudyOptions, _base_solution,
-                             _check_devices, _passes, error_improvement_pct,
-                             run_study, runtime_improvement_pct)
+                             _check_devices, _device_start, _passes,
+                             error_improvement_pct, run_study,
+                             runtime_improvement_pct)
 from ffheflow.system import build_system, residual
 from test_newton import two_bus
 
@@ -350,6 +351,34 @@ class TestDeviceStudy:
         assert rep.stats["nr-warm-ffhe"].converged
         assert rep.comparison["voltage_gap"] < 1e-6
 
+    @pytest.mark.parametrize("mode, setpoint", [(Mode.V_SE, 0.02),
+                                                (Mode.X_EQ, 0.05)])
+    def test_vbus_start_keeps_the_guess_on_an_idle_line(self, mode,
+                                                        setpoint):
+        # a ring whose middle line 2-3 carries no current by symmetry: the
+        # v_bus boost would seed that branch's v_se or x_eq current at 0,
+        # below the floor, so it keeps its guess, and the other branch
+        # takes the boost
+        net = Network(
+            buses=(Bus(1, BusKind.SLACK, v_setpoint=1.0),
+                   Bus(2, BusKind.PQ, p_load=0.5, q_load=0.2),
+                   Bus(3, BusKind.PQ, p_load=0.5, q_load=0.2)),
+            branches=(Branch(1, 2, 0.01, 0.1), Branch(2, 3, 0.01, 0.1),
+                      Branch(1, 3, 0.01, 0.1)),
+            base_mva=100.0)
+        dev = SeriesDevice("ipfc", ((2, 1), (2, 3)),
+                           (ControlTarget(Mode.V_BUS, 1.0),
+                            ControlTarget(Mode.Q_FLOW, -0.1),
+                            ControlTarget(mode, setpoint, branch=1)))
+        base = run_study(net, (), StudyOptions(method="nr"))
+        assert base.branch_flow(2, 3) == 0
+        _, I0 = _device_start(build_system(net, (dev,)), base)
+        assert I0[1] == dev.current_guess[1]
+        assert I0[0] == report.VOLTAGE_TARGET_BOOST * np.conj(
+            base.branch_flow(2, 1) / base.V[1])
+        if mode is Mode.X_EQ:
+            assert run_study(net, (dev,), StudyOptions(method="nr")).converged
+
 
 class TestPassLoop:
     """The outer passes: a generator outside its limits is pinned and the
@@ -446,6 +475,29 @@ class TestPassLoop:
                "6.070e+00 at term 0); singular Jacobian")
         with pytest.raises(ConvergenceError, match=f"^{re.escape(msg)}$"):
             _passes(case118, (), StudyOptions(method=method), zero, {}, {})
+
+    @pytest.mark.parametrize("method, module", [("nr", "newton"),
+                                                ("ffhe", "core")])
+    def test_study_names_the_device_whose_current_vanishes(
+            self, case118, monkeypatch, method, module):
+        # every step's direction takes the v_se current to zero, and one
+        # length is tried: the floor rejects that trial, and the study's
+        # error names the device branch, from each start
+        real = ffheflow.newton._damped_step
+
+        def to_zero(sys_, V, I, dV, dI, bound, tries, r_full=None):
+            return real(sys_, V, I, dV, -I, bound, 1, r_full)
+
+        monkeypatch.setattr(getattr(ffheflow, module), "_damped_step",
+                            to_zero)
+        devices = (SsscDevice("s", (101, 102),
+                              ControlTarget(Mode.V_SE, 0.1)),)
+        with pytest.raises(StudyError) as err:
+            run_study(case118, devices,
+                      StudyOptions(method=method, max_terms=2))
+        msg = str(err.value)
+        assert msg.count("a device current vanishes") == 2
+        assert msg.count(": device 's' branch 0 [") == 2
 
     def test_cap_on_the_passes(self, case118, monkeypatch):
         # the base case pins its generators in one pass and settles in a
