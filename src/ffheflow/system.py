@@ -52,25 +52,27 @@ is memoised on those in a second bounded cache: the passes and studies
 that share them share one pattern, and every Newton Jacobian, series
 stage and ``compare`` solve refills it, as in the fixed-structure Jacobian
 of MATPOWER and pandapower.  The pattern also holds SuperLU's column order,
-computed once when the pattern is built; every factorisation of the
-pattern takes its columns in that order, so SuperLU reuses the symbolic
-ordering instead of recomputing it per Jacobian (as KLU does across
-refactorisations: Davis and Palamadai Natarajan, "Algorithm 907: KLU",
-ACM TOMS 2010).  It also holds the index gathers that read the bus rows'
-values out of one complex array, and two CSC matrices with zero values,
-J's and the reordered one that SuperLU factorises: :func:`jacobian` and
-:func:`lu_factor` each make a shallow copy of one and give it its values,
-so neither runs scipy's constructor checks of index arrays that never
-change.
+computed once when the pattern is built.  Every factorisation of the
+pattern applies it to the rows as well as the columns, so SuperLU
+factorises ``P J P^T`` and reuses the symbolic ordering instead of
+recomputing it per Jacobian, as KLU does across refactorisations (Davis
+and Palamadai Natarajan, "Algorithm 907: KLU", ACM TOMS 2010).  It also
+holds the index gathers that read the bus rows' values out of one complex
+array, and two CSC matrices with zero values, J's and the permuted one
+that SuperLU factorises: :func:`jacobian` and :func:`lu_factor` each make
+a shallow copy of one and give it its values, so neither runs scipy's
+constructor checks of index arrays that never change.
 
 The bus rows are complex-matrix expressions over those index arrays: the
 injections ``S = diag(conj V) [Y C] z``, with ``C`` the sparse +-1
 incidence of device currents on buses, and their derivatives after
 Zimmerman ("AC Power Flows, Generalized OPF Costs and their Derivatives
 using Complex Matrix Notation", MATPOWER TN2, 2010).  The Jacobian is a
-``scipy.sparse`` CSC matrix, factorised by SuperLU in its pattern's column
-order (:func:`lu_factor`) for Newton steps and series orders alike.  The
-factors of a network Jacobian hold a few entries per column, too few for
+``scipy.sparse`` CSC matrix, factorised by SuperLU in its pattern's
+symmetric order (:func:`lu_factor`) for Newton steps and series orders
+alike.  As in KLU, it keeps each diagonal pivot unless it is below
+:data:`DIAG_PIVOT_THRESH` of its column's largest entry, so the factors
+keep the order's fill.  They hold a few entries per column, too few for
 SuperLU's panels and relaxed supernodes (Demmel et al., "A supernodal
 approach to sparse partial pivoting", SIMAX 1999) to repay their set-up,
 so :func:`lu_factor` factorises column by column without them, as KLU
@@ -90,6 +92,11 @@ from scipy.sparse.linalg import splu
 from .devices import MODE_ROWS, DeviceConfigError, Mode
 from .network import (BusKind, Network, TopologyError,
                       build_admittance_matrix, insert_series_device)
+
+#: SuperLU keeps a column's diagonal pivot unless it is below this fraction
+#: of the column's largest entry: KLU's default partial-pivoting tolerance
+#: (Davis and Palamadai Natarajan, "Algorithm 907: KLU", ACM TOMS 2010)
+DIAG_PIVOT_THRESH = 1e-3
 
 
 @dataclass(frozen=True)
@@ -413,7 +420,7 @@ def residual(sys: System, V: np.ndarray, I: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class JacobianPattern:
-    """Fixed CSC pattern of a Jacobian, and SuperLU's column order for it.
+    """Fixed CSC pattern of a Jacobian, and SuperLU's order for it.
 
     :func:`jacobian` computes its values as one vector in a fixed triplet
     order; ``scatter`` maps each value to its slot in the CSC ``data``,
@@ -426,12 +433,13 @@ class JacobianPattern:
 
     SuperLU's column order (COLAMD, then the elimination tree's postorder)
     depends on the pattern alone, so it is computed once, here, and
-    :func:`lu_factor` hands SuperLU each Jacobian's columns already in that
-    order.  ``perm_c`` is SuperLU's own: column j of J goes to position
-    ``perm_c[j]``.  ``csc`` and ``lu_csc`` hold the index arrays of J
-    and of the reordered matrix; :func:`jacobian` and :func:`lu_factor`
-    give shallow copies of them their values (:func:`_csc`).  Built by
-    :func:`_jacobian_pattern`, which memoises it; its arrays are read-only.
+    :func:`lu_factor` hands SuperLU each Jacobian as ``P J P^T``, whose
+    diagonal, the pivots SuperLU prefers, is J's.  ``perm_c`` is SuperLU's
+    own: row and column j of J go to position ``perm_c[j]``.  ``csc`` and
+    ``lu_csc`` hold the index arrays of J and of ``P J P^T``;
+    :func:`jacobian` and :func:`lu_factor` give shallow copies of them
+    their values (:func:`_csc`).  Built by :func:`_jacobian_pattern`, which
+    memoises it; its arrays are read-only.
     """
 
     bus_take: np.ndarray    # the bus triplets' values in the float view of
@@ -443,9 +451,10 @@ class JacobianPattern:
     d_im: np.ndarray    # per device term: its row is an imaginary part
     scatter: np.ndarray  # triplet -> slot in data
     csc: sparse.csc_matrix  # the pattern, with zero values
-    perm_c: np.ndarray  # SuperLU's column order
-    take: np.ndarray    # the slots of ``data`` in that column order,
-    lu_csc: sparse.csc_matrix   # and the reordered pattern, zero-valued
+    perm_c: np.ndarray  # SuperLU's column order, for rows and columns:
+    order: np.ndarray   # J's index at each position (``perm_c``'s inverse),
+    take: np.ndarray    # the slots of ``data`` in P J P^T's order,
+    lu_csc: sparse.csc_matrix   # and P J P^T's pattern, zero-valued
 
 
 #: the :class:`DeviceRows` index arrays that, with the structure and the PV
@@ -488,24 +497,25 @@ def _jacobian_pattern(st: Structure, pv_mask: bytes,
     np.cumsum(np.bincount(slots // size, minlength=size), out=indptr[1:])
 
     perm_c = _column_order(indices, indptr)
-    order = np.argsort(perm_c)      # J's column at each position
-    counts = np.diff(indptr)[order]
+    order = np.argsort(perm_c)      # J's index at each position
     lu_indptr = np.zeros_like(indptr)
-    np.cumsum(counts, out=lu_indptr[1:])
-    take = np.repeat(indptr[order] - lu_indptr[:-1], counts) \
-        + np.arange(indices.size, dtype=np.int32)
+    np.cumsum(np.diff(indptr)[order], out=lu_indptr[1:])
+    # J's stored entries sorted by their column's, then their row's position
+    lu_rows = perm_c[indices]
+    take = np.argsort(perm_c[slots // size].astype(np.intp) * size
+                      + lu_rows).astype(np.int32)
     nnz = tr.size
     bus_take = np.concatenate([2 * re, 2 * (nnz + re) + 1, 2 * im + 1,
                                2 * (nnz + im)])
     pv_take = np.concatenate([2 * pv, 2 * pv + 1])
-    lu_indices, zeros = indices[take], np.zeros(indices.size)
+    lu_indices, zeros = lu_rows[take], np.zeros(indices.size)
     for arr in (bus_take, pv_take, d_im, scatter, indices, indptr, perm_c,
-                take, lu_indices, lu_indptr, zeros):
+                order, take, lu_indices, lu_indptr, zeros):
         arr.setflags(write=False)
     return JacobianPattern(
         bus_take=bus_take, n_re=re.size, pv_take=pv_take, d_im=d_im,
         scatter=scatter, csc=_template(zeros, indices, indptr),
-        perm_c=perm_c, take=take,
+        perm_c=perm_c, order=order, take=take,
         lu_csc=_template(zeros, lu_indices, lu_indptr))
 
 
@@ -523,7 +533,10 @@ def _column_order(indices, indptr) -> np.ndarray:
     elimination tree's postorder, both of which read only the pattern.  So
     it is taken from ``splu`` of the pattern filled with random values,
     which are nonsingular unless the pattern is structurally singular.  A
-    pattern whose every Jacobian is singular keeps its natural order."""
+    pattern whose every Jacobian is singular keeps its natural order.
+    :func:`lu_factor` orders J's rows by it too; ``MMD_AT_PLUS_A``, an
+    order for ``J + J^T``, gives less fill but was no faster on case118
+    (``notes/decisions.md``, "SuperLU options")."""
     size = indptr.size - 1
     values = np.random.default_rng(0).uniform(1.0, 2.0, indices.size)
     try:
@@ -609,25 +622,29 @@ def lu_factor(J: sparse.csc_matrix, pattern: JacobianPattern):
     """SuperLU factorisation of a Jacobian from :func:`jacobian` with the
     given ``pattern``, as a handle for :func:`lu_solve`.
 
-    J's columns are taken in the pattern's column order and factorised in
-    that order (``permc_spec="NATURAL"``), with SuperLU's default partial
-    pivoting, so the ordering is not recomputed for every Jacobian.  It
-    runs column by column (``panel_size=1``) with no relaxed supernodes
-    (``relax=1``), which the factors are too sparse to repay: on case118
-    this cuts a factorisation's time by about a third and its page faults
-    by three quarters (``notes/decisions.md``, "SuperLU options").
+    SuperLU factorises ``P J P^T``, J's rows and columns both in the
+    pattern's order, with ``permc_spec="NATURAL"`` so that the ordering is
+    not recomputed per Jacobian, and keeps a diagonal pivot down to
+    :data:`DIAG_PIVOT_THRESH` of its column's largest entry (KLU's
+    threshold partial pivoting).  It runs column by column
+    (``panel_size=1``) with no relaxed supernodes (``relax=1``), which the
+    factors are too sparse to repay.  On case118 the symmetric order and
+    the threshold cut ``splu``'s time by two fifths and the fill by a
+    fifth (``notes/decisions.md``, "SuperLU options").
     Raises ``np.linalg.LinAlgError`` when the matrix is exactly singular.
     """
     try:
         return (splu(_csc(pattern.lu_csc, J.data[pattern.take]),
-                     permc_spec="NATURAL", panel_size=1, relax=1),
-                pattern.perm_c)
+                     permc_spec="NATURAL", diag_pivot_thresh=DIAG_PIVOT_THRESH,
+                     panel_size=1, relax=1),
+                pattern)
     except RuntimeError as exc:
         raise np.linalg.LinAlgError(str(exc)) from None
 
 
 def lu_solve(lu, rhs: np.ndarray) -> np.ndarray:
-    """Solve with a factorisation from :func:`lu_factor`: the reordered
-    matrix's solution, with its entries put back in J's column order."""
-    factor, perm_c = lu
-    return factor.solve(rhs)[perm_c]
+    """Solve with a factorisation from :func:`lu_factor`: the right-hand
+    side is gathered into the pattern's order, and the permuted system's
+    solution put back in J's order."""
+    factor, pattern = lu
+    return factor.solve(rhs[pattern.order])[pattern.perm_c]

@@ -243,7 +243,7 @@ SOLVE_COUNTS = {
     "49-50/qse0.3": ((3, 0), (3, 0), 3),
     "49-50/v1.0": ((4, 0), (3, 1), 4),
     "49-50/vse0.2": ((7, 0), (3, 2), 8),
-    "49-50/x-0.2": ((6, 0), (3, 3), 45),
+    "49-50/x-0.2": ((6, 0), (3, 3), 46),
     "101-102/p0.9": ((4, 0), (3, 1), 4),
     "101-102/q0": ((6, 0), (3, 1), 7),
     "101-102/qse0.3": ((16, 0), (3, 17), 24),

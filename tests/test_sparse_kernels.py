@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import norm as sparse_norm
 
 from conftest import random_network
 from ffheflow.core import _history
 from ffheflow.devices import ControlTarget, Mode, SeriesDevice, SsscDevice
 from ffheflow.network import BusKind
-from ffheflow.newton import flat_start
+from ffheflow.newton import ConvergenceError, flat_start, nr_solve
 from ffheflow.series import magnitude_coefficient, reciprocal_coefficient
 from ffheflow.system import build_system, jacobian, lu_factor, lu_solve, \
     residual
@@ -135,6 +136,64 @@ def test_factorisation_solves_the_jacobian(case118):
     r = residual(sys, V, I)
     x = lu_solve(lu_factor(J, sys.pattern), r)
     assert np.max(np.abs(J @ x - r)) < 1e-10
+
+
+def _backward_error(J, x, r) -> float:
+    """Normwise relative backward error of x as a solution of J x = r."""
+    return np.max(np.abs(J @ x - r)) / (
+        sparse_norm(J, np.inf) * np.max(np.abs(x)) + np.max(np.abs(r)))
+
+
+def test_factorisation_passes_over_a_small_diagonal_pivot(case118):
+    """The first column of the factorisation order, whose diagonal entry
+    is its pivot unless it falls below the threshold, has that entry
+    scaled to 1e-10 of the column's largest: the factorisation pivots off
+    the diagonal and stays backward stable."""
+    sys = build_system(case118, (SsscDevice(
+        "s", (49, 50), ControlTarget(Mode.P_FLOW, 0.75)),))
+    V, I = _perturbed_state(np.random.default_rng(2), sys)
+    J, r = jacobian(sys, V, I), residual(sys, V, I)
+    k = sys.pattern.order[0]
+    J[k, k] = 1e-10 * abs(J[:, [k]]).max()
+    x = lu_solve(lu_factor(J, sys.pattern), r)
+    assert _backward_error(J, x, r) <= 1e-12
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_random_network_factorisation_is_backward_stable(mode, seed):
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, n_bus=int(rng.integers(3, 8)))
+    sys = build_system(net, _random_devices(rng, net, mode))
+    V, I = _perturbed_state(rng, sys)
+    J, r = jacobian(sys, V, I), residual(sys, V, I)
+    try:
+        lu = lu_factor(J, sys.pattern)
+    except np.linalg.LinAlgError:
+        # a draw whose targets conflict: J is singular to rounding
+        assert np.linalg.cond(J.toarray()) > 1e12
+        return
+    assert _backward_error(J, lu_solve(lu, r), r) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [202, 212, 254])
+def test_newton_names_a_factorised_jacobian_singular_to_rounding(seed):
+    """A p_flow draw whose IPFC targets conflict: J is singular to rounding
+    yet SuperLU meets no zero pivot.  The step solved from its factors has
+    no meaning, and Newton, from that point or a flat start, stops with a
+    named cause and does not report convergence."""
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, n_bus=int(rng.integers(3, 8)))
+    sys = build_system(net, _random_devices(rng, net, Mode.P_FLOW))
+    V, I = _perturbed_state(rng, sys)
+    J = jacobian(sys, V, I)
+    assert np.linalg.cond(J.toarray()) > 1e16
+    lu_factor(J, sys.pattern)
+    for start in ((V, I), ()):
+        with pytest.raises(ConvergenceError,
+                           match="^(stalled|singular Jacobian) at iteration"):
+            nr_solve(sys, *start)
 
 
 def test_singular_jacobian_raises_linalg_error():

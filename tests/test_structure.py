@@ -264,7 +264,7 @@ class TestPatternMemo:
     def test_pattern_arrays_are_read_only(self, case118):
         pat = build_system(case118, (_sssc(),)).pattern
         for name in ("bus_take", "pv_take", "d_im", "scatter", "perm_c",
-                     "take"):
+                     "order", "take"):
             assert not getattr(pat, name).flags.writeable, name
         for csc in (pat.csc, pat.lu_csc):
             for arr in (csc.data, csc.indices, csc.indptr):
@@ -318,13 +318,27 @@ def _several_devices():
                       ControlTarget(Mode.Q_FLOW, 0.0, branch=1))))
 
 
+def test_factorised_matrix_is_the_symmetric_permutation(case118):
+    """SuperLU is handed ``P J P^T``: J's rows and columns both in the
+    pattern's order, so the diagonal it prefers as pivots is J's."""
+    sys_ = build_system(case118, _several_devices())
+    pat = sys_.pattern
+    V, I = _random_state(np.random.default_rng(17), sys_)
+    J = jacobian(sys_, V, I)
+    ref = J[pat.order][:, pat.order].tocsc()
+    ref.sort_indices()
+    _assert_same_csc(system._csc(pat.lu_csc, J.data[pat.take]), ref)
+    assert np.array_equal(pat.order[pat.perm_c], np.arange(sys_.size))
+
+
 @pytest.mark.parametrize("devices", [
     *(_modes_devices(mode) for mode in Mode), _several_devices()],
     ids=[*(mode.value for mode in Mode), "several"])
 def test_column_by_column_factor_solves_as_default_splu(case118, devices,
                                                         monkeypatch):
     """Every factorisation runs column by column, with no relaxed
-    supernodes, and solves ``J x = r`` as a default-option ``splu``."""
+    supernodes and KLU's diagonal-preferring pivot threshold, and solves
+    ``J x = r`` as a default-option ``splu``."""
     sys_ = build_system(case118, devices)
     pattern = sys_.pattern      # built, with its own default-option splu
     options = []
@@ -342,8 +356,8 @@ def test_column_by_column_factor_solves_as_default_splu(case118, devices,
         x_ref = splu(J).solve(r)
         assert np.max(np.abs(x - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))
         assert np.max(np.abs(J @ x - r)) <= 1e-10 * np.max(np.abs(r))
-    assert options == 3 * [dict(permc_spec="NATURAL", panel_size=1,
-                                relax=1)]
+    assert options == 3 * [dict(permc_spec="NATURAL", diag_pivot_thresh=1e-3,
+                                panel_size=1, relax=1)]
 
 
 class TestFrozenQ:
