@@ -70,7 +70,7 @@ def _history(sys: System, n: int, Zs, Ws, Ms, Ts) -> np.ndarray:
             if vse.size:
                 val[rows.z[vse]] = cauchy(Ms[vse, :n + 1],
                                           Ts[vse, n::-1]).imag
-        dev = np.bincount(rows.row, val, minlength=rows.setpoint.size)
+        dev = np.bincount(rows.row, val, minlength=sys.setpoint.size)
         if rows.v_row.size:
             vb = Vs[rows.v_bus]
             dev[rows.v_row] = 0.5 * cauchy(vb, np.conj(vb[:, ::-1])).real

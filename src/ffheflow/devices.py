@@ -81,6 +81,10 @@ class SeriesDevice:
 
     def __post_init__(self):
         n = len(self.branches)
+        for br in self.branches:
+            if not isinstance(br, (tuple, list)) or len(br) != 2:
+                raise DeviceConfigError(
+                    f"{self.device_id}: branch {br!r} is not an (i, j) pair")
         if len({b[0] for b in self.branches}) != 1:
             raise DeviceConfigError(
                 "a device needs branches that share the sending bus")
@@ -104,6 +108,10 @@ class SeriesDevice:
         for t in self.targets:
             if not 0 <= t.branch < n:
                 raise DeviceConfigError(f"target branch {t.branch} out of range")
+            if t.bus is not None and t.mode is not Mode.V_BUS:
+                raise DeviceConfigError(
+                    f"{self.device_id}: a {t.mode.value} target takes no bus "
+                    f"({t.bus}); only a v_bus target does")
             key = (t.mode, t.branch, t.bus)
             if key in seen:
                 raise DeviceConfigError(f"duplicate control target {key}")

@@ -16,10 +16,10 @@ as one of three row shapes: exchange-like rows, Re or Im of
 its device's power exchange, and the Q_INJ, V_SE and X_EQ targets); flow
 rows, Re or Im of ``V_i conj(I)`` (P_FLOW, Q_FLOW); and V_BUS rows,
 ``(|V_b|**2 - s**2) / 2``.  A
-:class:`DeviceRows` table, built once per System, holds every device row's
-indices, divisor power and setpoint by shape; :func:`residual`,
-:func:`jacobian` and the series history read it with one array expression
-per shape instead of a loop over devices and targets.
+:class:`DeviceRows` table holds every device row's indices and divisor
+power by shape, and each System its rows' setpoints; :func:`residual`,
+:func:`jacobian` and the series history read them with one array
+expression per shape instead of a loop over devices and targets.
 
 Assembly is split by what changes.  A :class:`Structure` holds what the
 case and the device placement (each device's branches and coupling
@@ -29,10 +29,10 @@ current indices) and the per-bus arrays.  It is memoised per (case,
 placement) in a small bounded cache, and its arrays are read-only.  A
 :class:`System`, made by :func:`build_system`, is one outer pass's view of
 it: the bus masks after the constant-Q pins, the scheduled injections and
-setpoints, the :class:`~ffheflow.devices.SeriesDevice` objects the pass
-solves (relaxed targets included) and, built on first use, the device-row
-table.  So a generator-limit or relaxation pass neither re-splices the
-devices nor rebuilds the Y-bus.
+setpoints, and the :class:`~ffheflow.devices.SeriesDevice` objects the pass
+solves (relaxed targets included).  No pass re-splices the devices or
+rebuilds the Y-bus, and the device-row table, memoised on the structure
+and the target layout, is rebuilt only when a relaxation changes that.
 
 What the kernels read on every call is computed once per pass, not per
 call, since on vectors of a few hundred rows most of a kernel's cost is
@@ -47,11 +47,10 @@ operations and their order are those of the plain expressions, so the
 answers are bitwise the same.
 
 The Jacobian's fixed CSC :class:`JacobianPattern` depends only on the
-structure, the PV mask and the device-row layout (not the setpoints), and
-is memoised on those in a second bounded cache: the passes and studies
-that share them share one pattern, and every Newton Jacobian, series
-stage and ``compare`` solve refills it, as in the fixed-structure Jacobian
-of MATPOWER and pandapower.  The pattern also holds SuperLU's column order,
+structure, the device rows and the PV mask, and is memoised on those in a
+third bounded cache: the passes and studies that share them share one
+pattern, and every Newton Jacobian, series stage and ``compare`` solve
+refills it, as in the fixed-structure Jacobian of MATPOWER and pandapower.  The pattern also holds SuperLU's column order,
 computed once when the pattern is built.  Every factorisation of the
 pattern applies it to the rows as well as the columns, so SuperLU
 factorises ``P J P^T`` and reuses the symbolic ordering instead of
@@ -142,9 +141,9 @@ class System:
     """One pass's view of a :class:`Structure`: bus kinds after the
     constant-Q pins, scheduled injections, setpoints and the devices.
 
-    ``devices[k]`` is placed by ``structure.branches[k]``.  The sizes and
-    the index arrays that :func:`residual` and the series history read on
-    every call are computed once, here; the arrays are read-only."""
+    ``devices[k]`` is placed by ``structure.branches[k]``.  Its sizes, its
+    device rows' setpoints and the index arrays the kernels read on every
+    call are computed once, here; the arrays are read-only."""
 
     structure: Structure
     frozen_q: dict      # ext id -> pinned Q of the PV buses made constant-Q
@@ -160,6 +159,7 @@ class System:
     pv_rows: np.ndarray = field(init=False)     # rows and squared setpoint
     pv_v2: np.ndarray = field(init=False)       # magnitudes
     s_conj: np.ndarray = field(init=False)      # conj(s_inj)
+    setpoint: np.ndarray = field(init=False)    # per device row
 
     def __post_init__(self):
         st = self.structure
@@ -168,12 +168,17 @@ class System:
         pv = np.flatnonzero(self.pv)
         pv_rows, pv_v2 = 2 * pv + 1, self.v_set[pv].real ** 2
         s_conj = np.conj(self.s_inj)
-        for arr in (pv, pv_rows, pv_v2, s_conj):
+        setpoint = np.zeros(2 * n_currents)
+        for dev, branches in zip(self.devices, st.branches):
+            for k, t in enumerate(dev.targets, 2 * branches[0].cur_idx + 1):
+                setpoint[k] = 0.5 * t.setpoint ** 2 \
+                    if t.mode is Mode.V_BUS else t.setpoint
+        for arr in (pv, pv_rows, pv_v2, s_conj, setpoint):
             arr.setflags(write=False)
         for name, val in (("n_bus", n_bus), ("n_currents", n_currents),
                           ("size", 2 * (n_bus + n_currents)), ("pv_idx", pv),
                           ("pv_rows", pv_rows), ("pv_v2", pv_v2),
-                          ("s_conj", s_conj)):
+                          ("s_conj", s_conj), ("setpoint", setpoint)):
             object.__setattr__(self, name, val)
 
     @property
@@ -198,15 +203,15 @@ class System:
 
     @cached_property
     def rows(self) -> "DeviceRows":
-        return _device_rows(self)
+        return _device_rows(self.structure, tuple(
+            tuple((t.mode, t.branch, dev.target_bus(t)) for t in dev.targets)
+            for dev in self.devices))
 
     @cached_property
     def pattern(self) -> "JacobianPattern":
         """The Jacobian's pattern, shared through a bounded memo by every
-        System with this structure, PV mask and device-row layout."""
-        rw = self.rows
-        return _jacobian_pattern(self.structure, self.pv.tobytes(), *(
-            getattr(rw, name).tobytes() for name in _PATTERN_ROWS))
+        System with this structure, PV mask and device rows."""
+        return _jacobian_pattern(self.structure, self.rows, self.pv.tobytes())
 
 
 def build_system(base_net: Network, devices=(), *,
@@ -225,7 +230,7 @@ def build_system(base_net: Network, devices=(), *,
     A PV sending bus loses its voltage regulation to the device and becomes
     a fixed-injection bus too, at its gen-table output unless listed.  A
     slack sending bus, or a voltage target on an unknown bus or on one that
-    is already regulated, is an error.
+    is already regulated or held by another voltage target, is an error.
     """
     frozen_q = dict(frozen_q or {})
     st = _structure(base_net, tuple(
@@ -242,6 +247,7 @@ def build_system(base_net: Network, devices=(), *,
         s_inj[b] = complex(s_inj[b].real, q - st.net.buses[b].q_load)
     regulated = pv | st.slack
 
+    held = {}       # bus ext id -> the device whose V_BUS target holds it
     for dev in devices:
         sending = dev.branches[0][0]
         if st.slack[idx[sending]]:
@@ -256,6 +262,11 @@ def build_system(base_net: Network, devices=(), *,
                 raise DeviceConfigError(
                     f"{dev.device_id}: bus {bus_ext} magnitude is already "
                     "regulated")
+            if bus_ext in held:
+                raise DeviceConfigError(
+                    f"{dev.device_id}: bus {bus_ext} magnitude is already "
+                    f"held by a v_bus target of {held[bus_ext]}")
+            held[bus_ext] = dev.device_id
 
     return System(structure=st, frozen_q=frozen_q, s_inj=s_inj,
                   devices=tuple(devices), pv=pv,
@@ -334,7 +345,7 @@ def unpack_state(x: np.ndarray, n_bus: int):
 
 @dataclass(frozen=True, eq=False)
 class DeviceRows:
-    """The device rows of one :class:`System`, by shape, as index arrays.
+    """The device rows of a target layout, by shape, as index arrays.
 
     Row k of the device block is residual row ``2 n_bus + k``, less its
     setpoint.  Product rows are Re or Im of ``u conj(I) / |I|**p``, with I
@@ -345,7 +356,7 @@ class DeviceRows:
     exchange, at the device's first row: ``2 * cur_idx`` of its first
     branch, as each earlier device has two rows per branch.  Companion rows
     (p > 0: V_SE, X_EQ) also need the reciprocal and magnitude series of
-    their current in the history.
+    their current in the history.  Shared, so read-only (:func:`_device_rows`).
     """
 
     row: np.ndarray     # product rows: device-block row (shares repeat it)
@@ -359,33 +370,34 @@ class DeviceRows:
     vse: np.ndarray     # and the V_SE ones (p = 1) among the companions
     v_row: np.ndarray   # V_BUS rows: device-block row and bus
     v_bus: np.ndarray
-    setpoint: np.ndarray    # per device-block row (V_BUS: s**2 / 2)
 
 
-def _device_rows(sys: System) -> DeviceRows:
-    n = sys.n_bus
-    idx = sys.structure.net.index_of
+@lru_cache(maxsize=32)
+def _device_rows(st: Structure, layout: tuple) -> DeviceRows:
+    """The device rows on ``st`` of ``layout``: per device, each target's
+    mode, branch and ``target_bus``."""
+    n = st.net.n_bus
     recs = {"exchange": [], "flow": [], "v_bus": []}
-    setpoint = np.zeros(sys.size - 2 * n)
-    for dev, branches in zip(sys.devices, sys.structure.branches):
+    for targets, branches in zip(layout, st.branches):
         k = 2 * branches[0].cur_idx
         recs["exchange"] += [(k, 0, 0, n + be.cur_idx, be.m_idx, be.i_idx, 0)
                              for be in branches]
-        for k, t in enumerate(dev.targets, k + 1):
-            shape, im, p = MODE_ROWS[t.mode]
-            be = branches[t.branch]
+        for k, (mode, branch, bus) in enumerate(targets, k + 1):
+            shape, im, p = MODE_ROWS[mode]
+            be = branches[branch]
             a = be.m_idx if shape == "exchange" else be.i_idx
-            bus = idx[dev.target_bus(t)] if shape == "v_bus" else 0
-            recs[shape].append((k, im, p, n + be.cur_idx, a, be.i_idx, bus))
-            setpoint[k] = 0.5 * t.setpoint ** 2 if shape == "v_bus" \
-                else t.setpoint
+            b = st.net.index_of[bus] if shape == "v_bus" else 0
+            recs[shape].append((k, im, p, n + be.cur_idx, a, be.i_idx, b))
     x, f, v = (np.array(r, dtype=np.intp).reshape(-1, 7).T
                for r in recs.values())
     row, im, p, c, a = np.concatenate([x[:5], f[:5]], axis=1)
     z = np.flatnonzero(p)
-    return DeviceRows(row=row, im=im == 1, a=a, b=x[5], c=c, pow=p, z=z,
+    rows = DeviceRows(row=row, im=im == 1, a=a, b=x[5], c=c, pow=p, z=z,
                       companions=c[z] - n, vse=np.flatnonzero(p[z] == 1),
-                      v_row=v[0], v_bus=v[6], setpoint=setpoint)
+                      v_row=v[0], v_bus=v[6])
+    for arr in vars(rows).values():
+        arr.setflags(write=False)
+    return rows
 
 
 def residual(sys: System, V: np.ndarray, I: np.ndarray) -> np.ndarray:
@@ -409,12 +421,12 @@ def residual(sys: System, V: np.ndarray, I: np.ndarray) -> np.ndarray:
         prod = np.where(rows.im, ui * cr - ur * ci, ur * cr + ui * ci)
         if rows.z.size:
             prod /= np.float_power(np.hypot(cr, ci), rows.pow)
-        dev = np.bincount(rows.row, prod, minlength=rows.setpoint.size)
+        dev = np.bincount(rows.row, prod, minlength=sys.setpoint.size)
         if rows.v_row.size:
             vb = V[rows.v_bus]
             mag = np.hypot(vb.real, vb.imag)
             dev[rows.v_row] = 0.5 * np.float_power(mag, 2)
-        np.subtract(dev, rows.setpoint, out=r[n2:])
+        np.subtract(dev, sys.setpoint, out=r[n2:])
     return r
 
 
@@ -457,41 +469,33 @@ class JacobianPattern:
     lu_csc: sparse.csc_matrix   # and P J P^T's pattern, zero-valued
 
 
-#: the :class:`DeviceRows` index arrays that, with the structure and the PV
-#: mask, fix the Jacobian's pattern (``im`` is boolean, the rest intp)
-_PATTERN_ROWS = ("im", "row", "a", "b", "c", "z", "v_row", "v_bus")
-
-
 @lru_cache(maxsize=32)
-def _jacobian_pattern(st: Structure, pv_mask: bytes,
-                      *layout: bytes) -> JacobianPattern:
-    """The pattern of a System on ``st`` with PV mask ``pv_mask`` and the
-    device rows' :data:`_PATTERN_ROWS` arrays ``layout``, all given as
-    bytes so that equal inputs share one pattern."""
+def _jacobian_pattern(st: Structure, rows: DeviceRows,
+                      pv_mask: bytes) -> JacobianPattern:
+    """The pattern of a System on ``st`` with ``rows`` and the PV mask
+    ``pv_mask``, as bytes so that equal masks share it."""
     pv_mask = np.frombuffer(pv_mask, dtype=bool)
-    row_im = np.frombuffer(layout[0], dtype=bool)
-    row, a, b, c, z, v_row, v_bus = (np.frombuffer(x, dtype=np.intp)
-                                     for x in layout[1:])
+    row, b, c, z = rows.row, rows.b, rows.c, rows.z
     n, size = st.net.n_bus, 2 * st.yc.shape[1]
     nx = b.size
-    d_rows = 2 * n + np.concatenate([row, row[:nx], row, v_row, row[z]])
-    d_cols = np.concatenate([a, b, c, v_bus, c[z]])
-    d_im = np.concatenate([row_im, row_im[:nx], row_im,
-                           np.zeros(v_row.size + z.size, dtype=bool)])
+    d_rows = 2 * n + np.concatenate([row, row[:nx], row, rows.v_row, row[z]])
+    d_cols = np.concatenate([rows.a, b, c, rows.v_bus, c[z]])
+    d_im = np.concatenate([rows.im, rows.im[:nx], rows.im,
+                           np.zeros(rows.v_row.size + z.size, dtype=bool)])
 
     tr, tc = st.t_rows, st.yc.indices
     re = np.flatnonzero(~st.slack[tr])
     im = np.flatnonzero(~(pv_mask | st.slack)[tr])    # PQ and auxiliary
     pv = np.flatnonzero(pv_mask)
     slack = st.slack_idx
-    rows = np.concatenate([
+    all_rows = np.concatenate([
         2 * tr[re], 2 * tr[re], 2 * tr[im] + 1, 2 * tr[im] + 1,
         2 * pv + 1, 2 * pv + 1, 2 * slack, 2 * slack + 1, d_rows, d_rows])
-    cols = np.concatenate([
+    all_cols = np.concatenate([
         2 * tc[re], 2 * tc[re] + 1, 2 * tc[im], 2 * tc[im] + 1,
         2 * pv, 2 * pv + 1, 2 * slack, 2 * slack + 1,
         2 * d_cols, 2 * d_cols + 1])
-    slots, scatter = np.unique(cols * size + rows, return_inverse=True)
+    slots, scatter = np.unique(all_cols * size + all_rows, return_inverse=True)
     indices = (slots % size).astype(np.int32)
     indptr = np.zeros(size + 1, dtype=np.int32)
     np.cumsum(np.bincount(slots // size, minlength=size), out=indptr[1:])

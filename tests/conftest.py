@@ -17,15 +17,21 @@ def case118():
     return load_bundled_case()
 
 
-@pytest.fixture(autouse=True)
-def fresh_memos():
-    """Start every test with empty memos (the parsed cases, the device-free
-    pre-solve, the per-placement structure and the Jacobian patterns), so
-    no test sees what another left."""
+def clear_memos():
+    """Empty the memos: the parsed cases, the device-free pre-solve, the
+    per-placement structure, the device rows and the Jacobian patterns."""
     network._parse_case.cache_clear()
     report._base_solution.cache_clear()
     system._structure.cache_clear()
+    system._device_rows.cache_clear()
     system._jacobian_pattern.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def fresh_memos():
+    """Start every test with empty memos, so no test sees what another
+    left."""
+    clear_memos()
 
 
 def random_network(rng: np.random.Generator, n_bus: int | None = None,

@@ -144,8 +144,15 @@ class TestSingleRun:
         ({"setpoint": float("nan")},
          "error: sssc0: setpoint nan is not finite\n"),
         ({"z_se": [float("nan"), 0.01]},
-         "error: sssc0: z_se (nan+0.01j) is not finite\n")],
-        ids=["list-id", "nan-setpoint", "nan-z_se"])
+         "error: sssc0: z_se (nan+0.01j) is not finite\n"),
+        ({"branch": [101]},
+         "error: sssc0: branch (101,) is not an (i, j) pair\n"),
+        ({"branch": [101, 102, 103]},
+         "error: sssc0: branch (101, 102, 103) is not an (i, j) pair\n"),
+        ({"bus": 102}, "error: sssc0: a p_flow target takes no bus (102); "
+                       "only a v_bus target does\n")],
+        ids=["list-id", "nan-setpoint", "nan-z_se", "one-bus-branch",
+             "three-bus-branch", "bus-on-p_flow"])
     def test_mistyped_device_value(self, case_path, tmp_path, capsys, change,
                                    err):
         devs = tmp_path / "devs.json"
@@ -155,6 +162,28 @@ class TestSingleRun:
         assert main(["--case", str(case_path), "--devices", str(devs),
                      "--method", "nr"]) == EXIT_INPUT
         assert capsys.readouterr().err == err
+
+    @pytest.mark.parametrize("devices, err", [
+        ([{"type": "sssc", "id": "a", "branch": [49, 50], "mode": "v_bus",
+           "setpoint": 1.0, "bus": 50},
+          {"type": "sssc", "id": "b", "branch": [100, 103], "mode": "v_bus",
+           "setpoint": 1.0, "bus": 50}],
+         "error: b: bus 50 magnitude is already held by a v_bus target of "
+         "a\n"),
+        ([{"type": "ipfc", "id": "i", "branches": [[49, 50], [49, 51]],
+           "targets": [{"branch": 0, "mode": "v_bus", "setpoint": 1.0},
+                       {"branch": 1, "mode": "v_bus", "setpoint": 1.0},
+                       {"branch": 1, "mode": "q_flow", "setpoint": 0.03}]}],
+         "error: i: bus 49 magnitude is already held by a v_bus target of "
+         "i\n")], ids=["two-sssc", "ipfc"])
+    def test_bus_held_by_two_v_bus_targets(self, case_path, tmp_path, capsys,
+                                           devices, err):
+        devs = tmp_path / "devs.json"
+        devs.write_text(json.dumps(devices))
+        for method in ("nr", "compare"):
+            assert main(["--case", str(case_path), "--devices", str(devs),
+                         "--method", method]) == EXIT_INPUT
+            assert capsys.readouterr().err == err
 
     @pytest.mark.parametrize("method", ["nr", "compare"])
     def test_json_report_is_strict_json(self, case_path, tmp_path, capsys,

@@ -134,6 +134,28 @@ class TestIpfcValidation:
         with pytest.raises(DeviceConfigError, match="out of range"):
             SeriesDevice("i", ((49, 50), (49, 51)), ts)
 
+    @pytest.mark.parametrize("branches", [
+        ((49,),), ((49, 50, 51),), ((49, 50), (49,)), (49,)],
+        ids=["one-bus", "three-buses", "second-one-bus", "bare-bus"])
+    def test_branch_that_is_not_a_pair_rejected(self, branches):
+        n = len(branches)
+        with pytest.raises(DeviceConfigError,
+                           match=r"^i: branch .* is not an \(i, j\) pair$"):
+            SeriesDevice("i", branches, self._targets(2 * n - 1))
+
+    @pytest.mark.parametrize("mode", [m for m in Mode if m is not Mode.V_BUS])
+    def test_bus_on_a_target_other_than_v_bus_rejected(self, mode):
+        ts = (ControlTarget(Mode.P_FLOW, 0.7, branch=0),
+              ControlTarget(mode, 0.1, branch=1, bus=51),
+              ControlTarget(Mode.V_BUS, 1.0, branch=1, bus=51))
+        with pytest.raises(DeviceConfigError,
+                           match=f"^i: a {mode.value} target takes no bus "
+                                 r"\(51\); only a v_bus target does$"):
+            SeriesDevice("i", ((49, 50), (49, 51)), ts)
+        # the v_bus target keeps its bus
+        SeriesDevice("i", ((49, 50), (49, 51)), ts[:1] + (
+            ControlTarget(mode, 0.1, branch=1), ts[2]))
+
 
 class TestBranchOutputs:
     def test_basic_quantities(self):
@@ -330,9 +352,15 @@ class TestLoadDevices:
         ({"mode": "v_bus", "setpoint": 1.0, "bus": "50"},
          "target bus '50' is not an integer"),
         ({"id": ["a"]}, "id \\['a'\\] is not a string"),
+        ({"branch": [49]},
+         "^sssc0: branch \\(49,\\) is not an \\(i, j\\) pair$"),
+        ({"branch": [49, 50, 51]},
+         "^sssc0: branch \\(49, 50, 51\\) is not an \\(i, j\\) pair$"),
+        ({"bus": 50}, "^sssc0: a p_flow target takes no bus \\(50\\)"),
     ], ids=["str-setpoint", "bool-setpoint", "nan-setpoint", "str-v_se_max",
             "str-z_se", "bool-z_se", "str-z_se-part", "str-current_guess",
-            "float-bus", "str-bus", "list-id"])
+            "float-bus", "str-bus", "list-id", "one-bus-branch",
+            "three-bus-branch", "bus-on-p_flow"])
     def test_values_are_type_checked_not_coerced(self, change, match):
         record = {"type": "sssc", "branch": [49, 50], "mode": "p_flow",
                   "setpoint": 0.75, **change}

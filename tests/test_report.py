@@ -252,8 +252,25 @@ class TestDeviceStudy:
         ((SsscDevice("a", (49, 50), ControlTarget(Mode.P_FLOW, 0.75)),
           SsscDevice("b", (50, 49), ControlTarget(Mode.P_FLOW, -0.75))),
          DeviceConfigError, "devices 'a' and 'b' are both on branch 50-49"),
+        ((SsscDevice("a", (49, 50), ControlTarget(Mode.V_BUS, 1.0, bus=50)),
+          SsscDevice("b", (100, 103),
+                     ControlTarget(Mode.V_BUS, 1.0, bus=50))),
+         DeviceConfigError,
+         "b: bus 50 magnitude is already held by a v_bus target of a"),
+        ((SsscDevice("a", (49, 50), ControlTarget(Mode.V_BUS, 1.0)),
+          SsscDevice("b", (49, 51), ControlTarget(Mode.V_BUS, 1.0))),
+         DeviceConfigError,
+         "b: bus 49 magnitude is already held by a v_bus target of a"),
+        ((SeriesDevice("i", ((49, 50), (49, 51)),
+                       (ControlTarget(Mode.V_BUS, 1.0, branch=0),
+                        ControlTarget(Mode.V_BUS, 1.0, branch=1),
+                        ControlTarget(Mode.Q_FLOW, 0.03, branch=1))),),
+         DeviceConfigError,
+         "i: bus 49 magnitude is already held by a v_bus target of i"),
     ], ids=["unknown-target-bus", "slack-sending-bus", "regulated-target",
-            "ipfc-branch-twice", "two-devices-one-branch"])
+            "ipfc-branch-twice", "two-devices-one-branch",
+            "two-devices-one-v_bus", "two-devices-one-sending-v_bus",
+            "ipfc-one-v_bus-twice"])
     def test_placement_error_before_any_solve(self, case118, devs, error,
                                               message):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):

@@ -30,7 +30,8 @@ def _setpoint(rng, mode):
 
 def _random_devices(rng, net, mode):
     """An IPFC (where some non-slack bus has two neighbours) and an SSSC on
-    other branches, each with a ``mode`` target."""
+    other branches, each with a ``mode`` target.  Under V_BUS the SSSC's
+    sending bus is not the IPFC's, which that IPFC's target holds."""
     pairs, seen = [], set()
     for br in net.branches:
         if frozenset((br.from_bus, br.to_bus)) in seen:
@@ -56,6 +57,8 @@ def _random_devices(rng, net, mode):
                                  branch=int(rng.integers(2))))
         devices.append(SeriesDevice("ipfc", branches, targets))
         pairs = [p for p in pairs if p not in branches]
+        if mode is Mode.V_BUS:      # a bus takes one V_BUS target
+            pairs = [p for p in pairs if p[0] != hub]
     if pairs:
         ends = pairs[int(rng.integers(len(pairs)))]
         devices.append(SsscDevice(

@@ -1,18 +1,25 @@
-"""The memoised per-placement structure, the fixed-pattern Jacobian and
-its memoised pattern with SuperLU's column order."""
+"""The memoised per-placement structure and per-layout device rows, the
+fixed-pattern Jacobian and its memoised pattern with SuperLU's column
+order, and the test memos' reset."""
+
+import importlib
+import pkgutil
 
 import numpy as np
 import pytest
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from ffheflow import system
+import ffheflow
+from conftest import clear_memos
+from ffheflow import load_bundled_case, report, system
 from ffheflow.devices import ControlTarget, Mode, SeriesDevice, SsscDevice
 from ffheflow.network import BusKind
-from ffheflow.report import StudyOptions, run_study
-from ffheflow.system import (_column_order, _jacobian_pattern, _structure,
-                             build_system, jacobian, lu_factor, lu_solve,
-                             residual)
+from ffheflow.newton import flat_start
+from ffheflow.report import StudyOptions, _base_solution, _passes, run_study
+from ffheflow.system import (_column_order, _device_rows, _jacobian_pattern,
+                             _structure, build_system, jacobian, lu_factor,
+                             lu_solve, residual)
 
 P_FLOW = ControlTarget(Mode.P_FLOW, 0.75)
 
@@ -93,6 +100,101 @@ class TestStructureMemo:
             assert (st.iterations, st.terms, st.mismatch) == \
                 (warm.stats[name].iterations, warm.stats[name].terms,
                  warm.stats[name].mismatch)
+
+
+class TestRowsMemo:
+    """One device-row table per (placement, target layout): the passes that
+    only pin or release generators share their pass's rows, and the
+    setpoints live on each System."""
+
+    @staticmethod
+    def record_systems(monkeypatch):
+        """Every System the study builds, from a wrapped build_system."""
+        systems = []
+
+        def recording(*args, **kwargs):
+            systems.append(build_system(*args, **kwargs))
+            return systems[-1]
+
+        monkeypatch.setattr(report, "build_system", recording)
+        return systems
+
+    def test_clamp_and_release_passes_share_one_rows(self, case118,
+                                                     monkeypatch):
+        # pinned at its q_max, bus 1 drives its voltage past its setpoint
+        # and is released; bus 100 is clamped in between
+        base = _base_solution(case118, StudyOptions(method="nr"))
+        misses = _device_rows.cache_info().misses
+        systems = self.record_systems(monkeypatch)
+        dev = SsscDevice("s", (101, 102), ControlTarget(Mode.P_FLOW, 0.9))
+        _passes(case118, (dev,), StudyOptions(method="nr"), flat_start, {},
+                {**base.clamped_generators, 1: case118.bus(1).q_max})
+        assert [(1 in s.frozen_q, 100 in s.frozen_q) for s in systems] == \
+            [(True, False), (True, True), (False, True)]
+        assert all(s.rows is systems[0].rows for s in systems)
+        assert _device_rows.cache_info().misses == misses + 1
+
+    def test_relaxation_pass_gets_other_rows(self, case118, monkeypatch):
+        dev = SsscDevice("s", (101, 102), ControlTarget(Mode.P_FLOW, 0.9),
+                         v_se_max=0.3)
+        _base_solution(case118, StudyOptions(method="nr"))
+        systems = self.record_systems(monkeypatch)
+        rep = run_study(case118, (dev,), StudyOptions(method="nr"))
+        assert rep.relaxed_branches == (("s", 0),)
+        # the up-front placement check, the p_flow pass and its clamp pass,
+        # then the relaxed v_se pass
+        *held, relaxed = systems
+        assert [s.devices[0].targets[0].mode for s in systems] == \
+            [Mode.P_FLOW] * 3 + [Mode.V_SE]
+        assert all(s.rows is held[0].rows for s in held)
+        assert relaxed.rows is not held[0].rows
+        assert relaxed.rows is rep.system.rows
+        assert relaxed.setpoint.tolist() == [0.0, 0.3]
+
+    def test_v_se_and_x_eq_on_one_branch_get_other_rows(self, case118):
+        vse, xeq = (build_system(case118, (_sssc(ControlTarget(m, 0.1)),))
+                    for m in (Mode.V_SE, Mode.X_EQ))
+        assert vse.rows is not xeq.rows
+        assert vse.rows.pow.tolist() == [0, 1]
+        assert xeq.rows.pow.tolist() == [0, 2]
+        assert _device_rows.cache_info().misses == 2
+
+    def test_rows_and_setpoints_are_read_only(self, case118):
+        sys_ = build_system(case118, _several_devices())
+        for name, arr in vars(sys_.rows).items():
+            assert not arr.flags.writeable, name
+        with pytest.raises(ValueError):
+            sys_.rows.row[0] = 1
+        with pytest.raises(ValueError):
+            sys_.setpoint[1] = 0.0
+
+
+def _memos():
+    """Every ``functools.lru_cache`` function of the ffheflow modules, by
+    qualified name, found by its ``cache_info``."""
+    memos = {}
+    for info in pkgutil.iter_modules(ffheflow.__path__):
+        mod = importlib.import_module(f"ffheflow.{info.name}")
+        for name, obj in vars(mod).items():
+            if hasattr(obj, "cache_info") and \
+                    getattr(obj, "__module__", None) == mod.__name__:
+                memos[f"{mod.__name__}.{name}"] = obj
+    return memos
+
+
+def test_every_memo_is_empty_when_a_test_starts(case118):
+    """The conftest clears every memo, so none carries one test's state
+    into another: a memo added without its ``cache_clear`` fails here."""
+    memos = _memos()
+    assert {"ffheflow.network._parse_case", "ffheflow.report._base_solution",
+            "ffheflow.system._structure", "ffheflow.system._device_rows",
+            "ffheflow.system._jacobian_pattern"} <= memos.keys()
+    assert {name: memo.cache_info().currsize
+            for name, memo in memos.items()} == dict.fromkeys(memos, 0)
+    run_study(load_bundled_case(), (_sssc(),), StudyOptions(method="nr"))
+    assert all(memo.cache_info().currsize for memo in memos.values())
+    clear_memos()
+    assert all(memo.cache_info().currsize == 0 for memo in memos.values())
 
 
 # ------------------------------------------------- fixed-pattern Jacobian
@@ -242,7 +344,9 @@ class TestPatternMemo:
     def test_equal_inputs_share_one_pattern(self, case118):
         a = build_system(case118, (_sssc(),))
         b = build_system(case118, (_sssc(ControlTarget(Mode.P_FLOW, 0.5)),))
-        assert a is not b and a.rows is not b.rows
+        assert a is not b and a.rows is b.rows
+        assert a.setpoint.tolist() == [0.0, 0.75]
+        assert b.setpoint.tolist() == [0.0, 0.5]
         assert a.pattern is b.pattern
         info = _jacobian_pattern.cache_info()
         assert (info.hits, info.misses) == (1, 1)
@@ -281,10 +385,13 @@ class TestPatternMemo:
         info = _jacobian_pattern.cache_info()
         # one default-order factorisation per pattern, when it is built
         assert len(default_splu_calls) == info.misses >= 2
+        rows_misses = _device_rows.cache_info().misses
         warm = run_study(case118, devs, opts)
         assert _jacobian_pattern.cache_info().misses == info.misses
+        assert _device_rows.cache_info().misses == rows_misses
         assert len(default_splu_calls) == info.misses
         assert warm.system.pattern is cold.system.pattern
+        assert warm.system.rows is cold.system.rows
         assert cold.V.tobytes() == warm.V.tobytes()
 
 
