@@ -1,24 +1,33 @@
 """Batch command-line front end.
 
 One study per invocation (``--case`` plus optional ``--devices``), or a
-``--batch`` file of independent studies, run one after another in the
-order listed.  ``--report json`` writes each report as one JSON object on
-one line; a batch prints a ``=== label`` line before each.  Exit codes:
-0 converged, 2 diverged, 1 bad input.
+``--batch`` file of independent studies.  A batch runs its entries on a
+pool of forked worker processes, one per CPU in the process's affinity
+mask, and prints their reports in the order listed; on one CPU, or for
+one entry, it runs them in-process.  ``--report json`` writes each report
+as one JSON object on one line; a batch prints a ``=== label`` line before
+each.  Exit codes: 0 converged, 2 diverged, 1 bad input.
 
 Cases are read through :func:`~ffheflow.network.parse_case`, which is
-memoised: batch entries that read the same case text share one
-:class:`~ffheflow.network.Network` instance, and with it the study memos.
-That instance is shared; do not modify it.
+memoised: batch entries that run in one process and read the same case
+text share one :class:`~ffheflow.network.Network` instance, and with it
+the study memos.  That instance is shared; do not modify it.  The pool is
+made by the first batch that needs it and kept until the process exits,
+so each worker keeps its memos from one batch to the next.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import cmath
 import json
 import math
+import multiprocessing
+import os
 import sys
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields
 from pathlib import Path
 
@@ -199,11 +208,46 @@ def format_text(rep: StudyReport) -> str:
     return "\n".join(lines)
 
 
-def _emit(rep: StudyReport, kind: str) -> None:
+def _render(rep: StudyReport, kind: str) -> str:
     if kind == "json":
-        print(json.dumps(report_dict(rep), allow_nan=False))
-    else:
-        print(format_text(rep))
+        return json.dumps(report_dict(rep), allow_nan=False)
+    return format_text(rep)
+
+
+#: the batch worker pool, made by the first batch that needs one
+_pool: ProcessPoolExecutor | None = None
+
+
+def _workers(n: int) -> ProcessPoolExecutor:
+    """The kept pool of ``n`` forked workers, made on first use.  Forked,
+    the workers start with this process's imports and memos."""
+    global _pool
+    if _pool is None:
+        _pool = ProcessPoolExecutor(
+            n, mp_context=multiprocessing.get_context("fork"))
+    return _pool
+
+
+@atexit.register
+def shutdown_workers() -> None:
+    """Stop the batch workers, if any; the next batch forks new ones."""
+    global _pool
+    pool, _pool = _pool, None
+    if pool is not None:
+        pool.shutdown()
+
+
+def _run_entry(args, k: int, entry) -> tuple:
+    """Run batch entry ``k``: (exit code, stdout text, stderr text)."""
+    label = (entry.get("label", entry.get("case", "?"))
+             if isinstance(entry, dict) else f"#{k}")
+    try:
+        rep = _run_one(*_entry_paths(entry), _options(args, entry))
+    except INPUT_ERRORS as exc:
+        return EXIT_INPUT, "", f"[{label}] input error: {exc}\n"
+    except DIVERGED_ERRORS as exc:
+        return EXIT_DIVERGED, "", f"[{label}] diverged: {exc}\n"
+    return EXIT_OK, f"=== {label}\n{_render(rep, args.report)}\n", ""
 
 
 def _run_batch(batch_path: Path, args) -> int:
@@ -216,24 +260,22 @@ def _run_batch(batch_path: Path, args) -> int:
         print("error: batch file must hold a JSON list", file=sys.stderr)
         return EXIT_INPUT
 
-    # one after another: a study is GIL-bound Python and numpy calls, so
-    # worker threads only contend for the interpreter lock
+    # a study is GIL-bound Python and small numpy calls, so the entries
+    # run in processes, not threads; map yields in entry order.  A defect
+    # in a worker is raised here with its own type; a dead worker breaks
+    # the pool, which goes, so that the next batch forks a new one
+    n = len(os.sched_getaffinity(0))
+    run = map if n == 1 or len(entries) < 2 else _workers(n).map
     worst = EXIT_OK
-    for k, entry in enumerate(entries):
-        label = (entry.get("label", entry.get("case", "?"))
-                 if isinstance(entry, dict) else f"#{k}")
-        try:
-            rep = _run_one(*_entry_paths(entry), _options(args, entry))
-        except INPUT_ERRORS as exc:
-            print(f"[{label}] input error: {exc}", file=sys.stderr)
-            worst = max(worst, EXIT_INPUT)
-            continue
-        except DIVERGED_ERRORS as exc:
-            print(f"[{label}] diverged: {exc}", file=sys.stderr)
-            worst = max(worst, EXIT_DIVERGED)
-            continue
-        print(f"=== {label}")
-        _emit(rep, args.report)
+    try:
+        for code, out, err in run(_run_entry, [args] * len(entries),
+                                  range(len(entries)), entries):
+            sys.stdout.write(out)
+            sys.stderr.write(err)
+            worst = max(worst, code)
+    except BrokenProcessPool:
+        shutdown_workers()
+        raise
     return worst
 
 
@@ -252,7 +294,7 @@ def main(argv=None) -> int:
     except DIVERGED_ERRORS as exc:
         print(f"diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    _emit(rep, args.report)
+    print(_render(rep, args.report))
     return EXIT_OK
 
 

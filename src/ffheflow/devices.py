@@ -87,11 +87,12 @@ class SeriesDevice:
                     f"{self.device_id}: branch {br!r} is not an (i, j) pair")
         if len({b[0] for b in self.branches}) != 1:
             raise DeviceConfigError(
-                "a device needs branches that share the sending bus")
+                f"device {self.device_id}: a device needs branches that "
+                "share the sending bus")
         if len(self.targets) != 2 * n - 1:
             raise DeviceConfigError(
-                f"device with {n} branches must control {2 * n - 1} "
-                "quantities")
+                f"device {self.device_id}: a device with {n} branches must "
+                f"control {2 * n - 1} quantities")
         if not self.z_se:
             object.__setattr__(self, "z_se", (0.01 + 0.01j,) * n)
         if not self.v_se_max:
@@ -106,20 +107,29 @@ class SeriesDevice:
         seen = set()
         per_branch: dict = {}
         for t in self.targets:
+            if not isinstance(t.branch, numbers.Integral) or \
+                    isinstance(t.branch, bool):
+                raise DeviceConfigError(
+                    f"device {self.device_id}: target branch {t.branch!r} is "
+                    "not an integer")
             if not 0 <= t.branch < n:
-                raise DeviceConfigError(f"target branch {t.branch} out of range")
+                raise DeviceConfigError(
+                    f"device {self.device_id}: target branch {t.branch} out "
+                    "of range")
             if t.bus is not None and t.mode is not Mode.V_BUS:
                 raise DeviceConfigError(
                     f"{self.device_id}: a {t.mode.value} target takes no bus "
                     f"({t.bus}); only a v_bus target does")
             key = (t.mode, t.branch, t.bus)
             if key in seen:
-                raise DeviceConfigError(f"duplicate control target {key}")
+                raise DeviceConfigError(
+                    f"device {self.device_id}: duplicate control target {key}")
             seen.add(key)
             per_branch[t.branch] = per_branch.get(t.branch, 0) + 1
         if max(per_branch.values()) > 2:
             raise DeviceConfigError(
-                "more than two targets on one device branch is ill posed")
+                f"device {self.device_id}: more than two targets on one "
+                "device branch is ill posed")
         for what, vals, kind in (
                 ("z_se", self.z_se, numbers.Complex),
                 ("current_guess", self.current_guess, numbers.Complex),
@@ -166,7 +176,9 @@ def SsscDevice(device_id: str, branch, target: ControlTarget,
                z_se: complex = 0.01 + 0.01j, v_se_max: float | None = None,
                current_guess: complex = 0.1 + 0.0j) -> SeriesDevice:
     """One-branch :class:`SeriesDevice` (an SSSC) with a single target."""
-    return SeriesDevice(device_id, (tuple(branch),), (target,), (z_se,),
+    if isinstance(branch, list):
+        branch = tuple(branch)
+    return SeriesDevice(device_id, (branch,), (target,), (z_se,),
                         (v_se_max,), (current_guess,))
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ffheflow import load_bundled_case, network, report, system
+from ffheflow import cli, load_bundled_case, network, report, system
 from ffheflow.devices import ControlTarget, Mode, SsscDevice, branch_outputs
 from ffheflow.network import Branch, Bus, BusKind, Network
 from ffheflow.newton import nr_solve
@@ -19,7 +19,10 @@ def case118():
 
 def clear_memos():
     """Empty the memos: the parsed cases, the device-free pre-solve, the
-    per-placement structure, the device rows and the Jacobian patterns."""
+    per-placement structure, the device rows and the Jacobian patterns.
+    Stop the batch workers too, so that the next batch forks new ones from
+    this process, with its patches and without another test's memos."""
+    cli.shutdown_workers()
     network._parse_case.cache_clear()
     report._base_solution.cache_clear()
     system._structure.cache_clear()

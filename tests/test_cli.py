@@ -1,7 +1,13 @@
 """Command-line front-end tests: flags, formats, exit codes, batch mode."""
 
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+from concurrent.futures.process import BrokenProcessPool
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +20,13 @@ from ffheflow.network import Network
 from ffheflow.newton import STALLED, SolveResult
 from ffheflow.report import StudyOptions, StudyReport, run_study
 from ffheflow.system import build_system
+from test_devices import DEVICE_ERRORS, ipfc_record
+
+#: the CPUs this process may run on: the batch workers, one per CPU
+CPUS = len(os.sched_getaffinity(0))
+needs_two_cpus = pytest.mark.skipif(
+    CPUS < 2, reason="on one CPU a batch runs in-process, with no workers")
+SRC = Path(cli.__file__).resolve().parents[1]
 
 
 def _reject_constant(name):
@@ -311,6 +324,13 @@ class TestBatch:
         for argv in (["--case", str(case_path)], ["--batch", str(batch)]):
             with pytest.raises(KeyError, match="defect"):
                 main(argv)
+        # two entries run in the workers: the defect crosses back with its
+        # type, and the worker's traceback as its cause
+        batch.write_text(json.dumps([{"case": str(case_path)}] * 2))
+        with pytest.raises(KeyError, match="defect") as info:
+            main(["--batch", str(batch)])
+        if CPUS > 1:
+            assert "Traceback" in str(info.value.__cause__)
 
     @pytest.mark.parametrize("key, bad", [
         ("pade", "false"), ("pade", 1), ("max_terms", 7.9),
@@ -341,16 +361,26 @@ class TestBatch:
 
     def test_batch_entries_share_the_parsed_case(
             self, case_path, sssc_path, tmp_path, capsys, monkeypatch):
-        # every entry reads the same case text: one Network instance, so
-        # the study memos hit by identity and never compare by content
-        calls = []
-        eq = Network.__eq__
+        # the entries that run in one process read the same case text: one
+        # Network instance there, so the study memos hit by identity and
+        # never compare by content.  The counters are shared memory, so
+        # they count in the worker processes, where the entries run.
+        fork = multiprocessing.get_context("fork")
+        calls, runs = fork.Value("i", 0), fork.Value("i", 0)
+        eq, run_one = Network.__eq__, cli._run_one
 
         def counted(self, other):
-            calls.append(1)
+            with calls.get_lock():
+                calls.value += 1
             return eq(self, other)
 
+        def counted_run(*args):
+            with runs.get_lock():
+                runs.value += 1
+            return run_one(*args)
+
         monkeypatch.setattr(Network, "__eq__", counted)
+        monkeypatch.setattr(cli, "_run_one", counted_run)
         batch = tmp_path / "batch.json"
         batch.write_text(json.dumps([
             {"label": "base", "case": str(case_path), "method": "nr"},
@@ -360,7 +390,8 @@ class TestBatch:
              "devices": str(sssc_path), "method": "nr"}]))
         assert main(["--batch", str(batch)]) == EXIT_OK
         assert capsys.readouterr().out.count("=== ") == 3
-        assert calls == []
+        assert runs.value == 3
+        assert calls.value == 0
 
     def test_batch_json_agrees_with_the_library(self, case_path, tmp_path,
                                                 capsys):
@@ -394,6 +425,21 @@ class TestBatch:
             assert _without_runtime(json.loads(line)) == \
                 _without_runtime(want)
 
+    @pytest.mark.parametrize("change, err", DEVICE_ERRORS.values(),
+                             ids=DEVICE_ERRORS)
+    def test_batch_device_errors_name_the_device(
+            self, case_path, tmp_path, capsys, change, err):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps([ipfc_record(change)]))
+        batch = tmp_path / "batch.json"
+        batch.write_text(json.dumps([
+            {"label": "bad", "case": str(case_path), "devices": str(bad)},
+            {"label": "ok", "case": str(case_path), "method": "nr"}]))
+        assert main(["--batch", str(batch)]) == EXIT_INPUT
+        out, stderr = capsys.readouterr()
+        assert stderr == f"[bad] input error: {err}\n"
+        assert "=== ok" in out
+
     def test_batch_not_json(self, tmp_path, capsys):
         bad = tmp_path / "batch.json"
         bad.write_text("nope")
@@ -403,6 +449,121 @@ class TestBatch:
         bad = tmp_path / "batch.json"
         bad.write_text("{}")
         assert main(["--batch", str(bad)]) == EXIT_INPUT
+
+
+def _studies(case_path, tmp_path) -> list:
+    """Batch entries: the relaxation study, the costliest of the 18
+    scenarios, then three cheaper ones."""
+    records = {
+        "relax": [{"type": "sssc", "id": "s", "branch": [101, 102],
+                   "mode": "p_flow", "setpoint": 0.9, "v_se_max": 0.3}],
+        "base": [],
+        "49-50/p0.75": [{"type": "sssc", "id": "s", "branch": [49, 50],
+                         "mode": "p_flow", "setpoint": 0.75}],
+        "49/c1": [ipfc_record({}, "i")]}
+    entries = []
+    for k, (label, recs) in enumerate(records.items()):
+        entry = {"label": label, "case": str(case_path)}
+        if recs:
+            entry["devices"] = str(tmp_path / f"devices{k}.json")
+            Path(entry["devices"]).write_text(json.dumps(recs))
+        entries.append(entry)
+    return entries
+
+
+class TestBatchWorkers:
+    """``--batch`` on the kept pool of forked workers, one per CPU."""
+
+    def test_output_order_holds_with_the_costliest_entry_first(
+            self, case_path, tmp_path, capsys, monkeypatch):
+        entries = _studies(case_path, tmp_path)
+        batch = tmp_path / "batch.json"
+        batch.write_text(json.dumps(entries))
+        argv = ["--batch", str(batch), "--report", "json"]
+        assert main(argv) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[::2] == [f"=== {e['label']}" for e in entries]
+        docs = [json.loads(line) for line in lines[1::2]]
+        assert [d["relaxed_branches"] for d in docs] == [[["s", 0]], [], [],
+                                                         []]
+        assert [list(d["devices"]) for d in docs] == [["s"], [], ["s"],
+                                                      ["i"]]
+        # the same reports as in-process, on one CPU
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0})
+        assert main(argv) == EXIT_OK
+        alone = capsys.readouterr().out.splitlines()
+        assert alone[::2] == lines[::2]
+        assert [_without_runtime(json.loads(line)) for line in alone[1::2]] \
+            == [_without_runtime(d) for d in docs]
+
+    @needs_two_cpus
+    def test_a_batch_leaves_live_workers(self, case_path, tmp_path, capsys):
+        batch = tmp_path / "batch.json"
+        batch.write_text(json.dumps([{"case": str(case_path),
+                                      "method": "nr"}] * 2))
+        assert main(["--batch", str(batch)]) == EXIT_OK
+        workers = multiprocessing.active_children()
+        assert len(workers) == CPUS
+        assert all(w.is_alive() for w in workers)
+        # the next batch runs on the same workers
+        assert main(["--batch", str(batch)]) == EXIT_OK
+        assert multiprocessing.active_children() == workers
+
+    @needs_two_cpus
+    def test_a_dead_worker_breaks_the_batch_and_the_next_one_runs(
+            self, case_path, tmp_path, capsys, monkeypatch):
+        batch = tmp_path / "batch.json"
+        batch.write_text(json.dumps([{"case": str(case_path),
+                                      "method": "nr"}] * 2))
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_run_one", lambda *args: os._exit(3))
+            with pytest.raises(BrokenProcessPool):
+                main(["--batch", str(batch)])
+        assert cli._pool is None
+        assert main(["--batch", str(batch)]) == EXIT_OK
+        assert capsys.readouterr().out.count("=== ") == 2
+
+    def test_one_cpu_runs_in_process(self, case_path, tmp_path):
+        batch = tmp_path / "batch.json"
+        batch.write_text(json.dumps([{"case": str(case_path),
+                                      "method": "nr"}] * 2))
+        code = ("import multiprocessing, os\n"
+                "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+                "from ffheflow import cli\n"
+                f"code = cli.main(['--batch', {str(batch)!r}])\n"
+                "print(code, cli._pool, multiprocessing.active_children())\n")
+        res = subprocess.run([sys.executable, "-c", code], text=True,
+                             capture_output=True, timeout=120, check=True,
+                             env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert res.stdout.splitlines()[-1] == "0 None []"
+        assert res.stdout.count("=== ") == 2
+
+    @needs_two_cpus
+    def test_the_workers_end_with_the_process(self, case_path, tmp_path):
+        # the exit hook stops and reaps the workers: the process exits with
+        # the batch's code, on time and with nothing ignored on stderr
+        batch = tmp_path / "batch.json"
+        batch.write_text(json.dumps([
+            {"label": "ok", "case": str(case_path), "method": "nr"},
+            {"label": "missing", "case": str(tmp_path / "nope.m")},
+            {"label": "again", "case": str(case_path), "method": "nr"}]))
+        code = ("import multiprocessing, sys\n"
+                "from ffheflow.cli import main\n"
+                f"code = main(['--batch', {str(batch)!r}])\n"
+                "print(*[p.pid for p in multiprocessing.active_children()])\n"
+                "sys.exit(code)\n")
+        res = subprocess.run([sys.executable, "-c", code], text=True,
+                             capture_output=True, timeout=120,
+                             env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert res.returncode == EXIT_INPUT
+        assert res.stderr.startswith("[missing] input error: ")
+        assert "Exception ignored" not in res.stderr
+        assert res.stdout.count("=== ") == 2
+        pids = [int(pid) for pid in res.stdout.splitlines()[-1].split()]
+        assert len(pids) == CPUS
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
 
 def _without_runtime(doc: dict) -> dict:

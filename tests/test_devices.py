@@ -3,12 +3,56 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from ffheflow.devices import (CURRENT_FLOOR, BranchOutputs, ControlTarget,
                               DeviceConfigError, Mode, SeriesDevice,
                               SsscDevice, branch_outputs, load_devices,
                               relax_violations)
+
+
+#: IPFC records that ``SeriesDevice`` rejects, each with the error it gives
+#: through ``load_devices``: every message names the device
+DEVICE_ERRORS = {
+    "distinct-sending": (
+        {"branches": [[49, 50], [48, 51]]},
+        "device i7: a device needs branches that share the sending bus"),
+    "two-targets": (
+        {"targets": [{"branch": 0, "mode": "p_flow", "setpoint": 0.75},
+                     {"branch": 1, "mode": "p_flow", "setpoint": 0.75}]},
+        "device i7: a device with 2 branches must control 3 quantities"),
+    "branch-2": (
+        {"targets": [{"branch": 0, "mode": "p_flow", "setpoint": 0.75},
+                     {"branch": 2, "mode": "p_flow", "setpoint": 0.75},
+                     {"branch": 1, "mode": "q_flow", "setpoint": 0.03}]},
+        "device i7: target branch 2 out of range"),
+    "duplicate": (
+        {"targets": [{"branch": 0, "mode": "p_flow", "setpoint": 0.7},
+                     {"branch": 0, "mode": "p_flow", "setpoint": 0.8},
+                     {"branch": 1, "mode": "q_flow", "setpoint": 0.03}]},
+        "device i7: duplicate control target (<Mode.P_FLOW: 'p_flow'>, 0, "
+        "None)"),
+    "three-on-one-branch": (
+        {"branches": [[49, 50], [49, 51], [49, 54]],
+         "targets": [{"branch": 0, "mode": "p_flow", "setpoint": 0.7},
+                     {"branch": 0, "mode": "q_flow", "setpoint": 0.1},
+                     {"branch": 0, "mode": "q_inj", "setpoint": 0.1},
+                     {"branch": 1, "mode": "p_flow", "setpoint": 0.7},
+                     {"branch": 1, "mode": "q_flow", "setpoint": 0.1}]},
+        "device i7: more than two targets on one device branch is ill "
+        "posed"),
+}
+
+
+def ipfc_record(change: dict, device_id: str = "i7") -> dict:
+    """The 49/c1 IPFC record with ``change`` applied."""
+    return {"type": "ipfc", "id": device_id,
+            "branches": [[49, 50], [49, 51]],
+            "targets": [{"branch": 0, "mode": "p_flow", "setpoint": 0.75},
+                        {"branch": 1, "mode": "p_flow", "setpoint": 0.75},
+                        {"branch": 1, "mode": "q_flow", "setpoint": 0.03}],
+            **change}
 
 
 class TestSsscValidation:
@@ -20,8 +64,28 @@ class TestSsscValidation:
         assert d.v_se_max == (None,)
 
     def test_nonzero_target_branch_rejected(self):
-        with pytest.raises(DeviceConfigError, match="out of range"):
+        with pytest.raises(DeviceConfigError,
+                           match="^device s: target branch 1 out of range$"):
             SsscDevice("s", (1, 2), ControlTarget(Mode.P_FLOW, 0.1, branch=1))
+
+    def test_list_branch_is_a_pair(self):
+        d = SsscDevice("s", [49, 50], ControlTarget(Mode.P_FLOW, 0.75))
+        assert d.branches == ((49, 50),)
+
+    @pytest.mark.parametrize("branch", [49, None, "49-50"])
+    def test_bare_bus_id_rejected(self, branch):
+        with pytest.raises(DeviceConfigError,
+                           match=rf"^s: branch {branch!r} is not an \(i, j\) "
+                                 "pair$"):
+            SsscDevice("s", branch, ControlTarget(Mode.P_FLOW, 0.75))
+
+    @pytest.mark.parametrize("branch", [False, 0.0])
+    def test_target_branch_that_is_not_an_integer_rejected(self, branch):
+        with pytest.raises(DeviceConfigError,
+                           match=f"^device s: target branch {branch!r} is "
+                                 "not an integer$"):
+            SsscDevice("s", (49, 50),
+                       ControlTarget(Mode.P_FLOW, 0.75, branch=branch))
 
     def test_companion_mode_needs_current_guess(self):
         with pytest.raises(DeviceConfigError, match="current guess"):
@@ -132,6 +196,21 @@ class TestIpfcValidation:
               ControlTarget(Mode.P_FLOW, 0.7, branch=2),
               ControlTarget(Mode.Q_FLOW, 0.1, branch=1))
         with pytest.raises(DeviceConfigError, match="out of range"):
+            SeriesDevice("i", ((49, 50), (49, 51)), ts)
+
+    @pytest.mark.parametrize("branch", [True, 1.0, np.int64(1)])
+    def test_target_branch_of_another_type(self, branch):
+        # a boolean or float branch is not read as branch 1; a numpy
+        # integer is an integer
+        ts = (ControlTarget(Mode.P_FLOW, 0.75, branch=0),
+              ControlTarget(Mode.P_FLOW, 0.75, branch=branch),
+              ControlTarget(Mode.Q_FLOW, 0.03, branch=1))
+        if isinstance(branch, np.integer):
+            assert SeriesDevice("i", ((49, 50), (49, 51)), ts).targets == ts
+            return
+        with pytest.raises(DeviceConfigError,
+                           match=f"^device i: target branch {branch!r} is "
+                                 "not an integer$"):
             SeriesDevice("i", ((49, 50), (49, 51)), ts)
 
     @pytest.mark.parametrize("branches", [
@@ -269,6 +348,14 @@ class TestLoadDevices:
             (ControlTarget(Mode.P_FLOW, 0.75, branch=0),
              ControlTarget(Mode.P_FLOW, 0.75, branch=1),
              ControlTarget(Mode.Q_FLOW, 0.03, branch=1)))]
+
+    @pytest.mark.parametrize("change, err", DEVICE_ERRORS.values(),
+                             ids=DEVICE_ERRORS)
+    def test_device_errors_name_the_device(self, change, err):
+        with pytest.raises(DeviceConfigError) as info:
+            load_devices(json.dumps([ipfc_record({}, "i6"),
+                                     ipfc_record(change)]))
+        assert str(info.value) == err
 
     def test_bad_json(self):
         with pytest.raises(DeviceConfigError, match="JSON"):

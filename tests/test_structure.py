@@ -3,6 +3,7 @@ fixed-pattern Jacobian and its memoised pattern with SuperLU's column
 order, and the test memos' reset."""
 
 import importlib
+import multiprocessing
 import pkgutil
 
 import numpy as np
@@ -12,7 +13,7 @@ from scipy.sparse.linalg import splu
 
 import ffheflow
 from conftest import clear_memos
-from ffheflow import load_bundled_case, report, system
+from ffheflow import cli, load_bundled_case, report, system
 from ffheflow.devices import ControlTarget, Mode, SeriesDevice, SsscDevice
 from ffheflow.network import BusKind
 from ffheflow.newton import flat_start
@@ -183,8 +184,11 @@ def _memos():
 
 
 def test_every_memo_is_empty_when_a_test_starts(case118):
-    """The conftest clears every memo, so none carries one test's state
-    into another: a memo added without its ``cache_clear`` fails here."""
+    """The conftest clears every memo and stops the batch workers, so none
+    carries one test's state into another: a memo added without its
+    ``cache_clear`` fails here."""
+    assert cli._pool is None
+    assert multiprocessing.active_children() == []
     memos = _memos()
     assert {"ffheflow.network._parse_case", "ffheflow.report._base_solution",
             "ffheflow.system._structure", "ffheflow.system._device_rows",
