@@ -13,7 +13,12 @@ memoised: batch entries that run in one process and read the same case
 text share one :class:`~ffheflow.network.Network` instance, and with it
 the study memos.  That instance is shared; do not modify it.  The pool is
 made by the first batch that needs it and kept until the process exits,
-so each worker keeps its memos from one batch to the next.
+so each worker keeps its memos from one batch to the next; a batch that
+wants another number of workers, or runs in another working directory,
+gets a new pool.  Workers carry this process's state as it was when they
+forked: a change made later, such as a patched function, does not reach
+them until the pool is shut down with :func:`shutdown_workers`.  Where the
+platform has no affinity mask or no ``fork``, a batch runs in-process.
 """
 
 from __future__ import annotations
@@ -214,17 +219,33 @@ def _render(rep: StudyReport, kind: str) -> str:
     return format_text(rep)
 
 
-#: the batch worker pool, made by the first batch that needs one
+#: the batch worker pool, made by the first batch that needs one, and the
+#: (worker count, working directory) it was made for
 _pool: ProcessPoolExecutor | None = None
+_pool_key: tuple = ()
+
+
+def _cpus() -> int:
+    """The CPUs in this process's affinity mask, or 1 where the platform
+    has no mask or cannot fork."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    if affinity is None or \
+            "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    return len(affinity(0))
 
 
 def _workers(n: int) -> ProcessPoolExecutor:
-    """The kept pool of ``n`` forked workers, made on first use.  Forked,
-    the workers start with this process's imports and memos."""
-    global _pool
-    if _pool is None:
+    """The kept pool of ``n`` forked workers in the current working
+    directory, made anew when either differs from the kept one.  Forked,
+    the workers start with this process's imports, memos and directory."""
+    global _pool, _pool_key
+    key = (n, os.getcwd())
+    if _pool is None or _pool_key != key:
+        shutdown_workers()
         _pool = ProcessPoolExecutor(
             n, mp_context=multiprocessing.get_context("fork"))
+        _pool_key = key
     return _pool
 
 
@@ -263,9 +284,10 @@ def _run_batch(batch_path: Path, args) -> int:
     # a study is GIL-bound Python and small numpy calls, so the entries
     # run in processes, not threads; map yields in entry order.  A defect
     # in a worker is raised here with its own type; a dead worker breaks
-    # the pool, which goes, so that the next batch forks a new one
-    n = len(os.sched_getaffinity(0))
-    run = map if n == 1 or len(entries) < 2 else _workers(n).map
+    # the pool, which goes, so that the next batch forks a new one.  The
+    # fork context starts every worker at once: no more than the entries
+    n = min(_cpus(), len(entries))
+    run = map if n < 2 else _workers(n).map
     worst = EXIT_OK
     try:
         for code, out, err in run(_run_entry, [args] * len(entries),

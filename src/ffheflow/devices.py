@@ -176,8 +176,11 @@ def SsscDevice(device_id: str, branch, target: ControlTarget,
                z_se: complex = 0.01 + 0.01j, v_se_max: float | None = None,
                current_guess: complex = 0.1 + 0.0j) -> SeriesDevice:
     """One-branch :class:`SeriesDevice` (an SSSC) with a single target."""
-    if isinstance(branch, list):
-        branch = tuple(branch)
+    if not isinstance(branch, str):
+        try:
+            branch = tuple(branch)
+        except TypeError:       # a bare bus id: SeriesDevice names it
+            pass
     return SeriesDevice(device_id, (branch,), (target,), (z_se,),
                         (v_se_max,), (current_guess,))
 

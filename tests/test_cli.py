@@ -22,8 +22,8 @@ from ffheflow.report import StudyOptions, StudyReport, run_study
 from ffheflow.system import build_system
 from test_devices import DEVICE_ERRORS, ipfc_record
 
-#: the CPUs this process may run on: the batch workers, one per CPU
-CPUS = len(os.sched_getaffinity(0))
+#: the CPUs a batch may use here: one worker per CPU, up to the entries
+CPUS = cli._cpus()
 needs_two_cpus = pytest.mark.skipif(
     CPUS < 2, reason="on one CPU a batch runs in-process, with no workers")
 SRC = Path(cli.__file__).resolve().parents[1]
@@ -503,7 +503,7 @@ class TestBatchWorkers:
                                       "method": "nr"}] * 2))
         assert main(["--batch", str(batch)]) == EXIT_OK
         workers = multiprocessing.active_children()
-        assert len(workers) == CPUS
+        assert len(workers) == min(CPUS, 2)
         assert all(w.is_alive() for w in workers)
         # the next batch runs on the same workers
         assert main(["--batch", str(batch)]) == EXIT_OK
@@ -521,6 +521,54 @@ class TestBatchWorkers:
                 main(["--batch", str(batch)])
         assert cli._pool is None
         assert main(["--batch", str(batch)]) == EXIT_OK
+        assert capsys.readouterr().out.count("=== ") == 2
+
+    def test_workers_follow_the_entries_and_the_mask(
+            self, case_path, tmp_path, capsys, monkeypatch):
+        # no more workers than entries; a batch that wants another number
+        # of workers gets a new pool
+        monkeypatch.setattr(cli.os, "sched_getaffinity",
+                            lambda pid: set(range(8)))
+        for n in (2, 3, 3):
+            batch = tmp_path / f"batch{n}.json"
+            batch.write_text(json.dumps([{"case": str(case_path),
+                                          "method": "nr"}] * n))
+            assert main(["--batch", str(batch)]) == EXIT_OK
+            assert len(multiprocessing.active_children()) == n
+            assert cli._pool_key == (n, os.getcwd())
+        assert capsys.readouterr().out.count("=== ") == 8
+
+    @needs_two_cpus
+    def test_a_new_working_directory_gets_new_workers(
+            self, case_path, tmp_path, capsys, monkeypatch):
+        # relative paths are read against the directory the batch runs in,
+        # not the one the kept workers were forked in
+        for name in ("one", "two"):
+            work = tmp_path / name
+            work.mkdir()
+            (work / f"{name}.m").write_text(case_path.read_text())
+            (work / "batch.json").write_text(json.dumps(
+                [{"case": f"{name}.m", "method": "nr"}] * 2))
+            monkeypatch.chdir(work)
+            assert main(["--batch", "batch.json"]) == EXIT_OK
+            out, err = capsys.readouterr()
+            assert err == ""
+            assert out.count(f"=== {name}.m\ncase {name}: converged") == 2
+
+    @pytest.mark.parametrize("platform", ["no affinity mask", "no fork"])
+    def test_a_platform_without_fork_runs_in_process(
+            self, platform, case_path, tmp_path, capsys, monkeypatch):
+        if platform == "no affinity mask":
+            monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(cli.multiprocessing, "get_all_start_methods",
+                                lambda: ["spawn"])
+        batch = tmp_path / "batch.json"
+        batch.write_text(json.dumps([{"case": str(case_path),
+                                      "method": "nr"}] * 2))
+        assert main(["--batch", str(batch)]) == EXIT_OK
+        assert cli._pool is None
+        assert multiprocessing.active_children() == []
         assert capsys.readouterr().out.count("=== ") == 2
 
     def test_one_cpu_runs_in_process(self, case_path, tmp_path):
@@ -560,7 +608,7 @@ class TestBatchWorkers:
         assert "Exception ignored" not in res.stderr
         assert res.stdout.count("=== ") == 2
         pids = [int(pid) for pid in res.stdout.splitlines()[-1].split()]
-        assert len(pids) == CPUS
+        assert len(pids) == min(CPUS, 3)
         for pid in pids:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)

@@ -68,8 +68,10 @@ class TestSsscValidation:
                            match="^device s: target branch 1 out of range$"):
             SsscDevice("s", (1, 2), ControlTarget(Mode.P_FLOW, 0.1, branch=1))
 
-    def test_list_branch_is_a_pair(self):
-        d = SsscDevice("s", [49, 50], ControlTarget(Mode.P_FLOW, 0.75))
+    @pytest.mark.parametrize("branch", [[49, 50], np.array([49, 50]),
+                                        range(49, 51)])
+    def test_iterable_branch_is_a_pair(self, branch):
+        d = SsscDevice("s", branch, ControlTarget(Mode.P_FLOW, 0.75))
         assert d.branches == ((49, 50),)
 
     @pytest.mark.parametrize("branch", [49, None, "49-50"])
